@@ -41,7 +41,7 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
 
-from .tsdb import QueryError, TimeSeriesDB, parse_query
+from .tsdb import TimeSeriesDB, parse_query
 
 __all__ = [
     "AlertRule",
@@ -85,9 +85,15 @@ class AlertRule:
         Free-form routing hint (``warn`` / ``page``).
     description:
         Human-readable annotation carried into the alerts document.
+
+    The expression is compiled once, here (a malformed one raises
+    :class:`~repro.obs.tsdb.QueryError`), and kept as ``query``: every
+    evaluation reuses it instead of re-parsing the text.
     """
 
-    __slots__ = ("name", "expr", "for_periods", "severity", "description")
+    __slots__ = (
+        "name", "expr", "query", "for_periods", "severity", "description",
+    )
 
     def __init__(
         self,
@@ -103,9 +109,9 @@ class AlertRule:
             raise ValueError(
                 f"for_periods must be >= 1 for rule {name!r}: {for_periods}"
             )
-        parse_query(expr)  # fail fast on malformed expressions
         self.name = name
         self.expr = expr
+        self.query = parse_query(expr)
         self.for_periods = int(for_periods)
         self.severity = severity
         self.description = description
@@ -161,6 +167,8 @@ class AlertManager:
         self.closed = False
         self.evaluations = 0
         self.transitions: List[Dict[str, Any]] = []
+        #: Always empty: rules compile at construction, so evaluation
+        #: cannot hit a parse error.  Kept for the alerts document's shape.
         self.rule_errors: Dict[str, str] = {}
         self.contexts: Deque[Dict[str, Any]] = deque(maxlen=_CONTEXT_RETENTION)
         self._subscribers: List[Any] = []
@@ -241,11 +249,7 @@ class AlertManager:
 
         produced: List[Dict[str, Any]] = []
         for rule in self._rules:
-            try:
-                vector = self._tsdb.query(rule.expr, at=t)
-            except QueryError as exc:
-                self.rule_errors[rule.name] = str(exc)
-                vector = []
+            vector = self._tsdb.query(rule.query, at=t)
             state = self._states[rule.name]
             if vector:
                 value = max(entry["value"] for entry in vector)

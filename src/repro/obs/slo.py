@@ -36,6 +36,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .alerts import AlertRule
+from .tsdb import Query, parse_query
 
 __all__ = [
     "SLOSpec",
@@ -78,18 +79,23 @@ class SLOSpec:
         Allowed bad fraction in ``(0, 1)`` — the error budget.
     bad_exprs / total_exprs:
         Parallel candidate lists of PromQL-lite range expressions with
-        a ``{window}`` placeholder (filled with e.g. ``3600s``).  The
-        engine uses the first candidate *pair* whose total expression
-        returns data — letting one spec prefer ground-truth series a
-        soak feeds (``soak_false_alarm``) and fall back to live
-        detector series (``syndog_alarm_active``) outside a soak.
+        a ``{window}`` placeholder in the range brackets.  The engine
+        uses the first candidate *pair* whose total expression returns
+        data — letting one spec prefer ground-truth series a soak feeds
+        (``soak_false_alarm``) and fall back to live detector series
+        (``syndog_alarm_active``) outside a soak.
     windows:
         Burn-rate pairs, see :data:`DEFAULT_BURN_WINDOWS`.
+
+    Each expression is compiled once, here, into ``bad_queries`` /
+    ``total_queries``; the engine sets the window of every evaluation
+    with :meth:`~repro.obs.tsdb.Query.with_duration` instead of
+    formatting and re-parsing the text.
     """
 
     __slots__ = (
         "name", "description", "budget", "bad_exprs", "total_exprs",
-        "windows",
+        "windows", "bad_queries", "total_queries",
     )
 
     def __init__(
@@ -121,6 +127,8 @@ class SLOSpec:
             (float(short), float(long), float(threshold))
             for short, long, threshold in windows
         )
+        self.bad_queries = tuple(_compile_windowed(e) for e in bad_exprs)
+        self.total_queries = tuple(_compile_windowed(e) for e in total_exprs)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -134,6 +142,17 @@ class SLOSpec:
 
     def __repr__(self) -> str:
         return f"SLOSpec({self.name!r}, budget={self.budget})"
+
+
+def _compile_windowed(template: str) -> Query:
+    """Parse a ``{window}`` range template once, at a placeholder window."""
+    query = parse_query(template.format(window="1s"))
+    if "{window}" not in template or query.func is None:
+        raise ValueError(
+            f"SLO expression must be a range query over [{{window}}]: "
+            f"{template!r}"
+        )
+    return query
 
 
 def builtin_slos(
@@ -223,16 +242,16 @@ class SLOEngine:
         self, tsdb: Any, spec: SLOSpec, window: float, at: float
     ) -> Tuple[Optional[float], Optional[float]]:
         """``(bad, total)`` over the trailing *window*, from the first
-        candidate expression pair whose total returns data."""
-        token = f"{int(window)}s"
-        for bad_expr, total_expr in zip(spec.bad_exprs, spec.total_exprs):
-            total_vector = tsdb.query(
-                total_expr.format(window=token), at=at
-            )
+        candidate expression pair whose total returns data.  The window
+        is truncated to whole seconds, as the ``{window}`` text always
+        was."""
+        seconds = float(int(window))
+        for bad_query, total_query in zip(spec.bad_queries, spec.total_queries):
+            total_vector = tsdb.query(total_query.with_duration(seconds), at=at)
             if not total_vector:
                 continue
             total = sum(entry["value"] for entry in total_vector)
-            bad_vector = tsdb.query(bad_expr.format(window=token), at=at)
+            bad_vector = tsdb.query(bad_query.with_duration(seconds), at=at)
             bad = sum(entry["value"] for entry in bad_vector)
             return bad, total
         return None, None

@@ -52,8 +52,12 @@ history for every N.
 
 from __future__ import annotations
 
+import operator
 import re
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from bisect import bisect_right, insort
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 __all__ = [
     "Sample",
@@ -70,6 +74,8 @@ __all__ = [
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 Sample = Tuple[float, float]  #: (logical time, value)
+
+_sample_time = operator.itemgetter(0)
 
 #: Series names the registry snapshot must never shadow: these are fed
 #: as first-class samples (with deterministic merge semantics) and the
@@ -89,11 +95,18 @@ def _labels_key(labels: Optional[Dict[str, Any]]) -> LabelsKey:
 
 
 class Series:
-    """One named, labeled sample ring with deterministic downsampling."""
+    """One named, labeled sample ring with deterministic downsampling.
+
+    ``ordered`` is True while the samples are non-decreasing in time —
+    the live path's case, and the state :meth:`TimeSeriesDB.merge_from`
+    restores by sorting.  Ordered series answer :meth:`window` and
+    :meth:`latest` by bisection; an out-of-order append (a second grid
+    item replaying earlier logical times) falls back to a linear scan.
+    """
 
     __slots__ = (
         "name", "labels", "source", "samples", "compactions",
-        "points_dropped",
+        "points_dropped", "ordered",
     )
 
     def __init__(self, name: str, labels: LabelsKey, source: str = "feed") -> None:
@@ -103,11 +116,15 @@ class Series:
         self.samples: List[Sample] = []
         self.compactions = 0
         self.points_dropped = 0
+        self.ordered = True
 
     def append(self, t: float, value: float, retention: int) -> int:
         """Append one sample; returns how many points this append's
         retention compaction dropped (0 when no compaction ran)."""
-        self.samples.append((float(t), float(value)))
+        t = float(t)
+        if self.samples and not t >= self.samples[-1][0]:
+            self.ordered = False
+        self.samples.append((t, float(value)))
         if len(self.samples) > retention:
             return self._compact()
         return 0
@@ -131,6 +148,11 @@ class Series:
     # ------------------------------------------------------------------
     def latest(self, at: float, staleness: float) -> Optional[Sample]:
         """The newest sample with ``t <= at`` and ``t > at - staleness``."""
+        if self.ordered:
+            index = bisect_right(self.samples, at, key=_sample_time) - 1
+            if index >= 0 and self.samples[index][0] > at - staleness:
+                return self.samples[index]
+            return None
         for t, value in reversed(self.samples):
             if t <= at:
                 if t > at - staleness:
@@ -140,6 +162,11 @@ class Series:
 
     def window(self, at: float, duration: float) -> List[Sample]:
         """Samples with ``at - duration < t <= at``, oldest first."""
+        samples = self.samples
+        if self.ordered:
+            end = bisect_right(samples, at, key=_sample_time)
+            start = bisect_right(samples, at - duration, 0, end, key=_sample_time)
+            return samples[start:end]
         return [
             (t, value)
             for t, value in self.samples
@@ -193,6 +220,9 @@ class TimeSeriesDB:
         self.staleness = float(staleness)
         self.record_snapshots = record_snapshots
         self._series: Dict[Tuple[str, LabelsKey], Series] = {}
+        #: Per-name series lists in label order — the index a query's
+        #: selector reads instead of filtering and sorting every series.
+        self._by_name: Dict[str, List[Series]] = {}
         self._registry: Optional[Any] = None
         self._events: Optional[Any] = None
         self._profiler: Optional[Any] = None
@@ -235,12 +265,20 @@ class TimeSeriesDB:
         key = (name, _labels_key(labels))
         series = self._series.get(key)
         if series is None:
-            series = self._series[key] = Series(name, key[1], source=source)
+            series = self._add_series(key, source)
         dropped = series.append(t, value, self.retention)
         self.samples_appended += 1
         if dropped:
             self.compactions_total += 1
             self.points_dropped_total += dropped
+
+    def _add_series(self, key: Tuple[str, LabelsKey], source: str) -> Series:
+        series = self._series[key] = Series(key[0], key[1], source=source)
+        insort(
+            self._by_name.setdefault(key[0], []), series,
+            key=lambda entry: entry.labels,
+        )
+        return series
 
     def tick(self, t: float) -> None:
         """Per-period snapshot hook (live path): advance the watermark
@@ -331,17 +369,16 @@ class TimeSeriesDB:
         self, name: Optional[str] = None, source: Optional[str] = None
     ) -> List[Series]:
         """Stored series in canonical (name, labels) order."""
-        selected = [
+        names = (name,) if name is not None else self.names()
+        return [
             series
-            for series in self._series.values()
-            if (name is None or series.name == name)
-            and (source is None or series.source == source)
+            for each in names
+            for series in self._by_name.get(each, ())
+            if source is None or series.source == source
         ]
-        selected.sort(key=lambda series: (series.name, series.labels))
-        return selected
 
     def names(self) -> List[str]:
-        return sorted({series.name for series in self._series.values()})
+        return sorted(self._by_name)
 
     def points_retained(self) -> int:
         """Samples currently held across every series — the live
@@ -408,9 +445,7 @@ class TimeSeriesDB:
             key = (entry["name"], key_labels)
             series = self._series.get(key)
             if series is None:
-                series = self._series[key] = Series(
-                    entry["name"], key_labels, source=entry.get("source", "feed")
-                )
+                series = self._add_series(key, entry.get("source", "feed"))
             for t, value in entry.get("samples", ()):
                 dropped = series.append(float(t), float(value), self.retention)
                 self.samples_appended += 1
@@ -420,21 +455,25 @@ class TimeSeriesDB:
             # Stable sort: new samples interleave by logical time, with
             # earlier-merged shards winning ties — deterministic for a
             # fixed merge order.
-            series.samples.sort(key=lambda sample: sample[0])
+            series.samples.sort(key=_sample_time)
+            series.ordered = True
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     def query(
-        self, expr: str, at: Optional[float] = None
+        self, expr: Union[str, Query], at: Optional[float] = None
     ) -> List[Dict[str, Any]]:
         """Evaluate a PromQL-lite expression as an instant vector.
 
+        *expr* is either text, parsed on every call (the ad-hoc
+        ``/query`` and ``repro query`` path), or a :class:`Query`
+        compiled once by :func:`parse_query` (alert rules and SLOs).
         Returns ``[{"labels": {...}, "value": v}, ...]`` sorted by
         labels.  ``at`` defaults to the newest sample time in the
         store (an empty store evaluates to an empty vector).
         """
-        parsed = parse_query(expr)
+        parsed = expr if isinstance(expr, Query) else parse_query(expr)
         if at is None:
             at = self.last_time()
             if at is None:
@@ -490,7 +529,9 @@ class NullTSDB:
     def merge_from(self, snapshot: Dict[str, Any]) -> None:
         pass
 
-    def query(self, expr: str, at: Optional[float] = None) -> List[Dict[str, Any]]:
+    def query(
+        self, expr: Union[str, Query], at: Optional[float] = None
+    ) -> List[Dict[str, Any]]:
         return []
 
     def __len__(self) -> int:
@@ -646,19 +687,24 @@ def _last(samples: List[Sample], duration: float) -> Optional[float]:
 
 
 _COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "!=": operator.ne,
 }
 
 
 class Query:
-    """A parsed PromQL-lite expression."""
+    """A parsed PromQL-lite expression, compiled once: the range
+    function and comparator are resolved here, so :meth:`evaluate` does
+    no parsing or table lookups."""
 
-    __slots__ = ("expr", "func", "selector", "duration", "cmp", "threshold")
+    __slots__ = (
+        "expr", "func", "selector", "duration", "cmp", "threshold",
+        "_range_fn", "_compare",
+    )
 
     def __init__(
         self,
@@ -675,23 +721,29 @@ class Query:
         self.duration = duration
         self.cmp = cmp
         self.threshold = threshold
+        self._range_fn = None if func is None else _RANGE_FUNCS[func]
+        self._compare = None if cmp is None else _COMPARATORS[cmp]
+
+    def with_duration(self, duration: float) -> "Query":
+        """This range query over a different window, without re-parsing
+        (the SLO engine's burn windows and full-horizon budget query)."""
+        return Query(
+            self.expr, self.func, self.selector, duration, self.cmp,
+            self.threshold,
+        )
 
     def evaluate(self, tsdb: TimeSeriesDB, at: float) -> List[Dict[str, Any]]:
+        range_fn, compare, duration = self._range_fn, self._compare, self.duration
         results: List[Dict[str, Any]] = []
         for series in self.selector.select(tsdb):
-            if self.func is not None:
-                assert self.duration is not None
-                value = _RANGE_FUNCS[self.func](
-                    series.window(at, self.duration), self.duration
-                )
+            if range_fn is not None:
+                value = range_fn(series.window(at, duration), duration)
             else:
                 sample = series.latest(at, tsdb.staleness)
                 value = None if sample is None else sample[1]
             if value is None:
                 continue
-            if self.cmp is not None and not _COMPARATORS[self.cmp](
-                value, self.threshold
-            ):
+            if compare is not None and not compare(value, self.threshold):
                 continue
             results.append({"labels": dict(series.labels), "value": value})
         return results
@@ -804,7 +856,8 @@ class _Parser:
 
 
 def parse_query(expr: str) -> Query:
-    """Parse one PromQL-lite expression (raises :class:`QueryError`)."""
+    """Parse one PromQL-lite expression (raises :class:`QueryError`)
+    into a :class:`Query` that can be evaluated any number of times."""
     if not expr or not expr.strip():
         raise QueryError("empty query expression")
     return _Parser(expr).parse()

@@ -16,6 +16,7 @@ from repro.obs.alerts import (
 )
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.runtime import enabled_instrumentation
+from repro.obs.slo import SLOEngine
 from repro.obs.tsdb import TimeSeriesDB
 
 
@@ -268,3 +269,61 @@ class TestBuiltinsAndReplay:
             for _ in range(2)
         ]
         assert docs[0] == docs[1]
+
+
+class TestCompileOnce:
+    """Rules and SLO expressions are parsed at construction only."""
+
+    @pytest.fixture
+    def store(self):
+        obs = enabled_instrumentation()
+        dog = SynDog(obs=obs, name="router-a")
+        for index in range(500):
+            record = dog.observe_period(5000 if index == 400 else 100, 100)
+            obs.tsdb.append("soak_false_alarm", None, record.end_time, 0.0)
+        return obs.tsdb
+
+    @staticmethod
+    def count_tokenize(monkeypatch):
+        import repro.obs.tsdb as tsdb_module
+
+        calls = []
+        original = tsdb_module._tokenize
+
+        def counting(expr):
+            calls.append(expr)
+            return original(expr)
+
+        monkeypatch.setattr(tsdb_module, "_tokenize", counting)
+        return calls
+
+    def test_alert_evaluation_never_tokenizes(self, store, monkeypatch):
+        manager = AlertManager(builtin_rules(slo=True), tsdb=store)
+        calls = self.count_tokenize(monkeypatch)
+        for t in store.watermarks()[:500]:
+            manager.evaluate(t)
+        assert manager.evaluations == 500
+        assert manager.transitions  # the rules did real work
+        assert calls == []
+        store.query("syndog_cusum")  # the counter itself is live
+        assert calls == ["syndog_cusum"]
+
+    def test_slo_evaluation_never_tokenizes(self, store, monkeypatch):
+        engine = SLOEngine()
+        calls = self.count_tokenize(monkeypatch)
+        documents = [
+            engine.evaluate(store, at=t) for t in store.watermarks()[:500]
+        ]
+        assert documents[-1]["verdict"] != "no_data"
+        assert calls == []
+
+    def test_compiled_rules_survive_pickling(self, store):
+        import pickle
+
+        rules = builtin_rules(slo=True)
+        copies = pickle.loads(pickle.dumps(rules))
+        at = store.last_time()
+        for rule, copy in zip(rules, copies):
+            assert copy.query.evaluate(store, at) == rule.query.evaluate(
+                store, at
+            )

@@ -36,6 +36,14 @@ class TestSLOSpec:
         with pytest.raises(ValueError):
             SLOSpec("s", "d", budget=0.1, bad_exprs=(), total_exprs=())
 
+    def test_expressions_must_be_window_templates(self):
+        with pytest.raises(ValueError):
+            SLOSpec("s", "d", budget=0.1, bad_exprs=("y",),
+                    total_exprs=("count_over_time(y[{window}])",))
+        with pytest.raises(ValueError):
+            SLOSpec("s", "d", budget=0.1, bad_exprs=("sum_over_time(y[5m])",),
+                    total_exprs=("count_over_time(y[{window}])",))
+
     def test_to_dict_is_plain_data(self):
         spec = builtin_slos()[0]
         doc = spec.to_dict()

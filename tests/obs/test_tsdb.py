@@ -1,6 +1,8 @@
 """The telemetry history store and its PromQL-lite query engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.syndog import SynDog
 from repro.obs.events import EventLog, MemorySink
@@ -351,3 +353,174 @@ class TestMerge:
         assert first.to_dict() == second.to_dict()
         (series,) = first.series("y")
         assert series.samples == [(20.0, 1.0), (20.0, 2.0)]
+
+
+# ----------------------------------------------------------------------
+# Differential suite: bisected windows against the reference filter
+# ----------------------------------------------------------------------
+RANGE_FUNCS = (
+    "rate", "increase", "avg_over_time", "max_over_time", "min_over_time",
+    "sum_over_time", "count_over_time", "last_over_time",
+)
+
+#: The range functions, written out again from their definitions.
+REFERENCE_FUNCS = {
+    "rate": lambda w: (
+        (w[-1][1] - w[0][1]) / (w[-1][0] - w[0][0])
+        if len(w) >= 2 and w[-1][0] > w[0][0] else None
+    ),
+    "increase": lambda w: w[-1][1] - w[0][1] if len(w) >= 2 else None,
+    "avg_over_time": lambda w: (
+        sum(v for _, v in w) / len(w) if w else None
+    ),
+    "max_over_time": lambda w: max(v for _, v in w) if w else None,
+    "min_over_time": lambda w: min(v for _, v in w) if w else None,
+    "sum_over_time": lambda w: sum(v for _, v in w) if w else None,
+    "count_over_time": lambda w: float(len(w)) if w else None,
+    "last_over_time": lambda w: w[-1][1] if w else None,
+}
+
+SERIES_KINDS = (
+    "ordered", "duplicates", "out_of_order", "compacted", "merged",
+)
+
+# A 5 s grid, so window edges land exactly on sample times.
+grid_times = st.integers(min_value=0, max_value=120).map(lambda i: 5.0 * i)
+sample_lists = st.lists(
+    st.tuples(grid_times, st.integers(-50, 50).map(float)), max_size=40,
+)
+query_times = st.one_of(
+    st.integers(min_value=-4, max_value=130).map(lambda i: 5.0 * i),
+    st.floats(min_value=-20.0, max_value=650.0, allow_nan=False),
+)
+durations = st.integers(min_value=0, max_value=300)
+
+
+def build_series(kind, samples, shards):
+    """A store holding one series ``y`` of the given kind."""
+    by_time = sorted(samples, key=lambda sample: sample[0])
+    tsdb = TimeSeriesDB(retention=8 if kind == "compacted" else 4096,
+                        staleness=60.0)
+    if kind == "ordered":
+        feed(tsdb, "y", sorted(dict(samples).items()))
+    elif kind in ("duplicates", "compacted"):
+        feed(tsdb, "y", sorted(by_time + by_time[::2], key=lambda s: s[0]))
+    elif kind == "out_of_order":
+        feed(tsdb, "y", samples)
+    else:
+        parts = [TimeSeriesDB() for _ in range(shards)]
+        for index, (t, value) in enumerate(samples):
+            parts[index % shards].append("y", None, t, value)
+        merge_tsdb(tsdb, [part.to_dict() for part in parts])
+    found = tsdb.series("y")
+    return tsdb, (found[0] if found else None)
+
+
+def reference_window(series, at, duration):
+    return [s for s in series.samples if at - duration < s[0] <= at]
+
+
+def reference_latest(series, at, staleness):
+    candidates = [s for s in series.samples if s[0] <= at]
+    if candidates and candidates[-1][0] > at - staleness:
+        return candidates[-1]
+    return None
+
+
+class TestBisectedWindowDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(SERIES_KINDS), samples=sample_lists,
+        shards=st.integers(min_value=1, max_value=3),
+        at=query_times, duration=durations,
+    )
+    def test_window_and_latest_match_reference(
+        self, kind, samples, shards, at, duration
+    ):
+        tsdb, series = build_series(kind, samples, shards)
+        if series is None:
+            return
+        times = [t for t, _ in series.samples]
+        if series.ordered:
+            assert times == sorted(times)
+        if kind in ("ordered", "duplicates", "compacted", "merged"):
+            assert series.ordered
+        if kind == "compacted" and len(samples) > 8:
+            assert series.compactions >= 1
+        assert series.window(at, float(duration)) == reference_window(
+            series, at, float(duration)
+        )
+        assert series.latest(at, tsdb.staleness) == reference_latest(
+            series, at, tsdb.staleness
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(SERIES_KINDS), samples=sample_lists,
+        shards=st.integers(min_value=1, max_value=3),
+        at=query_times, duration=durations,
+        func=st.sampled_from(RANGE_FUNCS + (None,)),
+        comparison=st.sampled_from(("", " > 0", " <= 10")),
+    )
+    def test_query_matches_reference(
+        self, kind, samples, shards, at, duration, func, comparison
+    ):
+        tsdb, series = build_series(kind, samples, shards)
+        if func is None:
+            expr = "y" + comparison
+        else:
+            expr = f"{func}(y[{duration}s])" + comparison
+        got = parse_query(expr).evaluate(tsdb, at)
+        if series is None:
+            assert got == []
+            return
+        if func is None:
+            sample = reference_latest(series, at, tsdb.staleness)
+            value = None if sample is None else sample[1]
+        else:
+            value = REFERENCE_FUNCS[func](
+                reference_window(series, at, float(duration))
+            )
+        keep = value is not None and (
+            comparison == ""
+            or (comparison == " > 0" and value > 0)
+            or (comparison == " <= 10" and value <= 10)
+        )
+        assert got == ([{"labels": {}, "value": value}] if keep else [])
+
+    def test_out_of_order_append_falls_back_to_a_scan(self):
+        tsdb = TimeSeriesDB()
+        feed(tsdb, "y", [(20.0, 1.0), (60.0, 3.0), (40.0, 2.0)])
+        (series,) = tsdb.series("y")
+        assert not series.ordered
+        assert series.window(60.0, 30.0) == [(60.0, 3.0), (40.0, 2.0)]
+        merged = merge_tsdb(TimeSeriesDB(), [tsdb.to_dict()])
+        (restored,) = merged.series("y")
+        assert restored.ordered
+        assert restored.window(60.0, 30.0) == [(40.0, 2.0), (60.0, 3.0)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        creations=st.lists(
+            st.tuples(st.sampled_from("abc"),
+                      st.sampled_from(("", "x", "y", "z"))),
+            max_size=30,
+        ),
+        via_merge=st.booleans(),
+    )
+    def test_per_name_index_keeps_label_order(self, creations, via_merge):
+        source = TimeSeriesDB()
+        for name, agent in creations:
+            source.append(name, {"agent": agent} if agent else None, 1.0, 1.0)
+        tsdb = source
+        if via_merge:
+            tsdb = merge_tsdb(TimeSeriesDB(), [source.to_dict()])
+        keys = sorted({
+            (name, (("agent", agent),) if agent else ())
+            for name, agent in creations
+        })
+        assert [(s.name, s.labels) for s in tsdb.series()] == keys
+        for name in "abc":
+            assert [(s.name, s.labels) for s in tsdb.series(name)] == [
+                key for key in keys if key[0] == name
+            ]
