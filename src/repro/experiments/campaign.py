@@ -122,7 +122,7 @@ def simulate_network(
 ) -> NetworkOutcome:
     """Simulate one stub network: background + local slaves through its
     SYN-dog.  A pure function of the task (plus wall-clock telemetry),
-    shared verbatim by the serial and sharded paths."""
+    the work-plan item every shard runs."""
     obs = resolve_instrumentation(obs)
     network_start = time.perf_counter()
     window = AttackWindow(task.attack_start, task.attack_duration)
@@ -245,15 +245,11 @@ def simulate_campaign(
             )
         )
 
-    from ..parallel import WorkPlan, effective_workers, run_plan
+    from ..parallel import WorkPlan, run_plan
 
-    if effective_workers(workers) == 1:
-        outcomes = [simulate_network(task, obs=obs) for task in tasks]
-    else:
-        outcomes = run_plan(
-            WorkPlan.partition(tasks), simulate_network,
-            workers=workers, obs=obs,
-        )
+    outcomes = run_plan(
+        WorkPlan.partition(tasks), simulate_network, workers=workers, obs=obs
+    )
     if obs.enabled:
         obs.registry.gauge(
             "campaign_detection_fraction",

@@ -291,9 +291,9 @@ def run_chaos_campaign(
     instrumented (``obs``), so exported fault and degradation counters
     describe the chaos run, not the control.
 
-    ``workers`` > 1 runs the two arms as :mod:`repro.parallel` grid
-    items (each regenerating the deterministic trace); the report is
-    byte-identical to the serial one.
+    The two arms run as :mod:`repro.parallel` grid items (each
+    regenerating the deterministic trace), in this process at
+    ``workers=1``; the report is byte-identical at any ``workers``.
     """
     if schedule is None:
         from ..faults.schedule import DEFAULT_SCHEDULE, get_schedule
@@ -309,16 +309,11 @@ def run_chaos_campaign(
         for arm in ("baseline", "faulted")
     ]
 
-    from ..parallel import WorkPlan, effective_workers, run_plan
+    from ..parallel import WorkPlan, run_plan
 
-    if effective_workers(workers) == 1:
-        results = [run_chaos_arm(tasks[0]), run_chaos_arm(tasks[1], obs=obs)]
-    else:
-        results = run_plan(
-            WorkPlan.partition(tasks), _chaos_arm_worker,
-            workers=workers, obs=obs,
-        )
-    baseline_result, faulted_result = results
+    baseline_result, faulted_result = run_plan(
+        WorkPlan.partition(tasks), _chaos_arm_worker, workers=workers, obs=obs
+    )
     return ChaosReport(
         site=baseline_result["site"],
         seed=seed,
@@ -337,8 +332,8 @@ def run_chaos_campaign(
 
 
 def _chaos_arm_worker(task: ChaosArmTask, obs: Instrumentation) -> dict:
-    """Engine adapter: only the faulted arm instruments, matching the
-    serial path's "the control stays dark" contract."""
+    """Engine adapter: only the faulted arm instruments ("the control
+    stays dark")."""
     return run_chaos_arm(task, obs=obs if task.arm == "faulted" else None)
 
 

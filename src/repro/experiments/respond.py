@@ -19,10 +19,10 @@ acceptance bar is *mitigated ≥ recovery_factor × unmitigated*, with
 measured collateral below the playbook's cap.
 
 Determinism contract: each arm is a pure function of its
-:class:`RespondArmTask`; ``workers > 1`` runs the arms as
-:mod:`repro.parallel` grid items and the report — and the mitigation
-timeline, and the merged events JSONL it can be rebuilt from — is
-byte-identical to the serial run.
+:class:`RespondArmTask`; the arms run as :mod:`repro.parallel` grid
+items and the report — and the mitigation timeline, and the merged
+events JSONL it can be rebuilt from — is byte-identical at any
+``workers``.
 
 Direction note: at the victim's last mile the sniffer's roles invert
 relative to the source-side stub deployment — SYNs *arrive* on the
@@ -244,8 +244,8 @@ def run_respond_arm(
     parameters = SynDogParameters(observation_period=task.period)
     # Per-arm telemetry store and alert manager: always enabled, local
     # to this arm, so detection → alert → response behaves identically
-    # whether the arm runs serially or inside a parallel shard (shard
-    # bundles carry no live alert rules of their own).  Snapshots are
+    # in every shard (shard bundles carry no live alert rules of their
+    # own).  Snapshots are
     # off — only the detector's explicit series matter here.
     local_tsdb = TimeSeriesDB(retention=8192, record_snapshots=False)
     local_alerts = AlertManager(
@@ -554,19 +554,11 @@ def run_respond_campaign(
         for arm in ("unmitigated", "mitigated")
     ]
 
-    from ..parallel import WorkPlan, effective_workers, run_plan
+    from ..parallel import WorkPlan, run_plan
 
-    if effective_workers(workers) == 1:
-        results = [
-            run_respond_arm(tasks[0]),
-            run_respond_arm(tasks[1], obs=obs),
-        ]
-    else:
-        results = run_plan(
-            WorkPlan.partition(tasks), _respond_arm_worker,
-            workers=workers, obs=obs,
-        )
-    unmitigated, mitigated = results
+    unmitigated, mitigated = run_plan(
+        WorkPlan.partition(tasks), _respond_arm_worker, workers=workers, obs=obs
+    )
     return RespondReport(
         seed=seed,
         rate=rate,

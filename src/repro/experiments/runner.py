@@ -216,30 +216,25 @@ def run_detection_sweep(
     """The Table 2 / Table 3 experiment: sweep f_i, many randomized
     trials each, aggregate probability and mean delay.
 
-    ``workers`` > 1 shards the (rate, trial) grid across processes via
-    :mod:`repro.parallel`; every trial's seed and attack start are
-    fixed by :func:`sweep_trial_configs` before sharding, so the rows —
-    and the observability stream, wall-clock fields aside — match the
-    serial run exactly (``workers=None`` means every core).
+    ``workers`` shards the (rate, trial) grid across processes via
+    :mod:`repro.parallel` (1 runs the shards in this process,
+    ``None`` means every core); every trial's seed and attack start
+    are fixed by :func:`sweep_trial_configs` before sharding, so the
+    rows — and the observability stream, wall-clock fields aside — are
+    the same at any ``workers``.
     """
     obs = resolve_instrumentation(obs)
     configs = sweep_trial_configs(
         profile, flood_rates, num_trials, parameters, base_seed,
         attack_duration,
     )
-    from ..parallel import WorkPlan, effective_workers, run_plan
+    from ..parallel import WorkPlan, run_plan
 
-    if effective_workers(workers) == 1:
-        outcomes = []
-        with obs.tracer.span("runner.sweep"):
-            for config in configs:
-                outcomes.append(run_detection_trial(config, obs=obs))
-    else:
-        plan = WorkPlan.partition(configs)
-        with obs.tracer.span("runner.sweep"):
-            outcomes = run_plan(
-                plan, run_detection_trial, workers=workers, obs=obs
-            )
+    with obs.tracer.span("runner.sweep"):
+        outcomes = run_plan(
+            WorkPlan.partition(configs), run_detection_trial,
+            workers=workers, obs=obs,
+        )
     # The grid is rate-major (sweep_trial_configs), so row i's trials
     # are the i-th block of num_trials outcomes.
     rows: List[DetectionPerformance] = []

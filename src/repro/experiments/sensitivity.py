@@ -112,10 +112,10 @@ def sweep_parameters(
     trace is normalized once and every grid cell re-runs only the O(n)
     CUSUM recursion — the sweep is cheap even on fine grids.
 
-    ``workers`` > 1 shards the per-trace synthesis + normalization
-    across processes (:mod:`repro.parallel`; ``None`` means every
-    core); each trace's seed is fixed up front, so the cells are
-    identical to a serial sweep.
+    ``workers`` shards the per-trace synthesis + normalization across
+    processes (:mod:`repro.parallel`; ``None`` means every core, 1
+    runs the shards in this process); each trace's seed is fixed up
+    front, so the cells are identical at any ``workers``.
     """
     alpha = DEFAULT_PARAMETERS.ewma_alpha
     period = DEFAULT_PARAMETERS.observation_period
@@ -138,14 +138,11 @@ def sweep_parameters(
         for i in range(num_attack_trials)
     ]
 
-    from ..parallel import WorkPlan, effective_workers, run_plan
+    from ..parallel import WorkPlan, run_plan
 
-    if effective_workers(workers) == 1:
-        series = [_series_for_task(task) for task in tasks]
-    else:
-        series = run_plan(
-            WorkPlan.partition(tasks), _series_for_task, workers=workers
-        )
+    series = run_plan(
+        WorkPlan.partition(tasks), _series_for_task, workers=workers
+    )
     normal_series = series[:num_normal_traces]
     attack_series = series[num_normal_traces:]
 
