@@ -167,9 +167,6 @@ class AlertManager:
         self.closed = False
         self.evaluations = 0
         self.transitions: List[Dict[str, Any]] = []
-        #: Always empty: rules compile at construction, so evaluation
-        #: cannot hit a parse error.  Kept for the alerts document's shape.
-        self.rule_errors: Dict[str, str] = {}
         self.contexts: Deque[Dict[str, Any]] = deque(maxlen=_CONTEXT_RETENTION)
         self._subscribers: List[Any] = []
         for rule in rules:
@@ -377,7 +374,6 @@ class AlertManager:
             "firing": self.firing(),
             "pending": self.pending(),
             "transitions": list(self.transitions),
-            "rule_errors": dict(sorted(self.rule_errors.items())),
         }
 
     def __repr__(self) -> str:
@@ -394,7 +390,6 @@ class NullAlertManager:
     closed = False
     evaluations = 0
     transitions: List[Dict[str, Any]] = []
-    rule_errors: Dict[str, str] = {}
     contexts: Deque[Dict[str, Any]] = deque()
 
     @property
