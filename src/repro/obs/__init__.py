@@ -132,7 +132,6 @@ from .profiler import (
     parse_folded,
     write_callgrind,
     write_folded,
-    write_profile_json,
 )
 from .recorder import FlightRecorder, NullFlightRecorder
 from .rollup import (
@@ -251,7 +250,6 @@ __all__ = [
     "callgrind_format",
     "parse_callgrind",
     "write_callgrind",
-    "write_profile_json",
     "export_profiler",
     # recorder
     "FlightRecorder",

@@ -49,7 +49,6 @@ the hot path pays a single ``is not None`` check (benchmarked as
 from __future__ import annotations
 
 import gc
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
@@ -88,7 +87,6 @@ __all__ = [
     "callgrind_format",
     "parse_callgrind",
     "write_callgrind",
-    "write_profile_json",
 ]
 
 
@@ -586,11 +584,3 @@ def write_callgrind(
     """Write a callgrind file; returns the number of stages exported."""
     Path(path).write_text(callgrind_format(document, root=root), encoding="utf-8")
     return len(document.get("stages", []))
-
-
-def write_profile_json(document: Dict[str, Any], path: Union[str, Path]) -> None:
-    """Write the canonical JSON form (sorted keys, trailing newline) —
-    the exact bytes the CI byte-diff compares across ``--workers``."""
-    Path(path).write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )

@@ -3,13 +3,14 @@ two ingestion arms), and the cost-model document byte-identical across
 worker counts."""
 
 from repro.core.parameters import DEFAULT_PARAMETERS
+from repro.experiments.export import save_json
 from repro.experiments.profiling import (
     ProfileTask,
     profile_network,
     run_profile_campaign,
 )
 from repro.obs import enabled_instrumentation
-from repro.obs.profiler import PIPELINE_STAGES, write_profile_json
+from repro.obs.profiler import PIPELINE_STAGES
 from repro.trace.profiles import get_profile
 
 SITE = get_profile("auckland")
@@ -69,8 +70,8 @@ class TestCostModelByteIdentity:
             _, doc2 = campaign_document(workers=2, fastpath=fastpath)
             path1 = tmp_path / f"w1-{fastpath}.json"
             path2 = tmp_path / f"w2-{fastpath}.json"
-            write_profile_json(doc1, path1)
-            write_profile_json(doc2, path2)
+            save_json(doc1, path1)
+            save_json(doc2, path2)
             assert path1.read_bytes() == path2.read_bytes()
 
     def test_fastpath_arm_exercises_its_stages(self):

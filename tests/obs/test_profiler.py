@@ -26,7 +26,6 @@ from repro.obs.profiler import (
     parse_folded,
     write_callgrind,
     write_folded,
-    write_profile_json,
 )
 
 
@@ -286,18 +285,6 @@ class TestCallgrind:
         path = tmp_path / "prof.callgrind"
         assert write_callgrind(cost_model_profile().to_dict(), path) == 3
         assert "fn=classify" in path.read_text()
-
-
-class TestWriteProfileJson:
-    def test_canonical_bytes(self, tmp_path):
-        document = cost_model_profile().to_dict()
-        path_a = tmp_path / "a.json"
-        path_b = tmp_path / "b.json"
-        write_profile_json(document, path_a)
-        write_profile_json(cost_model_profile().to_dict(), path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
-        assert path_a.read_text().endswith("\n")
-        assert json.loads(path_a.read_text())["mode"] == "cost-model"
 
 
 class TestExportProfiler:
