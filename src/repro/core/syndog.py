@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
+from ..obs.tsdb import TrajectoryWriter
 from ..packet.packet import Packet
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
@@ -210,6 +211,9 @@ class SynDog:
         self._events = obs.events if obs.events.enabled else None
         self._recorder = obs.recorder if obs.recorder.enabled else None
         self._tsdb = obs.tsdb if obs.tsdb.enabled else None
+        self._trajectory = (
+            TrajectoryWriter(obs.tsdb, self.name) if obs.tsdb.enabled else None
+        )
         self._alerts = obs.alerts if obs.alerts.enabled else None
         # Per-period stage: always timed in timers mode (sample_every=1)
         # — period cadence is t0 = 20 s, clocks here are cheap.
@@ -344,18 +348,13 @@ class SynDog:
             # retain the full per-period trajectory point.
             t = record.end_time
             self._tsdb.tick(t)
-            labels = {"agent": self.name}
-            self._tsdb.append(
-                "syndog_delta", labels, t,
+            self._trajectory.write(
+                t,
                 float(record.syn_count - record.synack_count),
-            )
-            self._tsdb.append("syndog_x_n", labels, t, record.x)
-            self._tsdb.append("syndog_cusum", labels, t, record.statistic)
-            self._tsdb.append(
-                "syndog_alarm_active", labels, t, 1.0 if record.alarm else 0.0
-            )
-            self._tsdb.append(
-                "syndog_degraded", labels, t, 1.0 if record.degraded else 0.0
+                record.x,
+                record.statistic,
+                record.alarm,
+                record.degraded,
             )
         if self._m_periods is not None:
             self._m_periods.inc()

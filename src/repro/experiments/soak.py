@@ -59,7 +59,7 @@ from ..obs.runtime import (
 )
 from ..obs.slo import SLOEngine, builtin_slos
 from ..obs.tracing import Tracer
-from ..obs.tsdb import TimeSeriesDB
+from ..obs.tsdb import TimeSeriesDB, TrajectoryWriter
 from ..trace.mixer import AttackWindow, mix_flood_into_counts
 from ..trace.profiles import get_profile
 from ..trace.synthetic import generate_count_trace
@@ -541,22 +541,15 @@ def run_soak_campaign(
             capacity=recorder_capacity, post_alarm_periods=recorder_post
         ),
     )
-    labels = {"agent": _AGENT}
+    trajectory = TrajectoryWriter(replay_bundle.tsdb, _AGENT)
     for task, payload in zip(tasks, payloads):
         offset = task.offset
         for i, (syn, synack, k_bar, x, statistic, alarm, degraded) in (
             enumerate(payload["records"])
         ):
             t = offset + (i + 1) * t0
-            store = replay_bundle.tsdb
-            store.append("syndog_delta", labels, t, float(syn - synack))
-            store.append("syndog_x_n", labels, t, x)
-            store.append("syndog_cusum", labels, t, statistic)
-            store.append(
-                "syndog_alarm_active", labels, t, 1.0 if alarm else 0.0
-            )
-            store.append(
-                "syndog_degraded", labels, t, 1.0 if degraded else 0.0
+            trajectory.write(
+                t, float(syn - synack), x, statistic, alarm, degraded
             )
             replay_bundle.recorder.record(
                 _AGENT,

@@ -72,6 +72,9 @@ class _Family:
     """Shared family machinery: label handling and child caching."""
 
     kind = "untyped"
+    #: The registry that created this family (None for a standalone
+    #: one): a new labeled child bumps its ``generation``.
+    _registry: Optional["MetricsRegistry"] = None
 
     def __init__(
         self, name: str, help: str = "", labelnames: Sequence[str] = ()
@@ -100,6 +103,8 @@ class _Family:
         if child is None:
             child = self._make_child()
             self._children[key] = child
+            if self._registry is not None:
+                self._registry.generation += 1
         return child
 
     def _make_child(self) -> "_Family":
@@ -319,12 +324,18 @@ class _HistogramTimer:
 
 
 class MetricsRegistry:
-    """A live registry: get-or-create families, collect for export."""
+    """A live registry: get-or-create families, collect for export.
+
+    :attr:`generation` counts every family and labeled child created,
+    so a reader that binds to the instruments (the TSDB's per-period
+    snapshot) knows when its bindings are stale without walking the
+    registry."""
 
     enabled = True
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}
+        self.generation = 0
 
     # ------------------------------------------------------------------
     def _get_or_create(self, cls, name, help, labelnames, **kwargs):
@@ -342,7 +353,9 @@ class MetricsRegistry:
                 )
             return family
         family = cls(name, help, labelnames, **kwargs)
+        family._registry = self
         self._families[name] = family
+        self.generation += 1
         return family
 
     def counter(

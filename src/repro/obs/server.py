@@ -152,6 +152,9 @@ class ObsServer:
         # see "Lock order" in the module docstring.  Acquired before
         # (never while holding) _requests_lock.
         self._registry_lock = threading.Lock()
+        # Compiled once: the store caches each compiled query's series
+        # selection, so one engine keeps /slo within that bound.
+        self._slo_engine = SLOEngine()
 
     @property
     def requests_served(self) -> int:
@@ -426,7 +429,7 @@ class ObsServer:
         tsdb = getattr(self.obs, "tsdb", None)
         if tsdb is None or not getattr(tsdb, "enabled", False):
             return None
-        return SLOEngine().evaluate(tsdb, at=at)
+        return self._slo_engine.evaluate(tsdb, at=at)
 
     def alerts_document(self) -> Dict[str, Any]:
         """The ``/alerts`` JSON document (``{"enabled": false}`` when
