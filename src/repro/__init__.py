@@ -41,56 +41,60 @@ Subpackages
     The trace-driven harness regenerating every table and figure.
 """
 
-from .core import (
-    DEFAULT_PARAMETERS,
-    TUNED_UNC_PARAMETERS,
-    DetectionRecord,
-    DetectionResult,
-    NonParametricCusum,
-    SynDog,
-    SynDogParameters,
-)
-from .router import LeafRouter, SynDogAgent
-from .trace import (
-    AUCKLAND,
-    HARVARD,
-    LBL,
-    UNC,
-    AttackWindow,
-    CountTrace,
-    PacketTrace,
-    SiteProfile,
-    generate_count_trace,
-    generate_packet_trace,
-    get_profile,
-    mix_flood_into_counts,
-    mix_flood_into_packets,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEFAULT_PARAMETERS",
-    "TUNED_UNC_PARAMETERS",
-    "DetectionRecord",
-    "DetectionResult",
-    "NonParametricCusum",
-    "SynDog",
-    "SynDogParameters",
-    "LeafRouter",
-    "SynDogAgent",
-    "AUCKLAND",
-    "HARVARD",
-    "LBL",
-    "UNC",
-    "AttackWindow",
-    "CountTrace",
-    "PacketTrace",
-    "SiteProfile",
-    "generate_count_trace",
-    "generate_packet_trace",
-    "get_profile",
-    "mix_flood_into_counts",
-    "mix_flood_into_packets",
-    "__version__",
-]
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 lazy exports: ``(__all__, __getattr__, __dir__)`` for the
+    ``__init__`` of *package*.
+
+    *exports* maps each submodule (relative to *package*) to the public
+    names it defines.  A name's submodule is imported on its first
+    access and the value is cached in the package globals, so later
+    lookups never reach ``__getattr__``.  Any other name resolves as a
+    submodule or subpackage (``repro.obs.tsdb``) if there is one, and
+    raises ``AttributeError`` otherwise.  Importing a package therefore
+    imports none of its submodules.
+    """
+    namespace = sys.modules[package].__dict__
+    origin = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str):
+        module = origin.get(name)
+        if module is not None:
+            value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        else:
+            try:
+                value = importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(
+                    f"module {package!r} has no attribute {name!r}"
+                ) from None
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *origin})
+
+    return list(origin), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "core": (
+        "DEFAULT_PARAMETERS", "TUNED_UNC_PARAMETERS", "DetectionRecord",
+        "DetectionResult", "NonParametricCusum", "SynDog", "SynDogParameters",
+    ),
+    "router": ("LeafRouter", "SynDogAgent"),
+    "trace": (
+        "AUCKLAND", "HARVARD", "LBL", "UNC", "AttackWindow", "CountTrace",
+        "PacketTrace", "SiteProfile", "generate_count_trace",
+        "generate_packet_trace", "get_profile", "mix_flood_into_counts",
+        "mix_flood_into_packets",
+    ),
+})
+__all__.append("__version__")

@@ -43,15 +43,8 @@ from typing import (
     Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
-from .attack.flooder import FloodSource
 from .core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from .core.syndog import SynDog
-from .experiments.report import render_series, render_table
-from .trace.events import CountTrace
-from .trace.io import load_count_trace, save_count_trace
-from .trace.mixer import AttackWindow, mix_flood_into_counts
 from .trace.profiles import SITE_PROFILES, get_profile
-from .trace.synthetic import generate_count_trace, generate_packet_trace
 
 __all__ = ["main", "build_parser"]
 
@@ -598,6 +591,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # Subcommands: each runs and returns its Outcome
 # ----------------------------------------------------------------------
 def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
+    from .trace.io import save_count_trace
+    from .trace.synthetic import generate_count_trace, generate_packet_trace
+
     profile = get_profile(args.site)
     if args.format == "counts":
         trace = generate_count_trace(
@@ -620,6 +616,10 @@ def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
 
 
 def _cmd_attack(args: argparse.Namespace, obs: Any) -> Outcome:
+    from .attack.flooder import FloodSource
+    from .trace.io import load_count_trace, save_count_trace
+    from .trace.mixer import AttackWindow, mix_flood_into_counts
+
     background = load_count_trace(args.counts)
     mixed = mix_flood_into_counts(
         background,
@@ -637,9 +637,14 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
     """detect/observe: run SynDog over the counts CSV or the pcap pair;
     ``(result, dog, parameters)``."""
     period = args.period
-    trace: Optional[CountTrace] = None
+    trace = None
     if counts_path:
-        trace = load_count_trace(counts_path)
+        from .trace.io import load_count_trace
+
+        try:
+            trace = load_count_trace(counts_path)
+        except ValueError as exc:  # a malformed line or header
+            raise CommandError(f"bad count trace {counts_path}: {exc}") from None
         period = trace.period
     elif not args.pcap_in:
         raise CommandError("--pcap-out requires --pcap-in")
@@ -653,12 +658,16 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
             else nullcontext())
     if trace is None:
         from .experiments.streaming import detect_from_pcaps
+        from .pcap.format import PcapFormatError
 
-        with span:
-            result, dog = detect_from_pcaps(
-                args.pcap_out, args.pcap_in, parameters=parameters, obs=obs,
-                fastpath=args.fastpath,
-            )
+        try:
+            with span:
+                result, dog = detect_from_pcaps(
+                    args.pcap_out, args.pcap_in, parameters=parameters,
+                    obs=obs, fastpath=args.fastpath,
+                )
+        except PcapFormatError as exc:
+            raise CommandError(str(exc)) from None
         return result, dog, parameters
     if args.command == "detect":
         from .trace.validation import validate_count_trace
@@ -666,6 +675,8 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
         for finding in validate_count_trace(trace):
             print(f"[{finding.severity.value}] {finding.code}: "
                   f"{finding.message}", file=sys.stderr)
+    from .core.syndog import SynDog
+
     dog = SynDog(parameters=parameters, obs=obs)
     with span:
         result = dog.observe_counts(trace.counts)
@@ -694,6 +705,8 @@ def _cmd_detect(args: argparse.Namespace, obs: Any) -> Outcome:
     result, dog, parameters = _detection(args, obs, args.counts)
     lines: List[str] = []
     if not args.quiet:
+        from .experiments.report import render_series
+
         times = [record.end_time for record in result.records]
         lines.append(render_series("y_n", times, list(result.statistics)))
     code = _verdict(result, dog, parameters, lines)
@@ -1142,6 +1155,8 @@ def _cmd_respond(args: argparse.Namespace, obs: Any) -> Outcome:
 
 
 def _cmd_theory(args: argparse.Namespace, obs: Any) -> Outcome:
+    from .experiments.report import render_table
+
     parameters = DEFAULT_PARAMETERS
     k_bar = args.k_bar
     floor = parameters.min_detectable_rate(k_bar)
@@ -1212,6 +1227,7 @@ def _cmd_sensitivity(args: argparse.Namespace, obs: Any) -> Outcome:
     every (a, N) cell, print the grid, and recommend the most sensitive
     setting inside the false-alarm budget."""
     from .experiments.export import sensitivity_cells_to_dict
+    from .experiments.report import render_table
     from .experiments.sensitivity import recommend_parameters, sweep_parameters
 
     profile = get_profile(args.site)

@@ -9,76 +9,31 @@ Section 4.2.3); ``detectors`` and ``sequential`` hold the baselines the
 benches compare against.
 """
 
-from .batch import (
-    batch_cusum,
-    batch_detect,
-    batch_first_alarms,
-    batch_normalize,
-)
-from .cusum import CusumState, NonParametricCusum, cusum_statistic_series
-from .lastmile import LastMileSynDog
-from .synfin import SYN_FIN_PARAMETERS, SynFinDog
-from .detectors import (
-    AdaptiveEwmaDetector,
-    PeriodDetector,
-    StaticThresholdDetector,
-    SynRateDetector,
-    run_detector,
-)
-from .normalization import EwmaEstimator, NormalizedDifference
-from .parameters import (
-    DEFAULT_PARAMETERS,
-    TUNED_UNC_PARAMETERS,
-    SynDogParameters,
-)
-from .sequential import (
-    NonParametricCusumDetector,
-    ParametricGaussianCusum,
-    PosteriorTestResult,
-    SequentialDetector,
-    posterior_mean_shift_test,
-)
-from .sniffer import (
-    CountExchange,
-    Direction,
-    InboundSniffer,
-    OutboundSniffer,
-    PeriodReport,
-)
-from .syndog import DetectionRecord, DetectionResult, SynDog
+from .. import _lazy_exports
 
-__all__ = [
-    "batch_cusum",
-    "batch_detect",
-    "batch_first_alarms",
-    "batch_normalize",
-    "LastMileSynDog",
-    "SYN_FIN_PARAMETERS",
-    "SynFinDog",
-    "CusumState",
-    "NonParametricCusum",
-    "cusum_statistic_series",
-    "AdaptiveEwmaDetector",
-    "PeriodDetector",
-    "StaticThresholdDetector",
-    "SynRateDetector",
-    "run_detector",
-    "EwmaEstimator",
-    "NormalizedDifference",
-    "DEFAULT_PARAMETERS",
-    "TUNED_UNC_PARAMETERS",
-    "SynDogParameters",
-    "NonParametricCusumDetector",
-    "ParametricGaussianCusum",
-    "PosteriorTestResult",
-    "SequentialDetector",
-    "posterior_mean_shift_test",
-    "CountExchange",
-    "Direction",
-    "InboundSniffer",
-    "OutboundSniffer",
-    "PeriodReport",
-    "DetectionRecord",
-    "DetectionResult",
-    "SynDog",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "batch": (
+        "batch_cusum", "batch_detect", "batch_first_alarms", "batch_normalize",
+    ),
+    "cusum": ("CusumState", "NonParametricCusum", "cusum_statistic_series"),
+    "lastmile": ("LastMileSynDog",),
+    "synfin": ("SYN_FIN_PARAMETERS", "SynFinDog"),
+    "detectors": (
+        "AdaptiveEwmaDetector", "PeriodDetector", "StaticThresholdDetector",
+        "SynRateDetector", "run_detector",
+    ),
+    "normalization": ("EwmaEstimator", "NormalizedDifference"),
+    "parameters": (
+        "DEFAULT_PARAMETERS", "TUNED_UNC_PARAMETERS", "SynDogParameters",
+    ),
+    "sequential": (
+        "NonParametricCusumDetector", "ParametricGaussianCusum",
+        "PosteriorTestResult", "SequentialDetector",
+        "posterior_mean_shift_test",
+    ),
+    "sniffer": (
+        "CountExchange", "Direction", "InboundSniffer", "OutboundSniffer",
+        "PeriodReport",
+    ),
+    "syndog": ("DetectionRecord", "DetectionResult", "SynDog"),
+})

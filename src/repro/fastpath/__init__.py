@@ -15,44 +15,16 @@ scenario, including fault-injected captures
 (``tests/fastpath/test_differential.py`` pins the contract down).
 """
 
-from .columns import (
-    DEFAULT_BLOCK_BYTES,
-    ColumnarPcapReader,
-    RecordBlock,
-)
-from .classify import (
-    CLASS_FIN,
-    CLASS_NON_TCP,
-    CLASS_RST,
-    CLASS_SKIP,
-    CLASS_SYN,
-    CLASS_SYN_ACK,
-    CLASS_TCP_OTHER,
-    classify_block,
-)
-from .pipeline import (
-    DirectionColumns,
-    counts_from_pcaps_fast,
-    detect_from_pcap_images,
-    detect_from_pcaps_fast,
-    scan_capture,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_BLOCK_BYTES",
-    "ColumnarPcapReader",
-    "RecordBlock",
-    "CLASS_SKIP",
-    "CLASS_NON_TCP",
-    "CLASS_SYN",
-    "CLASS_SYN_ACK",
-    "CLASS_RST",
-    "CLASS_FIN",
-    "CLASS_TCP_OTHER",
-    "classify_block",
-    "DirectionColumns",
-    "scan_capture",
-    "detect_from_pcap_images",
-    "detect_from_pcaps_fast",
-    "counts_from_pcaps_fast",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "columns": ("DEFAULT_BLOCK_BYTES", "ColumnarPcapReader", "RecordBlock"),
+    "classify": (
+        "CLASS_FIN", "CLASS_NON_TCP", "CLASS_RST", "CLASS_SKIP", "CLASS_SYN",
+        "CLASS_SYN_ACK", "CLASS_TCP_OTHER", "classify_block",
+    ),
+    "pipeline": (
+        "DirectionColumns", "counts_from_pcaps_fast",
+        "detect_from_pcap_images", "detect_from_pcaps_fast", "scan_capture",
+    ),
+})

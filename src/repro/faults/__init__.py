@@ -28,46 +28,19 @@ logic (baseline vs degraded comparison, envelope assertions) lives in
 :mod:`repro.experiments.chaos`.
 """
 
-from .injector import CrashEvent, FaultInjector, InjectionPlan, PeriodAction
-from .models import (
-    corrupt_header,
-    drop_burst_stream,
-    duplicate_stream,
-    reorder_stream,
-    skew_timestamp,
-    thin_count,
-    truncate_frame,
-    truncate_pcap_image,
-)
-from .schedule import (
-    BUILTIN_SCHEDULES,
-    DEFAULT_SCHEDULE,
-    FaultKind,
-    FaultSchedule,
-    FaultSpec,
-    get_schedule,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    # models
-    "drop_burst_stream",
-    "duplicate_stream",
-    "reorder_stream",
-    "truncate_frame",
-    "corrupt_header",
-    "skew_timestamp",
-    "thin_count",
-    "truncate_pcap_image",
-    # schedule
-    "FaultKind",
-    "FaultSpec",
-    "FaultSchedule",
-    "BUILTIN_SCHEDULES",
-    "DEFAULT_SCHEDULE",
-    "get_schedule",
-    # injector
-    "CrashEvent",
-    "FaultInjector",
-    "InjectionPlan",
-    "PeriodAction",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "injector": (
+        "CrashEvent", "FaultInjector", "InjectionPlan", "PeriodAction",
+    ),
+    "models": (
+        "corrupt_header", "drop_burst_stream", "duplicate_stream",
+        "reorder_stream", "skew_timestamp", "thin_count", "truncate_frame",
+        "truncate_pcap_image",
+    ),
+    "schedule": (
+        "BUILTIN_SCHEDULES", "DEFAULT_SCHEDULE", "FaultKind", "FaultSchedule",
+        "FaultSpec", "get_schedule",
+    ),
+})

@@ -57,218 +57,59 @@ Modules
     the O(K) ``/fleet`` document and the ``repro fleet`` backend.
 """
 
-from .alerts import (
-    AlertManager,
-    AlertRule,
-    NullAlertManager,
-    builtin_rules,
-    profiler_rules,
-    replay_rules,
-    rules_from_dicts,
-    rules_from_file,
-)
+from .. import _lazy_exports
 
-from .analyze import (
-    AgentTimeline,
-    AlarmSpan,
-    EventsReport,
-    analyze_events,
-    analyze_files,
-    render_report,
-)
-from .events import (
-    EventLog,
-    JsonlSink,
-    MemorySink,
-    NullEventLog,
-    read_jsonl,
-)
-from .exporters import (
-    chrome_trace,
-    export_event_stats,
-    export_profiler,
-    export_tracer,
-    parse_prometheus_text,
-    registry_to_dicts,
-    render_prometheus,
-    summarize_histograms,
-    write_chrome_trace,
-    write_prometheus,
-)
-from .merge import (
-    canonical_event,
-    canonical_events,
-    deterministic_families,
-    merge_event_groups,
-    merge_rollup_snapshots,
-    merge_snapshot,
-    merge_snapshots,
-    merge_tsdb_snapshots,
-    merged_registry,
-    registry_snapshot,
-    render_deterministic,
-    rollup_snapshot,
-    tsdb_snapshot,
-)
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullRegistry,
-)
-from .profiler import (
-    COST_MODEL,
-    PIPELINE_STAGES,
-    NullProfiler,
-    Profiler,
-    StageCost,
-    StageHandle,
-    callgrind_format,
-    folded_stacks,
-    merge_stage_rows,
-    parse_callgrind,
-    parse_folded,
-    write_callgrind,
-    write_folded,
-)
-from .recorder import FlightRecorder, NullFlightRecorder
-from .rollup import (
-    DEFAULT_TOP_K,
-    AgentState,
-    FleetRollup,
-    QuantileDigest,
-    SpaceSavingTopK,
-    rollup_from_events,
-    states_from_events,
-    states_from_recorder,
-    synthetic_fleet_states,
-)
-from .runtime import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    enabled_instrumentation,
-    get_instrumentation,
-    instrumented,
-    resolve_instrumentation,
-    set_instrumentation,
-)
-from .server import ObsServer
-from .tracing import NullTracer, SpanRecord, SpanStats, Tracer
-from .tsdb import (
-    NullTSDB,
-    QueryError,
-    TimeSeriesDB,
-    canonical_tsdb,
-    merge_tsdb,
-    parse_query,
-    tsdb_from_events,
-)
-
-__all__ = [
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullRegistry",
-    "DEFAULT_LATENCY_BUCKETS",
-    # tracing
-    "Tracer",
-    "NullTracer",
-    "SpanRecord",
-    "SpanStats",
-    # events
-    "EventLog",
-    "JsonlSink",
-    "MemorySink",
-    "NullEventLog",
-    "read_jsonl",
-    # exporters
-    "render_prometheus",
-    "write_prometheus",
-    "parse_prometheus_text",
-    "registry_to_dicts",
-    "export_tracer",
-    "export_event_stats",
-    "summarize_histograms",
-    "chrome_trace",
-    "write_chrome_trace",
-    # merge
-    "registry_snapshot",
-    "merge_snapshot",
-    "merge_snapshots",
-    "merged_registry",
-    "deterministic_families",
-    "render_deterministic",
-    "canonical_event",
-    "canonical_events",
-    "merge_event_groups",
-    "tsdb_snapshot",
-    "merge_tsdb_snapshots",
-    "rollup_snapshot",
-    "merge_rollup_snapshots",
-    # rollup
-    "FleetRollup",
-    "QuantileDigest",
-    "SpaceSavingTopK",
-    "AgentState",
-    "DEFAULT_TOP_K",
-    "states_from_recorder",
-    "states_from_events",
-    "rollup_from_events",
-    "synthetic_fleet_states",
-    # tsdb
-    "TimeSeriesDB",
-    "NullTSDB",
-    "QueryError",
-    "parse_query",
-    "tsdb_from_events",
-    "merge_tsdb",
-    "canonical_tsdb",
-    # alerts
-    "AlertRule",
-    "AlertManager",
-    "NullAlertManager",
-    "builtin_rules",
-    "profiler_rules",
-    "rules_from_dicts",
-    "rules_from_file",
-    "replay_rules",
-    # profiler
-    "Profiler",
-    "NullProfiler",
-    "StageHandle",
-    "StageCost",
-    "COST_MODEL",
-    "PIPELINE_STAGES",
-    "merge_stage_rows",
-    "folded_stacks",
-    "parse_folded",
-    "write_folded",
-    "callgrind_format",
-    "parse_callgrind",
-    "write_callgrind",
-    "export_profiler",
-    # recorder
-    "FlightRecorder",
-    "NullFlightRecorder",
-    # server
-    "ObsServer",
-    # analyze
-    "AlarmSpan",
-    "AgentTimeline",
-    "EventsReport",
-    "analyze_events",
-    "analyze_files",
-    "render_report",
-    # runtime
-    "Instrumentation",
-    "NULL_INSTRUMENTATION",
-    "enabled_instrumentation",
-    "get_instrumentation",
-    "set_instrumentation",
-    "instrumented",
-    "resolve_instrumentation",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "alerts": (
+        "AlertManager", "AlertRule", "NullAlertManager", "builtin_rules",
+        "profiler_rules", "replay_rules", "rules_from_dicts",
+        "rules_from_file",
+    ),
+    "analyze": (
+        "AgentTimeline", "AlarmSpan", "EventsReport", "analyze_events",
+        "analyze_files", "render_report",
+    ),
+    "events": (
+        "EventLog", "JsonlSink", "MemorySink", "NullEventLog", "read_jsonl",
+    ),
+    "exporters": (
+        "chrome_trace", "export_event_stats", "export_profiler",
+        "export_tracer", "parse_prometheus_text", "registry_to_dicts",
+        "render_prometheus", "summarize_histograms", "write_chrome_trace",
+        "write_prometheus",
+    ),
+    "merge": (
+        "canonical_event", "canonical_events", "deterministic_families",
+        "merge_event_groups", "merge_rollup_snapshots", "merge_snapshot",
+        "merge_snapshots", "merge_tsdb_snapshots", "merged_registry",
+        "registry_snapshot", "render_deterministic", "rollup_snapshot",
+        "tsdb_snapshot",
+    ),
+    "metrics": (
+        "DEFAULT_LATENCY_BUCKETS", "Counter", "Gauge", "Histogram",
+        "MetricsRegistry", "NullRegistry",
+    ),
+    "profiler": (
+        "COST_MODEL", "PIPELINE_STAGES", "NullProfiler", "Profiler",
+        "StageCost", "StageHandle", "callgrind_format", "folded_stacks",
+        "merge_stage_rows", "parse_callgrind", "parse_folded",
+        "write_callgrind", "write_folded",
+    ),
+    "recorder": ("FlightRecorder", "NullFlightRecorder"),
+    "rollup": (
+        "DEFAULT_TOP_K", "AgentState", "FleetRollup", "QuantileDigest",
+        "SpaceSavingTopK", "rollup_from_events", "states_from_events",
+        "states_from_recorder", "synthetic_fleet_states",
+    ),
+    "runtime": (
+        "NULL_INSTRUMENTATION", "Instrumentation", "enabled_instrumentation",
+        "get_instrumentation", "instrumented", "resolve_instrumentation",
+        "set_instrumentation",
+    ),
+    "server": ("ObsServer",),
+    "tracing": ("NullTracer", "SpanRecord", "SpanStats", "Tracer"),
+    "tsdb": (
+        "NullTSDB", "QueryError", "TimeSeriesDB", "canonical_tsdb",
+        "merge_tsdb", "parse_query", "tsdb_from_events",
+    ),
+})

@@ -29,12 +29,6 @@ from typing import Any, Iterator, Optional, Union
 
 from .alerts import AlertManager, NullAlertManager
 from .events import EventLog, JsonlSink, MemorySink, NullEventLog
-from .exporters import (
-    export_event_stats,
-    export_profiler,
-    export_tracer,
-    write_prometheus,
-)
 from .metrics import MetricsRegistry, NullRegistry
 from .profiler import NullProfiler, Profiler
 from .recorder import FlightRecorder, NullFlightRecorder
@@ -127,13 +121,20 @@ class Instrumentation:
         if self.profiler.enabled and self.events.enabled:
             self.events.emit("profile", **self.profiler.to_dict())
         if self.registry.enabled:
+            from .exporters import (
+                export_event_stats,
+                export_profiler,
+                export_tracer,
+                write_prometheus,
+            )
+
             if self.tracer.enabled:
                 export_tracer(self.tracer, self.registry)
             if self.profiler.enabled:
                 export_profiler(self.profiler, self.registry)
             export_event_stats(self.events, self.registry)
-        if metrics_path is not None and self.registry.enabled:
-            samples = write_prometheus(self.registry, metrics_path)
+            if metrics_path is not None:
+                samples = write_prometheus(self.registry, metrics_path)
         self.events.close()
         return samples
 

@@ -7,64 +7,25 @@ header codec is implemented from scratch and produces genuine wire
 bytes, so traces round-trip through the :mod:`repro.pcap` layer.
 """
 
-from .addresses import (
-    BOGON_NETWORKS,
-    IPv4Address,
-    IPv4Network,
-    MACAddress,
-    is_bogon,
-    random_spoofed_address,
-)
-from .checksum import internet_checksum, tcp_pseudo_header, verify_checksum
-from .classify import (
-    QUARANTINE_STEPS,
-    ClassifierStats,
-    PacketClass,
-    PacketClassifier,
-    RejectionStep,
-    classify_ip_bytes,
-    classify_packet,
-)
-from .ethernet import ETHERTYPE_ARP, ETHERTYPE_IPV4, EthernetFrame
-from .ip import IP_FLAG_DF, IP_FLAG_MF, IPv4Header, IPv4Packet
-from .packet import Packet, make_ack, make_fin, make_rst, make_syn, make_syn_ack
-from .tcp import TCP_PROTOCOL_NUMBER, SegmentKind, TCPFlags, TCPSegment
-from .udp import UDP_PROTOCOL_NUMBER, UDPDatagram
+from .. import _lazy_exports
 
-__all__ = [
-    "BOGON_NETWORKS",
-    "IPv4Address",
-    "IPv4Network",
-    "MACAddress",
-    "is_bogon",
-    "random_spoofed_address",
-    "internet_checksum",
-    "tcp_pseudo_header",
-    "verify_checksum",
-    "ClassifierStats",
-    "PacketClass",
-    "PacketClassifier",
-    "RejectionStep",
-    "QUARANTINE_STEPS",
-    "classify_ip_bytes",
-    "classify_packet",
-    "ETHERTYPE_ARP",
-    "ETHERTYPE_IPV4",
-    "EthernetFrame",
-    "IP_FLAG_DF",
-    "IP_FLAG_MF",
-    "IPv4Header",
-    "IPv4Packet",
-    "Packet",
-    "make_ack",
-    "make_fin",
-    "make_rst",
-    "make_syn",
-    "make_syn_ack",
-    "TCP_PROTOCOL_NUMBER",
-    "SegmentKind",
-    "TCPFlags",
-    "TCPSegment",
-    "UDP_PROTOCOL_NUMBER",
-    "UDPDatagram",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "addresses": (
+        "BOGON_NETWORKS", "IPv4Address", "IPv4Network", "MACAddress",
+        "is_bogon", "random_spoofed_address",
+    ),
+    "checksum": ("internet_checksum", "tcp_pseudo_header", "verify_checksum"),
+    "classify": (
+        "QUARANTINE_STEPS", "ClassifierStats", "PacketClass",
+        "PacketClassifier", "RejectionStep", "classify_ip_bytes",
+        "classify_packet",
+    ),
+    "ethernet": ("ETHERTYPE_ARP", "ETHERTYPE_IPV4", "EthernetFrame"),
+    "ip": ("IP_FLAG_DF", "IP_FLAG_MF", "IPv4Header", "IPv4Packet"),
+    "packet": (
+        "Packet", "make_ack", "make_fin", "make_rst", "make_syn",
+        "make_syn_ack",
+    ),
+    "tcp": ("TCP_PROTOCOL_NUMBER", "SegmentKind", "TCPFlags", "TCPSegment"),
+    "udp": ("UDP_PROTOCOL_NUMBER", "UDPDatagram"),
+})

@@ -7,21 +7,11 @@ parent — byte-identical output for any worker count.  See
 ``docs/architecture.md`` ("Parallel execution") for the design.
 """
 
-from .engine import ObsCapture, ShardResult, WorkerCrashError, run_plan
-from .workplan import (
-    DEFAULT_NUM_SHARDS,
-    WorkPlan,
-    derive_seed,
-    effective_workers,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DEFAULT_NUM_SHARDS",
-    "ObsCapture",
-    "ShardResult",
-    "WorkPlan",
-    "WorkerCrashError",
-    "derive_seed",
-    "effective_workers",
-    "run_plan",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "engine": ("ObsCapture", "ShardResult", "WorkerCrashError", "run_plan"),
+    "workplan": (
+        "DEFAULT_NUM_SHARDS", "WorkPlan", "derive_seed", "effective_workers",
+    ),
+})

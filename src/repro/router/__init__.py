@@ -2,17 +2,13 @@
 SYN-dog agent with its alarm-time response hooks, and the federation
 view across a fleet of agents."""
 
-from .agent import AlarmEvent, SynDogAgent
-from .fleet import Federation, FederationFeedError, FederationIncident, MemberAlarm
-from .leafrouter import Interface, LeafRouter
+from .. import _lazy_exports
 
-__all__ = [
-    "AlarmEvent",
-    "SynDogAgent",
-    "Federation",
-    "FederationFeedError",
-    "FederationIncident",
-    "MemberAlarm",
-    "Interface",
-    "LeafRouter",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "agent": ("AlarmEvent", "SynDogAgent"),
+    "fleet": (
+        "Federation", "FederationFeedError", "FederationIncident",
+        "MemberAlarm",
+    ),
+    "leafrouter": ("Interface", "LeafRouter"),
+})

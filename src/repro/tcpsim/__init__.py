@@ -7,35 +7,17 @@ victim-network assembly that measures service denial under flood — the
 substrate on which the stateful baseline defenses run.
 """
 
-from .backlog import (
-    BACKLOG_TIMEOUT,
-    BacklogQueue,
-    ConnectionKey,
-    HalfOpenConnection,
-)
-from .endpoint import (
-    ClientEndpoint,
-    RstResponder,
-    ServerEndpoint,
-    TCPState,
-)
-from .engine import EventScheduler, ScheduledEvent, SimulationError
-from .link import Link
-from .network import VictimExperimentResult, VictimNetwork
+from .. import _lazy_exports
 
-__all__ = [
-    "BACKLOG_TIMEOUT",
-    "BacklogQueue",
-    "ConnectionKey",
-    "HalfOpenConnection",
-    "ClientEndpoint",
-    "RstResponder",
-    "ServerEndpoint",
-    "TCPState",
-    "EventScheduler",
-    "ScheduledEvent",
-    "SimulationError",
-    "Link",
-    "VictimExperimentResult",
-    "VictimNetwork",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "backlog": (
+        "BACKLOG_TIMEOUT", "BacklogQueue", "ConnectionKey",
+        "HalfOpenConnection",
+    ),
+    "endpoint": (
+        "ClientEndpoint", "RstResponder", "ServerEndpoint", "TCPState",
+    ),
+    "engine": ("EventScheduler", "ScheduledEvent", "SimulationError"),
+    "link": ("Link",),
+    "network": ("VictimExperimentResult", "VictimNetwork"),
+})

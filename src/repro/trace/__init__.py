@@ -3,103 +3,40 @@ calibrated site profiles for the paper's four trace sets (Table 1),
 synthetic generation at packet and count resolution, attack mixing, and
 trace statistics/persistence."""
 
-from .arrival import (
-    ArrivalProcess,
-    MMPPArrivals,
-    ParetoOnOffArrivals,
-    PoissonArrivals,
-    diurnal_modulation,
-    flat_modulation,
-)
-from .events import CountTrace, PacketTrace, TraceMetadata
-from .extended import (
-    ConnectionLifetimeModel,
-    ExtendedCountTrace,
-    generate_extended_count_trace,
-    mix_flood_into_extended,
-)
-from .flashcrowd import FlashCrowd, mix_flash_crowd_into_counts
-from .handshake import (
-    CongestionEpisodeModel,
-    HandshakeEvent,
-    HandshakeModel,
-)
-from .io import (
-    load_count_trace,
-    load_packet_trace_jsonl,
-    save_count_trace,
-    save_packet_trace_jsonl,
-)
-from .mixer import AttackWindow, mix_flood_into_counts, mix_flood_into_packets
-from .profiles import (
-    AUCKLAND,
-    HARVARD,
-    LBL,
-    SITE_PROFILES,
-    UNC,
-    SiteProfile,
-    get_profile,
-)
-from .stats import (
-    TraceStatistics,
-    index_of_dispersion,
-    pearson_correlation,
-    per_bin_series,
-    summarize_counts,
-    variance_time_hurst,
-)
-from .validation import Finding, Severity, validate_count_trace
-from .synthetic import (
-    DEFAULT_OBSERVATION_PERIOD,
-    AddressPlan,
-    generate_count_trace,
-    generate_packet_trace,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "ArrivalProcess",
-    "MMPPArrivals",
-    "ParetoOnOffArrivals",
-    "PoissonArrivals",
-    "diurnal_modulation",
-    "flat_modulation",
-    "CountTrace",
-    "PacketTrace",
-    "TraceMetadata",
-    "ConnectionLifetimeModel",
-    "ExtendedCountTrace",
-    "generate_extended_count_trace",
-    "mix_flood_into_extended",
-    "FlashCrowd",
-    "mix_flash_crowd_into_counts",
-    "CongestionEpisodeModel",
-    "HandshakeEvent",
-    "HandshakeModel",
-    "load_count_trace",
-    "load_packet_trace_jsonl",
-    "save_count_trace",
-    "save_packet_trace_jsonl",
-    "AttackWindow",
-    "mix_flood_into_counts",
-    "mix_flood_into_packets",
-    "AUCKLAND",
-    "HARVARD",
-    "LBL",
-    "SITE_PROFILES",
-    "UNC",
-    "SiteProfile",
-    "get_profile",
-    "TraceStatistics",
-    "index_of_dispersion",
-    "pearson_correlation",
-    "per_bin_series",
-    "summarize_counts",
-    "variance_time_hurst",
-    "Finding",
-    "Severity",
-    "validate_count_trace",
-    "DEFAULT_OBSERVATION_PERIOD",
-    "AddressPlan",
-    "generate_count_trace",
-    "generate_packet_trace",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "arrival": (
+        "ArrivalProcess", "MMPPArrivals", "ParetoOnOffArrivals",
+        "PoissonArrivals", "diurnal_modulation", "flat_modulation",
+    ),
+    "events": ("CountTrace", "PacketTrace", "TraceMetadata"),
+    "extended": (
+        "ConnectionLifetimeModel", "ExtendedCountTrace",
+        "generate_extended_count_trace", "mix_flood_into_extended",
+    ),
+    "flashcrowd": ("FlashCrowd", "mix_flash_crowd_into_counts"),
+    "handshake": (
+        "CongestionEpisodeModel", "HandshakeEvent", "HandshakeModel",
+    ),
+    "io": (
+        "load_count_trace", "load_packet_trace_jsonl", "save_count_trace",
+        "save_packet_trace_jsonl",
+    ),
+    "mixer": (
+        "AttackWindow", "mix_flood_into_counts", "mix_flood_into_packets",
+    ),
+    "profiles": (
+        "AUCKLAND", "HARVARD", "LBL", "SITE_PROFILES", "UNC", "SiteProfile",
+        "get_profile",
+    ),
+    "stats": (
+        "TraceStatistics", "index_of_dispersion", "pearson_correlation",
+        "per_bin_series", "summarize_counts", "variance_time_hurst",
+    ),
+    "validation": ("Finding", "Severity", "validate_count_trace"),
+    "synthetic": (
+        "DEFAULT_OBSERVATION_PERIOD", "AddressPlan", "generate_count_trace",
+        "generate_packet_trace",
+    ),
+})

@@ -19,13 +19,21 @@ PLAYBOOK = str(
 )
 
 
-def run_repro(argv, cwd=None):
-    """``python -m repro *argv*`` in a fresh process, stdout captured."""
+def fresh_env():
+    """The environment for a fresh interpreter that imports ``repro``
+    from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [SRC, env.get("PYTHONPATH")])
     )
+    return env
+
+
+def run_repro(argv, cwd=None):
+    """``python -m repro *argv*`` in a fresh process, stdout and stderr
+    captured."""
     return subprocess.run(
-        [sys.executable, "-m", "repro", *argv], env=env, cwd=cwd,
-        stdout=subprocess.PIPE, text=True, check=False,
+        [sys.executable, "-m", "repro", *argv], env=fresh_env(), cwd=cwd,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        check=False,
     )

@@ -1,9 +1,13 @@
-"""CLI tests — every subcommand exercised through ``repro.cli.main``."""
+"""CLI tests — every subcommand exercised through ``repro.cli.main``;
+malformed input also through ``python -m repro``, to see the exit code
+and stderr a user sees."""
 
 import pytest
 
 from repro.cli import EXIT_ALARM, EXIT_OK, main
 from repro.trace.io import load_count_trace
+
+from ._cli import run_repro
 
 
 @pytest.fixture
@@ -148,6 +152,32 @@ class TestUsage:
         assert "missing." in err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--pcap-out", "/dev/null", "--pcap-in", "/dev/null"],
+        ["--no-fastpath", "--pcap-out", "/dev/null", "--pcap-in", "/dev/null"],
+        ["--pcap-out", "bad.pcap", "--pcap-in", "bad.pcap"],
+        ["--no-fastpath", "--pcap-out", "bad.pcap", "--pcap-in", "bad.pcap"],
+        ["--counts", "bad.csv"],
+    ], ids=["empty-pcap", "empty-pcap-object", "bad-magic",
+            "bad-magic-object", "bad-count-line"])
+    def test_malformed_input_is_one_line_and_usage_exit(
+        self, argv, background_csv, tmp_path
+    ):
+        from repro.cli import EXIT_USAGE
+
+        (tmp_path / "bad.pcap").write_bytes(b"\xde\xad\xbe\xef" + bytes(20))
+        lines = background_csv.read_text().splitlines()
+        (tmp_path / "bad.csv").write_text(
+            "\n".join([*lines[:5], "5,12,x", *lines[5:]]) + "\n"
+        )
+        proc = run_repro(["detect", *argv], cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("detect: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        if "bad.pcap" in argv:
+            assert proc.stderr == "detect: bad pcap magic: 0xefbeadde\n"
 
 
 class TestForensicReport:

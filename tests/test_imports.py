@@ -1,0 +1,135 @@
+"""What an import loads, checked in a fresh interpreter.
+
+Every package ``__init__`` resolves its exports on first access
+(PEP 562), so importing a package loads none of its submodules and
+each command loads only the code it runs.  These tests pin that
+layering by module count, not by timing, and check that the lazy
+exports still behave like the eager ones they replaced.  Each check
+runs in its own interpreter because the test session has already
+imported most of ``repro``.
+"""
+
+import json
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+
+from ._cli import fresh_env
+
+
+def fresh(code, *args):
+    """Run *code* in a fresh interpreter with ``src`` on the path; its
+    stdout, decoded as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=fresh_env(),
+        capture_output=True, text=True, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def loaded_after(statement):
+    """The modules in ``sys.modules`` after *statement* in a fresh
+    interpreter."""
+    return set(fresh(
+        f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"
+    ))
+
+
+def offenders(modules, packages):
+    return sorted(
+        module for module in modules
+        if any(module == p or module.startswith(p + ".") for p in packages)
+    )
+
+
+PACKAGES = ["repro"] + sorted(
+    f"repro.{info.name}" for info in pkgutil.iter_modules(repro.__path__)
+    if info.ispkg
+)
+
+
+class TestLayering:
+    def test_import_repro_loads_only_repro(self):
+        modules = loaded_after("import repro")
+        assert offenders(modules, ["repro"]) == ["repro"]
+
+    def test_detector_loads_no_substrate_and_no_numpy(self):
+        modules = loaded_after("from repro.core import SynDog")
+        assert "numpy" not in modules
+        assert offenders(modules, [f"repro.{name}" for name in (
+            "router", "trace", "experiments", "attack", "defense",
+            "traceback", "tcpsim", "fastpath", "pcap", "parallel", "faults",
+        )]) == []
+
+    def test_cli_loads_no_command_code_and_no_numpy(self):
+        modules = loaded_after("import repro.cli")
+        assert "numpy" not in modules
+        assert offenders(modules, [
+            "repro.obs.server", "repro.obs.analyze", "repro.obs.slo",
+            "repro.obs.rollup", "repro.obs.merge", "repro.obs.ledger",
+            "repro.router", "repro.defense", "repro.traceback",
+            "repro.tcpsim", "repro.experiments.chaos",
+        ]) == []
+
+
+CONTRACT = """
+import importlib, json, pkgutil, sys
+
+name = sys.argv[1]
+pkg = importlib.import_module(name)
+own = set(vars(pkg))
+problems = []
+loaded = [module for module in sys.modules if module.startswith(name + ".")]
+if loaded:
+    problems.append(f"importing {name} loaded {sorted(loaded)}")
+exported = list(pkg.__all__)
+if len(set(exported)) != len(exported):
+    problems.append("__all__ has duplicates")
+if not set(exported) <= set(dir(pkg)):
+    problems.append(f"dir() lacks {sorted(set(exported) - set(dir(pkg)))}")
+try:
+    pkg.no_such_name
+    problems.append("no_such_name resolved")
+except AttributeError as exc:
+    if str(exc) != f"module {name!r} has no attribute 'no_such_name'":
+        problems.append(f"AttributeError message: {exc}")
+if hasattr(pkg, "no_such_name"):
+    problems.append("hasattr(no_such_name)")
+star = {}
+exec(f"from {name} import *", star)
+submodules = [
+    importlib.import_module(f"{name}.{info.name}")
+    for info in pkgutil.iter_modules(pkg.__path__)
+]
+for export in exported:
+    if export not in star:
+        problems.append(f"import * did not bind {export}")
+        continue
+    value = getattr(pkg, export)
+    if star[export] is not value:
+        problems.append(f"import * bound another {export}")
+    if export not in own and not any(
+        getattr(module, export, None) is value for module in submodules
+    ):
+        problems.append(f"{export} is not its submodule's object")
+print(json.dumps({"exported": len(exported), "problems": problems}))
+"""
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_lazy_export_contract(package):
+    report = fresh(CONTRACT, package)
+    assert report["problems"] == []
+    assert report["exported"] > 0
+
+
+def test_submodules_resolve_as_attributes():
+    assert fresh(
+        "import json, repro\n"
+        "print(json.dumps(repro.obs.tsdb.TimeSeriesDB.__name__))"
+    ) == "TimeSeriesDB"
