@@ -33,7 +33,7 @@ ATTACKS = {  # per-site comfortably-detectable rates (Tables 2/3)
 def raw_cusum_first_alarm(counts, drift, threshold):
     cusum = NonParametricCusum(drift=drift, threshold=threshold)
     for index, (syn, synack) in enumerate(counts):
-        if cusum.update(float(syn - synack)).alarm:
+        if cusum.update(float(syn - synack)) > threshold:
             return index
     return None
 

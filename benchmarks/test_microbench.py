@@ -72,21 +72,3 @@ def test_pcap_write_read_throughput(benchmark):
 
     assert run() == 2_000
     benchmark(run)
-
-
-def test_batch_pipeline_throughput(benchmark):
-    """The vectorized Monte-Carlo path: 64 Auckland-length traces
-    through the full normalize+CUSUM+decision pipeline per call."""
-    import numpy as np
-
-    from repro.core.batch import batch_detect
-
-    rng = np.random.default_rng(1)
-    syn = rng.poisson(87.0, size=(64, 540)).astype(float)
-    synack = np.minimum(syn, rng.poisson(85.0, size=(64, 540))).astype(float)
-
-    def run():
-        _y, alarms = batch_detect(syn, synack)
-        return alarms
-
-    benchmark(run)

@@ -648,12 +648,15 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
         period = trace.period
     elif not args.pcap_in:
         raise CommandError("--pcap-out requires --pcap-in")
-    parameters = SynDogParameters(
-        observation_period=period,
-        drift=args.drift,
-        attack_increase=2.0 * args.drift,
-        threshold=args.threshold,
-    )
+    try:
+        parameters = SynDogParameters(
+            observation_period=period,
+            drift=args.drift,
+            attack_increase=2.0 * args.drift,
+            threshold=args.threshold,
+        )
+    except ValueError as exc:  # e.g. --threshold nan, --drift 0
+        raise CommandError(str(exc)) from None
     span = (obs.tracer.span(f"{args.command}.run") if obs is not None
             else nullcontext())
     if trace is None:

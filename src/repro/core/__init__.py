@@ -12,10 +12,7 @@ benches compare against.
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "batch": (
-        "batch_cusum", "batch_detect", "batch_first_alarms", "batch_normalize",
-    ),
-    "cusum": ("CusumState", "NonParametricCusum", "cusum_statistic_series"),
+    "cusum": ("NonParametricCusum", "cusum_statistic_series"),
     "lastmile": ("LastMileSynDog",),
     "synfin": ("SYN_FIN_PARAMETERS", "SynFinDog"),
     "detectors": (

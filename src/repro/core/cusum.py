@@ -21,22 +21,10 @@ false-alarm time grows exponentially in N (Eq. 5), which the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+import math
+from typing import List, Sequence
 
-__all__ = ["CusumState", "NonParametricCusum", "cusum_statistic_series"]
-
-
-@dataclass(frozen=True)
-class CusumState:
-    """An immutable snapshot of the test after one observation."""
-
-    n: int                #: discrete time index of this observation
-    x: float              #: the raw observation X_n
-    statistic: float      #: y_n after incorporating X_n
-    alarm: bool           #: d_N(y_n): True when y_n > N
-    cumulative_sum: float  #: S_n = sum of shifted observations
-    minimum_sum: float     #: min_{k <= n} S_k
+__all__ = ["NonParametricCusum", "cusum_statistic_series"]
 
 
 class NonParametricCusum:
@@ -52,83 +40,42 @@ class NonParametricCusum:
         The flooding threshold ``N``; an alarm is raised while
         ``y_n > N``.
 
-    The detector keeps O(1) state — two floats beyond bookkeeping —
-    which is the statelessness property that makes SYN-dog itself immune
-    to flooding attacks.
+    The detector's whole state is one float, y_n — the statelessness
+    property that makes SYN-dog itself immune to flooding attacks.
     """
 
     def __init__(self, drift: float, threshold: float) -> None:
-        if drift <= 0:
-            raise ValueError(f"drift a must be positive, got {drift}")
-        if threshold <= 0:
-            raise ValueError(f"threshold N must be positive, got {threshold}")
+        if not (math.isfinite(drift) and drift > 0):
+            raise ValueError(f"drift a must be positive and finite, got {drift}")
+        if not (math.isfinite(threshold) and threshold > 0):
+            raise ValueError(
+                f"threshold N must be positive and finite, got {threshold}"
+            )
         self.drift = float(drift)
         self.threshold = float(threshold)
-        self._n = -1
         self._statistic = 0.0
-        self._cumulative_sum = 0.0
-        self._minimum_sum = 0.0
-        self._first_alarm_index: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # Observation
-    # ------------------------------------------------------------------
-    def update(self, x: float) -> CusumState:
-        """Incorporate one observation X_n and return the new state."""
-        self._n += 1
-        shifted = x - self.drift
-        # Eq. 2: y_n = (y_{n-1} + X~_n)^+
-        self._statistic = max(0.0, self._statistic + shifted)
-        # Maintain S_n and min_k S_k to expose the Eq. 3 identity.
-        self._cumulative_sum += shifted
-        self._minimum_sum = min(self._minimum_sum, self._cumulative_sum)
-        alarm = self._statistic > self.threshold
-        if alarm and self._first_alarm_index is None:
-            self._first_alarm_index = self._n
-        return CusumState(
-            n=self._n,
-            x=x,
-            statistic=self._statistic,
-            alarm=alarm,
-            cumulative_sum=self._cumulative_sum,
-            minimum_sum=self._minimum_sum,
-        )
+    def update(self, x: float) -> float:
+        """Incorporate one observation X_n and return the new y_n."""
+        # Eq. 2: y_n = (y_{n-1} + X~_n)^+ with X~_n = X_n - a.  The
+        # grouping is part of the contract: y + x - a rounds differently.
+        y = self._statistic = max(0.0, self._statistic + (x - self.drift))
+        return y
 
-    def update_many(self, xs: Iterable[float]) -> List[CusumState]:
-        return [self.update(x) for x in xs]
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
     @property
     def statistic(self) -> float:
         """Current y_n."""
         return self._statistic
 
     @property
-    def n(self) -> int:
-        """Index of the last observation (-1 before any)."""
-        return self._n
-
-    @property
     def alarm(self) -> bool:
         """Current decision d_N(y_n)."""
         return self._statistic > self.threshold
 
-    @property
-    def first_alarm_index(self) -> Optional[int]:
-        """Index of the first observation at which the alarm fired, or
-        None if it never has."""
-        return self._first_alarm_index
-
     def reset(self) -> None:
         """Return to the initial state (used after an operator clears an
         alarm, or between Monte-Carlo trials)."""
-        self._n = -1
         self._statistic = 0.0
-        self._cumulative_sum = 0.0
-        self._minimum_sum = 0.0
-        self._first_alarm_index = None
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -141,27 +88,16 @@ class NonParametricCusum:
         change-point test (a reset would grant the next attack a fresh
         warm-up to hide in).
         """
-        return {
-            "n": self._n,
-            "statistic": self._statistic,
-            "cumulative_sum": self._cumulative_sum,
-            "minimum_sum": self._minimum_sum,
-            "first_alarm_index": self._first_alarm_index,
-        }
+        return {"statistic": self._statistic}
 
     def load_state(self, state: dict) -> None:
         """Restore the exact state produced by :meth:`state_dict`."""
-        self._n = int(state["n"])
         self._statistic = float(state["statistic"])
-        self._cumulative_sum = float(state["cumulative_sum"])
-        self._minimum_sum = float(state["minimum_sum"])
-        first_alarm = state.get("first_alarm_index")
-        self._first_alarm_index = None if first_alarm is None else int(first_alarm)
 
     def __repr__(self) -> str:
         return (
             f"NonParametricCusum(drift={self.drift}, threshold={self.threshold}, "
-            f"n={self._n}, y={self._statistic:.4f})"
+            f"y={self._statistic:.4f})"
         )
 
 

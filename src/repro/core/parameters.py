@@ -22,7 +22,7 @@ Paper defaults: :math:`t_0 = 20` s, :math:`a = 0.35`, :math:`h = 2a`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 __all__ = ["SynDogParameters", "DEFAULT_PARAMETERS", "TUNED_UNC_PARAMETERS"]
 
@@ -62,6 +62,12 @@ class SynDogParameters:
     normal_mean: float = 0.0
 
     def __post_init__(self) -> None:
+        # NaN compares False against every bound below, so it would
+        # slip through them; reject non-finite values up front.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{spec.name} must be finite: {value}")
         if self.observation_period <= 0:
             raise ValueError(
                 f"observation period must be positive: {self.observation_period}"

@@ -61,7 +61,8 @@ class NonParametricCusumDetector(SequentialDetector):
         self._cusum = NonParametricCusum(drift=drift, threshold=threshold)
 
     def update(self, x: float) -> bool:
-        return self._cusum.update(x).alarm
+        self._cusum.update(x)
+        return self._cusum.alarm
 
     @property
     def alarm(self) -> bool:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..obs.tsdb import TrajectoryWriter
@@ -36,7 +36,7 @@ __all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION"]
 
 #: Version tag written into every checkpoint so a future format change
 #: can refuse (or migrate) stale state instead of silently misreading it.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Fallback agent names (``syndog-0``, ``syndog-1``, ...) so several
 #: anonymous detectors sharing one flight recorder / event log stay
@@ -44,20 +44,41 @@ CHECKPOINT_VERSION = 1
 _AGENT_SEQ = itertools.count()
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """The agent's full view of one observation period."""
+class DetectionRecord(NamedTuple):
+    """The agent's full view of one observation period.
+
+    The one per-period record: the ``period`` event, the flight-recorder
+    snapshot and the TSDB trajectory point are all derived from it.
+    """
 
     period_index: int
     start_time: float
     end_time: float
     syn_count: int
     synack_count: int
-    k_bar: float       #: K̄ used to normalize this period
+    k_bar: float       #: K̄ after this period (X_n used the value before)
     x: float           #: normalized difference X_n = Δ_n / K̄
     statistic: float   #: CUSUM statistic y_n
     alarm: bool        #: decision d_N(y_n)
     degraded: bool = False  #: counts were carried forward / held, not observed
+
+    def snapshot(self, threshold: float) -> Dict[str, Any]:
+        """The period as the ``period`` event and the flight recorder
+        carry it: the full trajectory point, threshold included, so an
+        alarm_context replays on its own."""
+        return {
+            "period_index": self.period_index,
+            "start_time": self.start_time,
+            "end_time": self.end_time,
+            "syn": self.syn_count,
+            "synack": self.synack_count,
+            "k_bar": self.k_bar,
+            "x": self.x,
+            "statistic": self.statistic,
+            "threshold": threshold,
+            "alarm": self.alarm,
+            "degraded": self.degraded,
+        }
 
 
 @dataclass(frozen=True)
@@ -290,20 +311,21 @@ class SynDog:
         degraded: bool,
     ) -> DetectionRecord:
         period_index, start_time = self._period_coordinates(start_time)
+        cusum = self.cusum
         prof = self._prof_cusum
         if prof is None:
             x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=self.cusum.alarm
+                syn_count, synack_count, alarm_active=cusum.alarm
             )
-            state = self.cusum.update(x)
+            statistic = cusum.update(x)
         else:
             # One "cusum.step" = normalization (Δ_n → X_n) + CUSUM
             # update, attributed per period.
             token = prof.begin()
             x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=self.cusum.alarm
+                syn_count, synack_count, alarm_active=cusum.alarm
             )
-            state = self.cusum.update(x)
+            statistic = cusum.update(x)
             prof.end(token, packets=1)
         record = DetectionRecord(
             period_index=period_index,
@@ -313,8 +335,8 @@ class SynDog:
             synack_count=synack_count,
             k_bar=self.normalizer.k_bar,
             x=x,
-            statistic=state.statistic,
-            alarm=state.alarm,
+            statistic=statistic,
+            alarm=statistic > cusum.threshold,
             degraded=degraded,
         )
         self._emit_record(record)
@@ -370,22 +392,10 @@ class SynDog:
                 self._m_transitions.labels(
                     "raised" if record.alarm else "cleared"
                 ).inc()
+        if self._events is not None or self._recorder is not None:
+            snapshot = record.snapshot(self.parameters.threshold)
         if self._events is not None:
-            self._events.emit(
-                "period",
-                agent=self.name,
-                period_index=record.period_index,
-                start_time=record.start_time,
-                end_time=record.end_time,
-                syn=record.syn_count,
-                synack=record.synack_count,
-                k_bar=record.k_bar,
-                x=record.x,
-                statistic=record.statistic,
-                threshold=self.parameters.threshold,
-                alarm=record.alarm,
-                degraded=record.degraded,
-            )
+            self._events.emit("period", agent=self.name, **snapshot)
             if record.alarm != self._prev_alarm:
                 self._events.emit(
                     "alarm_raised" if record.alarm else "alarm_cleared",
@@ -396,24 +406,7 @@ class SynDog:
                     k_bar=record.k_bar,
                 )
         if self._recorder is not None:
-            # The flight-recorder snapshot: the full trajectory point,
-            # threshold included, so an alarm_context replays on its own.
-            self._recorder.record(
-                self.name,
-                {
-                    "period_index": record.period_index,
-                    "start_time": record.start_time,
-                    "end_time": record.end_time,
-                    "syn": record.syn_count,
-                    "synack": record.synack_count,
-                    "k_bar": record.k_bar,
-                    "x": record.x,
-                    "statistic": record.statistic,
-                    "threshold": self.parameters.threshold,
-                    "alarm": record.alarm,
-                    "degraded": record.degraded,
-                },
-            )
+            self._recorder.record(self.name, snapshot)
         self._prev_alarm = record.alarm
         if self._alerts is not None:
             # Rules see this period's samples: evaluate after the feed.

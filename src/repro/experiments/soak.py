@@ -220,13 +220,7 @@ def run_soak_epoch(
 
     # Restore-continuity: the restored subject must continue the run
     # bit-identically to the uninterrupted reference.
-    continuity_ok = all(
-        (a.period_index, a.syn_count, a.synack_count, a.k_bar,
-         a.x, a.statistic, a.alarm, a.degraded)
-        == (b.period_index, b.syn_count, b.synack_count, b.k_bar,
-            b.x, b.statistic, b.alarm, b.degraded)
-        for a, b in zip(records, reference_records)
-    ) and len(records) == len(reference_records)
+    continuity_ok = records == reference_records
 
     # Ground truth scoring.
     attacked = set(_attacked_periods(task))
@@ -290,11 +284,7 @@ def run_soak_epoch(
         "degraded_periods": sum(1 for r in records if r.degraded),
         "detected": (detected_latency is not None) if task.attack else None,
         "latency_periods": detected_latency,
-        "records": [
-            (r.syn_count, r.synack_count, r.k_bar, r.x, r.statistic,
-             r.alarm, r.degraded)
-            for r in records
-        ],
+        "records": records,
         "spans": spans,
         "events_emitted": None,
     }
@@ -543,26 +533,17 @@ def run_soak_campaign(
     )
     trajectory = TrajectoryWriter(replay_bundle.tsdb, _AGENT)
     for task, payload in zip(tasks, payloads):
-        offset = task.offset
-        for i, (syn, synack, k_bar, x, statistic, alarm, degraded) in (
-            enumerate(payload["records"])
-        ):
-            t = offset + (i + 1) * t0
+        for record in payload["records"]:
             trajectory.write(
-                t, float(syn - synack), x, statistic, alarm, degraded
+                record.end_time,
+                float(record.syn_count - record.synack_count),
+                record.x,
+                record.statistic,
+                record.alarm,
+                record.degraded,
             )
             replay_bundle.recorder.record(
-                _AGENT,
-                {
-                    "period_index": int(round(t / t0)) - 1,
-                    "end_time": t,
-                    "statistic": statistic,
-                    "k_bar": k_bar,
-                    "x": x,
-                    "alarm": alarm,
-                    "degraded": degraded,
-                    "threshold": parameters.threshold,
-                },
+                _AGENT, record.snapshot(parameters.threshold)
             )
         extra = {}
         if payload["events_emitted"] is not None:

@@ -4,6 +4,7 @@ The load-bearing invariants:
 
 * Eq. 2 ≡ Eq. 3 — the recursion equals the max-continuous-increment
   closed form on every input sequence;
+* every ``SynDog`` period equals Eq. 1–4 written out inline, bit for bit;
 * y_n ≥ 0 always; y_n is monotone in any single observation;
 * the alarm, once the cumulative drift condition holds, is inevitable;
 * EWMA output always lies within the observed range (plus floor);
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.cusum import NonParametricCusum, cusum_statistic_series
 from repro.core.normalization import EwmaEstimator, NormalizedDifference
+from repro.core.parameters import SynDogParameters
+from repro.core.syndog import SynDog
 
 observations = st.lists(
     st.floats(min_value=-100.0, max_value=100.0, allow_nan=False, width=32),
@@ -33,11 +36,11 @@ class TestCusumInvariants:
         running = 0.0
         minimum = 0.0
         for x in xs:
-            state = cusum.update(x)
+            statistic = cusum.update(x)
             running += x - drift
             minimum = min(minimum, running)
             assert math.isclose(
-                state.statistic, running - minimum, rel_tol=1e-9, abs_tol=1e-9
+                statistic, running - minimum, rel_tol=1e-9, abs_tol=1e-9
             )
 
     @given(xs=observations, drift=drifts)
@@ -69,9 +72,45 @@ class TestCusumInvariants:
         cusum = NonParametricCusum(drift=drift, threshold=threshold)
         steps_needed = int(threshold / excess) + 2
         fired = any(
-            cusum.update(drift + excess).alarm for _ in range(steps_needed)
+            cusum.update(drift + excess) > threshold for _ in range(steps_needed)
         )
         assert fired
+
+
+def paper_periods(counts, alpha, drift, threshold):
+    """Eq. 1–4 inline: (K̄ after the period, X_n, y_n, d_N) per period."""
+    k, y, out = None, 0.0, []
+    for syn, synack in counts:
+        if k is None:
+            k = float(synack)  # warm start: the first period seeds K̄
+        x = (syn - synack) / max(k, 1.0)  # Eq. 1 with the pre-update K̄
+        k = alpha * k + (1.0 - alpha) * synack
+        y = max(0.0, y + (x - drift))  # Eq. 2
+        out.append((max(k, 1.0), x, y, y > threshold))  # Eq. 4
+    return out
+
+
+class TestPaperOracle:
+    @given(
+        counts=st.lists(
+            st.tuples(st.integers(0, 5000), st.integers(0, 5000)),
+            min_size=1,
+            max_size=60,
+        ),
+        alpha=st.floats(min_value=0.01, max_value=0.99),
+        drift=st.floats(min_value=0.01, max_value=5.0),
+        threshold=st.floats(min_value=0.01, max_value=10.0),
+    )
+    def test_observe_period_equals_equations(self, counts, alpha, drift, threshold):
+        dog = SynDog(
+            parameters=SynDogParameters(
+                drift=drift, threshold=threshold, ewma_alpha=alpha,
+                attack_increase=2.0 * drift,
+            )
+        )
+        records = [dog.observe_period(syn, synack) for syn, synack in counts]
+        got = [(r.k_bar, r.x, r.statistic, r.alarm) for r in records]
+        assert got == paper_periods(counts, alpha, drift, threshold)
 
 
 class TestEwmaInvariants:

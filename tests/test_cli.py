@@ -179,6 +179,28 @@ class TestUsage:
         if "bad.pcap" in argv:
             assert proc.stderr == "detect: bad pcap magic: 0xefbeadde\n"
 
+    @pytest.mark.parametrize("command,source", [
+        ("detect", "--counts"), ("observe", "--trace"),
+    ])
+    @pytest.mark.parametrize("flags", [
+        ["--threshold", "nan"], ["--threshold", "inf"], ["--drift", "nan"],
+        ["--threshold", "-1"], ["--drift", "0"],
+    ], ids=["threshold-nan", "threshold-inf", "drift-nan", "threshold-negative",
+            "drift-zero"])
+    def test_invalid_detector_parameter_is_one_line_and_usage_exit(
+        self, command, source, flags, background_csv, tmp_path
+    ):
+        # NaN compares False against every bound: accepted, it runs the
+        # detector blind and reports "no flooding source detected".
+        from repro.cli import EXIT_USAGE
+
+        proc = run_repro([command, source, str(background_csv), *flags],
+                         cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith(f"{command}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
 
 class TestForensicReport:
     def test_report_flag_prints_estimates(self, background_csv, tmp_path, capsys):

@@ -17,6 +17,7 @@ import sys
 import pytest
 
 import repro
+import repro.core
 
 from ._cli import fresh_env
 
@@ -65,6 +66,14 @@ class TestLayering:
             "router", "trace", "experiments", "attack", "defense",
             "traceback", "tcpsim", "fastpath", "pcap", "parallel", "faults",
         )]) == []
+
+    @pytest.mark.parametrize("module", sorted(
+        f"repro.core.{info.name}"
+        for info in pkgutil.iter_modules(repro.core.__path__)
+    ))
+    def test_core_module_loads_no_numpy(self, module):
+        # The detector runs on any substrate: no core module needs numpy.
+        assert "numpy" not in loaded_after(f"import {module}")
 
     def test_cli_loads_no_command_code_and_no_numpy(self):
         modules = loaded_after("import repro.cli")
