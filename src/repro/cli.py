@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import (
     Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_shared(*detector, "metrics-out", "events-out", "serve",
                          "hold")],
         help="run detection with the full observability layer enabled: "
-             "Prometheus metrics, JSONL events, span profile",
+             "Prometheus metrics, JSONL events, detection timing",
     )
     obs_source = observe.add_mutually_exclusive_group(required=True)
     obs_source.add_argument("--trace", help="count-trace CSV")
@@ -175,9 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "per-period evaluation")
     observe.add_argument("--rules", metavar="JSON",
                          help="alert rules file (implies --alerts)")
-    observe.add_argument("--trace-out", metavar="PATH",
-                         help="write the span profile as Chrome "
-                              "trace-event JSON (chrome://tracing, Perfetto)")
 
     query = sub.add_parser(
         "query",
@@ -635,7 +632,10 @@ def _cmd_attack(args: argparse.Namespace, obs: Any) -> Outcome:
 
 def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
     """detect/observe: run SynDog over the counts CSV or the pcap pair;
-    ``(result, dog, parameters)``."""
+    ``(result, dog, parameters, seconds)``, *seconds* being the
+    detection pass's wall clock."""
+    import time
+
     period = args.period
     trace = None
     if counts_path:
@@ -657,21 +657,19 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
         )
     except ValueError as exc:  # e.g. --threshold nan, --drift 0
         raise CommandError(str(exc)) from None
-    span = (obs.tracer.span(f"{args.command}.run") if obs is not None
-            else nullcontext())
     if trace is None:
         from .experiments.streaming import detect_from_pcaps
         from .pcap.format import PcapFormatError
 
+        start = time.perf_counter()
         try:
-            with span:
-                result, dog = detect_from_pcaps(
-                    args.pcap_out, args.pcap_in, parameters=parameters,
-                    obs=obs, fastpath=args.fastpath,
-                )
+            result, dog = detect_from_pcaps(
+                args.pcap_out, args.pcap_in, parameters=parameters,
+                obs=obs, fastpath=args.fastpath,
+            )
         except PcapFormatError as exc:
             raise CommandError(str(exc)) from None
-        return result, dog, parameters
+        return result, dog, parameters, time.perf_counter() - start
     if args.command == "detect":
         from .trace.validation import validate_count_trace
 
@@ -681,9 +679,9 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
     from .core.syndog import SynDog
 
     dog = SynDog(parameters=parameters, obs=obs)
-    with span:
-        result = dog.observe_counts(trace.counts)
-    return result, dog, parameters
+    start = time.perf_counter()
+    result = dog.observe_counts(trace.counts)
+    return result, dog, parameters, time.perf_counter() - start
 
 
 def _verdict(result, dog, parameters, lines: List[str]) -> int:
@@ -705,7 +703,7 @@ def _verdict(result, dog, parameters, lines: List[str]) -> int:
 
 
 def _cmd_detect(args: argparse.Namespace, obs: Any) -> Outcome:
-    result, dog, parameters = _detection(args, obs, args.counts)
+    result, dog, parameters, _ = _detection(args, obs, args.counts)
     lines: List[str] = []
     if not args.quiet:
         from .experiments.report import render_series
@@ -750,18 +748,11 @@ def _observe_obs(args: argparse.Namespace) -> Any:
 
 def _cmd_observe(args: argparse.Namespace, obs: Any) -> Outcome:
     """``detect`` with the full observability layer switched on."""
-    result, dog, parameters = _detection(args, obs, args.trace)
+    result, dog, parameters, seconds = _detection(args, obs, args.trace)
     lines = [
         f"events emitted   : {obs.events.events_emitted}",
-        f"detection pass   : "
-        f"{obs.tracer.total_seconds('observe.run') * 1e3:.2f} ms wall clock",
+        f"detection pass   : {seconds * 1e3:.2f} ms wall clock",
     ]
-    if args.trace_out:
-        from .obs.exporters import write_chrome_trace
-
-        spans = write_chrome_trace(obs.tracer, args.trace_out)
-        lines.append(f"trace            : {spans} span events -> "
-                     f"{args.trace_out}")
     code = _verdict(result, dog, parameters, lines)
     return Outcome(code, "\n".join(lines))
 

@@ -230,11 +230,10 @@ def run_detection_sweep(
     )
     from ..parallel import WorkPlan, run_plan
 
-    with obs.tracer.span("runner.sweep"):
-        outcomes = run_plan(
-            WorkPlan.partition(configs), run_detection_trial,
-            workers=workers, obs=obs,
-        )
+    outcomes = run_plan(
+        WorkPlan.partition(configs), run_detection_trial,
+        workers=workers, obs=obs,
+    )
     # The grid is rate-major (sweep_trial_configs), so row i's trials
     # are the i-th block of num_trials outcomes.
     rows: List[DetectionPerformance] = []

@@ -32,10 +32,11 @@ shard store; after the merge the parent
 * replays the builtin + SLO alert rules over the merged store at epoch
   boundaries into a deterministic alerts document.
 
-Wall-clock tracer spans (detect/checkpoint/restore per epoch) ride the
-``soak_epoch`` event as ``span_seconds`` — excluded from the canonical
-projection like every timing — while their *counts* land in the JSON
-report.
+Each epoch times its detect, checkpoint and restore phases through a
+per-epoch timers-mode :class:`~repro.obs.profiler.Profiler`, one
+stage per phase.  The wall-clock totals ride the ``soak_epoch`` event
+as ``span_seconds`` — excluded from the canonical projection like
+every timing — while the *counts* land in the JSON report.
 
 Everything in :meth:`SoakReport.to_dict` is a pure function of the
 scenario; no timestamps, mappings sorted — the byte-identity contract
@@ -51,6 +52,7 @@ from ..attack.flooder import FloodSource
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import SynDog
 from ..obs import ledger
+from ..obs.profiler import Profiler
 from ..obs.recorder import FlightRecorder
 from ..obs.runtime import (
     Instrumentation,
@@ -58,7 +60,6 @@ from ..obs.runtime import (
     enabled_instrumentation,
 )
 from ..obs.slo import SLOEngine, builtin_slos
-from ..obs.tracing import Tracer
 from ..obs.tsdb import TimeSeriesDB, TrajectoryWriter
 from ..trace.mixer import AttackWindow, mix_flood_into_counts
 from ..trace.profiles import get_profile
@@ -158,7 +159,11 @@ def run_soak_epoch(
     params = task.parameters
     t0 = params.observation_period
     offset = task.offset
-    tracer = Tracer()
+    timers = Profiler(mode="timers")
+    detect, checkpoint, restore = (
+        timers.stage(name, sample_every=1)
+        for name in ("soak.detect", "soak.checkpoint", "soak.restore")
+    )
 
     profile = get_profile(task.site)
     background = generate_count_trace(
@@ -207,16 +212,20 @@ def run_soak_epoch(
         obs=obs, name=_AGENT,
     )
     records = []
-    with tracer.span("soak.detect"):
-        for i in range(task.checkpoint_period):
-            records.append(feed(subject, i))
-    with tracer.span("soak.checkpoint"):
-        state = subject.checkpoint()
-    with tracer.span("soak.restore"):
-        subject = SynDog.restore(state, obs=obs, name=_AGENT)
-    with tracer.span("soak.detect"):
-        for i in range(task.checkpoint_period, task.periods_per_epoch):
-            records.append(feed(subject, i))
+    token = detect.begin()
+    for i in range(task.checkpoint_period):
+        records.append(feed(subject, i))
+    detect.end(token)
+    token = checkpoint.begin()
+    state = subject.checkpoint()
+    checkpoint.end(token)
+    token = restore.begin()
+    subject = SynDog.restore(state, obs=obs, name=_AGENT)
+    restore.end(token)
+    token = detect.begin()
+    for i in range(task.checkpoint_period, task.periods_per_epoch):
+        records.append(feed(subject, i))
+    detect.end(token)
 
     # Restore-continuity: the restored subject must continue the run
     # bit-identically to the uninterrupted reference.
@@ -266,13 +275,11 @@ def run_soak_epoch(
                 )
 
     spans = {
-        name: {
-            "count": stats.count,
-            "total_seconds": stats.total_seconds,
-            "min_seconds": stats.min_seconds,
-            "max_seconds": stats.max_seconds,
+        handle.name: {
+            "count": handle.calls,
+            "total_seconds": handle.wall_ns / 1e9,
         }
-        for name, stats in sorted(tracer.stats().items())
+        for handle in timers.stages()
     }
     payload: Dict[str, Any] = {
         "epoch_index": task.epoch_index,

@@ -1,4 +1,4 @@
-"""Observability for the detection path: metrics, tracing, events.
+"""Observability for the detection path: metrics, events, profiling.
 
 The paper's agent is O(1)-state and meant to sit on a busy leaf router;
 operating one means watching it.  This package is a dependency-free
@@ -16,12 +16,11 @@ Modules
     Counter / Gauge / Histogram families with labeled children and a
     get-or-create :class:`MetricsRegistry` (plus the no-op
     :class:`NullRegistry`).
-``tracing``
-    perf_counter span timers with per-name aggregates.
 ``events``
     Structured events fanned out to JSONL / in-memory sinks.
 ``exporters``
-    Prometheus text rendering + parsing, JSONL views, tracer folding.
+    Prometheus text rendering + parsing, JSONL views, profile and
+    event-loss folding.
 ``runtime``
     The :class:`Instrumentation` bundle, the process-wide default, and
     the ``instrumented(...)`` scope manager.
@@ -73,9 +72,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "EventLog", "JsonlSink", "MemorySink", "NullEventLog", "read_jsonl",
     ),
     "exporters": (
-        "chrome_trace", "export_event_stats", "export_profiler",
-        "export_tracer", "parse_prometheus_text", "registry_to_dicts",
-        "render_prometheus", "summarize_histograms", "write_chrome_trace",
+        "export_event_stats", "export_profiler", "parse_prometheus_text",
+        "registry_to_dicts", "render_prometheus", "summarize_histograms",
         "write_prometheus",
     ),
     "merge": (
@@ -107,7 +105,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "set_instrumentation",
     ),
     "server": ("ObsServer",),
-    "tracing": ("NullTracer", "SpanRecord", "SpanStats", "Tracer"),
     "tsdb": (
         "NullTSDB", "QueryError", "TimeSeriesDB", "canonical_tsdb",
         "merge_tsdb", "parse_query", "tsdb_from_events",

@@ -31,7 +31,7 @@ run from that stream alone — no trace, no detector, no pickle:
 * a **soak summary**: logs left behind by ``repro soak`` carry one
   ``soak_epoch`` event per epoch; the report folds them into a
   continuous-operation section (epochs, restores, continuity
-  failures, detection hit rate, tracer span counts).
+  failures, detection hit rate, per-phase timing counts).
 
 Multiple JSONL files analyze into one report (a fleet of runs); agent
 keys are prefixed with the file stem when names would collide.

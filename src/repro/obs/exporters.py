@@ -11,33 +11,29 @@ Two formats:
 * **JSONL** via :func:`registry_to_dicts` — one dict per sample, for
   shipping metrics down the same pipe as the event log.
 
-:func:`export_tracer` folds a :class:`~repro.obs.tracing.Tracer`'s
-aggregate span profile into a registry as ``trace_span_*`` families so
-one scrape carries both metrics and timings.
+:func:`export_profiler` folds the profiler's per-stage cost attribution
+into a registry as ``profile_stage_*`` families, and
+:func:`export_event_stats` folds the event log's loss counters, so one
+scrape carries metrics, stage timings and event loss.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
 from .metrics import Histogram, MetricsRegistry
-from .tracing import Tracer
 
 __all__ = [
     "render_prometheus",
     "write_prometheus",
     "parse_prometheus_text",
     "registry_to_dicts",
-    "export_tracer",
     "export_event_stats",
     "export_profiler",
     "summarize_histograms",
-    "chrome_trace",
-    "write_chrome_trace",
 ]
 
 PathLike = Union[str, Path]
@@ -98,9 +94,12 @@ def write_prometheus(registry: MetricsRegistry, path: PathLike) -> int:
     """
     text = render_prometheus(registry)
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
-    )
+    try:
+        fd, tmp_name = tempfile.mkstemp(
+            dir=str(path.parent) or ".", prefix=path.name + ".", suffix=".tmp"
+        )
+    except OSError as exc:  # name the file asked for, not the temp file
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as stream:
             stream.write(text)
@@ -246,7 +245,7 @@ def export_event_stats(events: Any, registry: MetricsRegistry) -> None:
     """Fold the event log's emission/loss counters into *registry* as
     ``obs_events_emitted_total`` / ``obs_events_dropped_total`` so a
     scrape (or the final ``.prom``) makes silent event loss visible.
-    Idempotent, like :func:`export_tracer`."""
+    Idempotent: a re-export sets the counters to the log's totals."""
     if not getattr(events, "enabled", False):
         return
     emitted = registry.counter(
@@ -267,9 +266,9 @@ def export_profiler(profiler: Any, registry: MetricsRegistry) -> None:
     """Fold the profiler's per-stage attribution into *registry* as
     ``profile_stage_ns_total`` / ``_calls_total`` / ``_packets_total``
     families labeled by stage, so one scrape carries the cost profile.
-    Idempotent, like :func:`export_tracer`.  Like ``trace_span_*``,
-    these families are excluded from the deterministic projection in
-    :mod:`repro.obs.merge` (timers-mode nanoseconds are wall clock)."""
+    Idempotent, like :func:`export_event_stats`.  These families are
+    excluded from the deterministic projection in :mod:`repro.obs.merge`
+    (timers-mode nanoseconds are wall clock)."""
     rows = profiler.stage_documents()
     if not rows:
         return
@@ -293,85 +292,3 @@ def export_profiler(profiler: Any, registry: MetricsRegistry) -> None:
         child.inc(row["calls"] - child.value)
         child = packets.labels(row["stage"])
         child.inc(row["packets"] - child.value)
-
-
-# ----------------------------------------------------------------------
-# Tracer → registry
-# ----------------------------------------------------------------------
-def export_tracer(tracer: Tracer, registry: MetricsRegistry) -> None:
-    """Fold the tracer's aggregate profile into *registry* as
-    ``trace_span_count`` / ``_seconds_total`` / ``_seconds_max`` /
-    ``_seconds_mean`` families labeled by span name."""
-    stats = tracer.stats()
-    if not stats:
-        return
-    count = registry.counter(
-        "trace_span_count", "Finished spans per name", ("span",)
-    )
-    total = registry.gauge(
-        "trace_span_seconds_total", "Total time in span", ("span",)
-    )
-    peak = registry.gauge(
-        "trace_span_seconds_max", "Slowest single span", ("span",)
-    )
-    mean = registry.gauge(
-        "trace_span_seconds_mean", "Mean span duration", ("span",)
-    )
-    for name in sorted(stats):
-        entry = stats[name]
-        child = count.labels(name)
-        child.inc(entry.count - child.value)  # idempotent re-export
-        total.labels(name).set(entry.total_seconds)
-        peak.labels(name).set(entry.max_seconds)
-        mean.labels(name).set(entry.mean_seconds)
-
-
-# ----------------------------------------------------------------------
-# Tracer → Chrome trace events (chrome://tracing / Perfetto)
-# ----------------------------------------------------------------------
-def chrome_trace(tracer: Tracer, pid: int = 0, tid: int = 0) -> Dict[str, Any]:
-    """The tracer's raw span ring as a Chrome trace-event document.
-
-    Complete events (``"ph": "X"``) with microsecond timestamps
-    relative to the tracer's epoch — load the JSON straight into
-    ``chrome://tracing`` or https://ui.perfetto.dev to see the span
-    profile on a real timeline instead of as folded aggregates.
-    """
-    events = [
-        {
-            "name": record.name,
-            "cat": "repro",
-            "ph": "X",
-            "ts": record.start * 1e6,
-            "dur": record.duration * 1e6,
-            "pid": pid,
-            "tid": tid,
-        }
-        for record in tracer.records()
-    ]
-    events.sort(key=lambda event: event["ts"])
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def write_chrome_trace(
-    tracer: Tracer, path: PathLike, pid: int = 0, tid: int = 0
-) -> int:
-    """Write :func:`chrome_trace` to *path* (atomically, like
-    :func:`write_prometheus`); returns the number of trace events."""
-    document = chrome_trace(tracer, pid=pid, tid=tid)
-    path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(
-        dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp"
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            json.dump(document, stream, indent=1)
-            stream.write("\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return len(document["traceEvents"])

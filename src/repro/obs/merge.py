@@ -24,7 +24,7 @@ grid-index order with freshly stamped ``seq`` — exactly the stream a
 serial run would have written.
 
 Byte-identity caveat: wall-clock measurements (``*_seconds*``
-histograms, ``trace_span_*`` families, per-event ``wall_seconds``
+histograms, ``profile_stage_*`` families, per-event ``wall_seconds``
 fields) are real timings and differ between *any* two runs, serial or
 not.  :func:`deterministic_families` / :func:`canonical_event` strip
 exactly that nondeterministic surface, so equivalence tests — and CI —
@@ -186,7 +186,6 @@ def _is_deterministic_name(name: str) -> bool:
     # (repro.obs.profiler), not the registry fold.
     return (
         "_seconds" not in name
-        and not name.startswith("trace_span_")
         and not name.startswith("parallel_worker_")
         and not name.startswith("profile_stage_")
     )

@@ -26,7 +26,6 @@ Design rules, in priority order:
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -233,11 +232,6 @@ class Histogram(_Family):
                 self._bucket_counts[i] += 1
                 break
 
-    def time(self) -> "_HistogramTimer":
-        """``with histogram.time(): ...`` records the block's duration."""
-        self._require_unlabeled()
-        return _HistogramTimer(self)
-
     @property
     def count(self) -> int:
         self._require_unlabeled()
@@ -306,21 +300,6 @@ def _format_bound(bound: float) -> str:
         return "+Inf"
     text = repr(bound)
     return text
-
-
-class _HistogramTimer:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_HistogramTimer":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
 
 
 class MetricsRegistry:
@@ -417,15 +396,6 @@ class _NullInstrument:
 
     def quantile(self, q: float) -> None:
         return None
-
-    def time(self) -> "_NullInstrument":
-        return self
-
-    def __enter__(self) -> "_NullInstrument":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        pass
 
 
 _NULL_INSTRUMENT = _NullInstrument()

@@ -2,7 +2,7 @@
 
 Every instrumented component in the pipeline takes an optional
 ``obs: Instrumentation`` argument.  Passing one wires that component to
-an explicit registry/tracer/event-log trio; passing ``None`` (the
+an explicit registry, event log, recorder and so on; passing ``None`` (the
 universal default) resolves the *current* process-wide instrumentation,
 which is :data:`NULL_INSTRUMENTATION` unless the operator installed a
 live one.  Components check ``obs.enabled`` **once, at construction**,
@@ -19,7 +19,7 @@ Typical operator setup::
     with instrumented(obs):
         dog = SynDog()            # picks up obs automatically
         ...
-    obs.finalize("metrics.prom")  # folds tracer stats in and writes
+    obs.finalize("metrics.prom")  # folds profile + event loss in, writes
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .events import EventLog, JsonlSink, MemorySink, NullEventLog
 from .metrics import MetricsRegistry, NullRegistry
 from .profiler import NullProfiler, Profiler
 from .recorder import FlightRecorder, NullFlightRecorder
-from .tracing import NullTracer, Tracer
 from .tsdb import NullTSDB, TimeSeriesDB
 
 __all__ = [
@@ -47,13 +46,12 @@ __all__ = [
 
 
 class Instrumentation:
-    """A registry + tracer + event log + flight recorder + telemetry
-    history store + alert manager, handed around as one object."""
+    """A registry + event log + flight recorder + telemetry history
+    store + alert manager + profiler, handed around as one object."""
 
     def __init__(
         self,
         registry: Optional[Any] = None,
-        tracer: Optional[Any] = None,
         events: Optional[Any] = None,
         recorder: Optional[Any] = None,
         tsdb: Optional[Any] = None,
@@ -61,7 +59,6 @@ class Instrumentation:
         profiler: Optional[Any] = None,
     ) -> None:
         self.registry = registry if registry is not None else NullRegistry()
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.events = events if events is not None else NullEventLog()
         self.recorder = (
             recorder if recorder is not None else NullFlightRecorder()
@@ -97,7 +94,6 @@ class Instrumentation:
     def enabled(self) -> bool:
         return (
             self.registry.enabled
-            or self.tracer.enabled
             or self.events.enabled
             or self.recorder.enabled
             or self.tsdb.enabled
@@ -106,7 +102,7 @@ class Instrumentation:
 
     def finalize(self, metrics_path: Optional[Union[str, Any]] = None) -> int:
         """End-of-run bookkeeping: flush pending alarm contexts, fold
-        tracer aggregates and event-loss counters into the registry,
+        the profile and event-loss counters into the registry,
         write the Prometheus file (when asked, atomically), close event
         sinks.  Returns the number of exported sample lines (0 when no
         metrics path was given)."""
@@ -124,12 +120,9 @@ class Instrumentation:
             from .exporters import (
                 export_event_stats,
                 export_profiler,
-                export_tracer,
                 write_prometheus,
             )
 
-            if self.tracer.enabled:
-                export_tracer(self.tracer, self.registry)
             if self.profiler.enabled:
                 export_profiler(self.profiler, self.registry)
             export_event_stats(self.events, self.registry)
@@ -170,7 +163,7 @@ class Instrumentation:
         )
 
 
-#: The disabled default: all three components are no-ops.
+#: The disabled default: every component is a no-op.
 NULL_INSTRUMENTATION = Instrumentation()
 
 _current: Instrumentation = NULL_INSTRUMENTATION
@@ -189,7 +182,7 @@ def enabled_instrumentation(
     profiler: Optional[str] = None,
     profiler_sample_every: int = 64,
 ) -> Instrumentation:
-    """A fully live bundle: real registry, real tracer, event log with
+    """A fully live bundle: real registry, event log with
     a JSONL sink at *events_path* (when given) and/or an in-memory sink
     (bounded, for summaries), a flight recorder so every alarm carries
     its pre-alarm detector-state window, and a bounded telemetry
@@ -217,7 +210,6 @@ def enabled_instrumentation(
     )
     return Instrumentation(
         registry=MetricsRegistry(),
-        tracer=Tracer(),
         events=events,
         recorder=recorder,
         tsdb=TimeSeriesDB(retention=tsdb_retention) if tsdb else None,

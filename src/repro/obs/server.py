@@ -9,8 +9,8 @@ only — with three endpoints:
 
 ``GET /metrics``
     The current registry in Prometheus text exposition format 0.0.4,
-    with the tracer span profile and event-loss counters folded in at
-    scrape time, exactly as ``finalize`` would write them.
+    with the profiler's stage counters and event-loss counters folded
+    in at scrape time, exactly as ``finalize`` would write them.
 ``GET /healthz``
     A JSON liveness probe: uptime, events emitted/dropped, and — via
     the flight recorder — a bounded per-status ``summary`` (counts of
@@ -61,7 +61,7 @@ single fixed order:
    ``/profile``'s document derivation, ``/healthz``'s
    ``checkpoints_restored`` read of the restore counter family).  With
    three concurrent reader routes, two scrapes folding
-   ``trace_span_*`` or ``profile_stage_*`` into the registry at once
+   ``profile_stage_*`` or ``obs_events_*`` into the registry at once
    would interleave family mutation; one shared lock serializes them.
    It is *server-side only*: ingestion threads never take it, so the
    detection path still cannot stall.
@@ -95,7 +95,6 @@ from .events import MemorySink
 from .exporters import (
     export_event_stats,
     export_profiler,
-    export_tracer,
     render_prometheus,
 )
 from .rollup import DEFAULT_TOP_K, FleetRollup, states_from_recorder
@@ -233,9 +232,6 @@ class ObsServer:
         # two concurrent scrapes (or a scrape racing /profile) from
         # interleaving family mutation.  See the module's lock order.
         with self._registry_lock:
-            tracer = self.obs.tracer
-            if getattr(tracer, "enabled", False):
-                export_tracer(tracer, registry)
             profiler = getattr(self.obs, "profiler", None)
             if profiler is not None and getattr(profiler, "enabled", False):
                 export_profiler(profiler, registry)

@@ -387,7 +387,6 @@ class TimeSeriesDB:
             name = family.name
             if (
                 family.kind not in ("counter", "gauge")
-                or name.startswith("trace_span_")
                 or name in _EVENT_STAT_SERIES
             ):
                 continue

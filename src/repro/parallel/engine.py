@@ -26,10 +26,9 @@ in grid order.  The execution contract:
   agent-crash model, aimed at the engine itself.  Ignored on the
   inline path (killing the parent is not a simulation).
 
-What the parallel path *loses* relative to a single-process run:
-worker-side tracer spans (the parent's tracer still covers the parent)
-and live event streaming (events buffer per shard and reach the
-parent's sinks at merge time, in grid order).  Flight-recorder alarm
+What the parallel path *loses* relative to a single-process run: live
+event streaming (events buffer per shard and reach the parent's sinks
+at merge time, in grid order).  Flight-recorder alarm
 contexts are captured per shard and shipped home.
 """
 

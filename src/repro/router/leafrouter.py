@@ -17,7 +17,6 @@ forwarding path.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Callable, Iterable, List, Optional
 
 from ..defense.ingress import IngressFilter
@@ -122,7 +121,6 @@ class LeafRouter:
         obs = resolve_instrumentation(obs)
         self.outbound = Interface("outbound", obs=obs)
         self.inbound = Interface("inbound", obs=obs)
-        self._tracer = obs.tracer if obs.tracer.enabled else None
         self.to_internet = to_internet
         self.to_intranet = to_intranet
         self.ingress_filter = (
@@ -180,15 +178,9 @@ class LeafRouter:
             + [(packet, False) for packet in inbound],
             key=lambda item: item[0].timestamp,
         )
-        span = (
-            self._tracer.span("router.replay")
-            if self._tracer is not None
-            else nullcontext()
-        )
-        with span:
-            for packet, is_outbound in merged:
-                if is_outbound:
-                    self.forward_outbound(packet)
-                else:
-                    self.forward_inbound(packet)
+        for packet, is_outbound in merged:
+            if is_outbound:
+                self.forward_outbound(packet)
+            else:
+                self.forward_inbound(packet)
         return len(merged)

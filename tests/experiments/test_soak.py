@@ -72,6 +72,9 @@ class TestSoakEpoch:
         assert payload["spans"]["soak.checkpoint"]["count"] == 1
         assert payload["spans"]["soak.restore"]["count"] == 1
         assert payload["spans"]["soak.detect"]["count"] == 2
+        for stats in payload["spans"].values():
+            assert set(stats) == {"count", "total_seconds"}
+            assert stats["total_seconds"] >= 0.0
 
 
 class TestSoakCampaign:

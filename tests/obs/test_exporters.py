@@ -1,16 +1,15 @@
-"""Prometheus text rendering, its round-trip parser, and tracer export."""
+"""Prometheus text rendering, its round-trip parser, and the atomic
+file writer."""
 
 import pytest
 
 from repro.obs.exporters import (
-    export_tracer,
     parse_prometheus_text,
     registry_to_dicts,
     render_prometheus,
     write_prometheus,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracing import Tracer
 
 
 def build_registry() -> MetricsRegistry:
@@ -104,36 +103,6 @@ class TestRegistryToDicts:
             == {"out", "in"}
         assert by_metric["k_bar"][0]["type"] == "gauge"
         assert by_metric["trial_seconds_count"][0]["value"] == 2.0
-
-
-class TestExportTracer:
-    def test_span_profile_lands_in_registry(self):
-        tracer = Tracer()
-        for _ in range(3):
-            with tracer.span("detect.run"):
-                pass
-        registry = MetricsRegistry()
-        export_tracer(tracer, registry)
-        count = registry.get("trace_span_count")
-        assert count.labels("detect.run").value == 3.0
-        total = registry.get("trace_span_seconds_total")
-        assert total.labels("detect.run").value > 0.0
-        assert "trace_span_seconds_max" in registry
-        assert "trace_span_seconds_mean" in registry
-
-    def test_re_export_is_idempotent(self):
-        tracer = Tracer()
-        with tracer.span("s"):
-            pass
-        registry = MetricsRegistry()
-        export_tracer(tracer, registry)
-        export_tracer(tracer, registry)
-        assert registry.get("trace_span_count").labels("s").value == 1.0
-
-    def test_empty_tracer_registers_nothing(self):
-        registry = MetricsRegistry()
-        export_tracer(Tracer(), registry)
-        assert len(registry) == 0
 
 
 class TestAtomicWrite:

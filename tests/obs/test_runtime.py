@@ -20,14 +20,12 @@ class TestInstrumentation:
         obs = Instrumentation()
         assert obs.enabled is False
         assert obs.registry.enabled is False
-        assert obs.tracer.enabled is False
         assert obs.events.enabled is False
 
     def test_enabled_bundle(self):
         obs = enabled_instrumentation()
         assert obs.enabled is True
         assert obs.registry.enabled is True
-        assert obs.tracer.enabled is True
         assert obs.events.enabled is True
 
     def test_partial_bundle_counts_as_enabled(self):
@@ -58,18 +56,17 @@ class TestInstrumentation:
 
 
 class TestFinalize:
-    def test_folds_tracer_and_writes_metrics(self, tmp_path):
+    def test_folds_event_stats_and_writes_metrics(self, tmp_path):
         obs = enabled_instrumentation()
         obs.registry.counter("periods_total").inc(5)
-        with obs.tracer.span("detect.run"):
-            pass
+        obs.events.emit("period")
         path = tmp_path / "metrics.prom"
         samples = obs.finalize(path)
         parsed = parse_prometheus_text(path.read_text())
         assert samples == len(parsed)
         names = {name for name, _, _ in parsed}
         assert "periods_total" in names
-        assert "trace_span_count" in names
+        assert "obs_events_emitted_total" in names
 
     def test_null_finalize_writes_nothing(self, tmp_path):
         path = tmp_path / "metrics.prom"

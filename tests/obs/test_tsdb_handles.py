@@ -36,7 +36,7 @@ def reference_tick_registry(store, registry, t):
         if family.kind not in ("counter", "gauge"):
             continue
         name = family.name
-        if name.startswith("trace_span_") or name in _EVENT_STAT_NAMES:
+        if name in _EVENT_STAT_NAMES:
             continue
         for sample in family.samples():
             store.append(
@@ -54,7 +54,7 @@ FAMILIES = {
     "agent_periods_total": ("counter", ("agent",)),
     "agent_level": ("gauge", ("agent", "shard")),
     "agent_latency_seconds": ("histogram", ("agent",)),
-    "trace_span_detect_total": ("counter", ("span",)),
+    "profile_stage_calls_total": ("counter", ("stage",)),
     "obs_events_dropped_total": ("gauge", ()),
 }
 

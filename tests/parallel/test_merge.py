@@ -136,13 +136,13 @@ class TestDeterministicView:
         registry = MetricsRegistry()
         registry.counter("demo_total", "kept").inc()
         registry.histogram("demo_run_seconds", "wall clock").observe(0.1)
-        registry.counter("trace_span_calls", "profiler").inc()
+        registry.counter("profile_stage_calls_total", "profiler").inc()
         names = [f.name for f in deterministic_families(registry)]
         assert names == ["demo_total"]
         text = render_deterministic(registry)
         assert "demo_total" in text
         assert "demo_run_seconds" not in text
-        assert "trace_span_calls" not in text
+        assert "profile_stage_calls_total" not in text
 
     def test_canonical_event_strips_wall_clock(self):
         event = {

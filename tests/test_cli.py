@@ -201,6 +201,22 @@ class TestUsage:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    def test_unwritable_metrics_path_names_the_path_given(
+        self, background_csv, tmp_path
+    ):
+        from repro.cli import EXIT_USAGE
+
+        target = tmp_path / "missing" / "dir" / "m.prom"
+        proc = run_repro([
+            "observe", "--trace", str(background_csv),
+            "--metrics-out", str(target),
+        ], cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("observe: ")
+        assert proc.stderr.count("\n") == 1
+        assert f"'{target}'" in proc.stderr
+        assert ".tmp" not in proc.stderr
+
 
 class TestForensicReport:
     def test_report_flag_prints_estimates(self, background_csv, tmp_path, capsys):
@@ -273,7 +289,7 @@ class TestObserveCommand:
         names = {name for name, _, _ in samples}
         assert "syndog_periods_total" in names
         assert "syndog_statistic" in names
-        assert "trace_span_count" in names
+        assert "trace_span_count" not in names
         # One JSONL event per observation period, with the full
         # trajectory point (the acceptance contract).
         all_events = read_jsonl(events)
@@ -687,24 +703,28 @@ class TestObserveAlertsAndTrace:
         assert "alerts           : 8 rules" in out
         assert "alerts fired     : cusum_near_threshold" in out
 
-    def test_observe_trace_out_writes_chrome_trace(
-        self, background_csv, tmp_path
+    def test_observe_trace_out_is_a_usage_error(
+        self, background_csv, tmp_path, capsys
     ):
-        import json
+        from repro.cli import EXIT_USAGE
 
         trace = tmp_path / "trace.json"
         code = main([
             "observe", "--trace", str(background_csv),
             "--trace-out", str(trace),
         ])
-        assert code == EXIT_OK
-        document = json.loads(trace.read_text())
-        assert document["displayTimeUnit"] == "ms"
-        names = {event["name"] for event in document["traceEvents"]}
-        assert "observe.run" in names
-        for event in document["traceEvents"]:
-            assert event["ph"] == "X"
-            assert event["dur"] >= 0.0
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        # argparse prints its usage block; one line names the flag.
+        [line] = [line for line in err.splitlines() if "--trace-out" in line]
+        assert "unrecognized arguments" in line
+        assert "Traceback" not in err
+        assert not trace.exists()
+        # The detection timing the flag used to export still prints.
+        assert main(["observe", "--trace", str(background_csv)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "detection pass   : " in out
+        assert " ms wall clock" in out
 
 
 class TestProfileCommand:

@@ -67,6 +67,15 @@ class TestLayering:
             "traceback", "tcpsim", "fastpath", "pcap", "parallel", "faults",
         )]) == []
 
+    def test_detector_loads_exactly_the_per_period_obs_modules(self):
+        modules = loaded_after("from repro.core import SynDog")
+        assert offenders(modules, ["repro.obs"]) == ["repro.obs"] + [
+            f"repro.obs.{name}" for name in (
+                "alerts", "events", "metrics", "profiler", "recorder",
+                "runtime", "tsdb",
+            )
+        ]
+
     @pytest.mark.parametrize("module", sorted(
         f"repro.core.{info.name}"
         for info in pkgutil.iter_modules(repro.core.__path__)
