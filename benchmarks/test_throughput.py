@@ -21,7 +21,7 @@ from conftest import emit
 
 from repro.core.syndog import SynDog
 from repro.experiments.streaming import stream_detection
-from repro.fastpath.pipeline import detect_from_pcap_images
+from repro.fastpath.pipeline import detect_from_sources
 from repro.pcap.reader import PcapReader
 from repro.pcap.writer import packets_to_pcap_bytes
 from repro.trace.profiles import UNC
@@ -58,14 +58,14 @@ def test_fastpath_throughput_vs_object_pipeline():
     # Warm both paths once (imports, numpy ufunc setup) so the timed
     # passes measure steady-state throughput.
     _object_pass(outbound_image, inbound_image)
-    detect_from_pcap_images(outbound_image, inbound_image)
+    detect_from_sources(outbound_image, inbound_image)
 
     start = time.perf_counter()
     object_result = _object_pass(outbound_image, inbound_image)
     object_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    fast_result, _ = detect_from_pcap_images(outbound_image, inbound_image)
+    fast_result, _ = detect_from_sources(outbound_image, inbound_image)
     fast_seconds = time.perf_counter() - start
 
     # Equivalence first: the speedup is worthless if the answer moved.

@@ -14,7 +14,7 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.classify import PacketClass, classify_packet
@@ -47,11 +47,6 @@ class PeriodReport:
     syn_count: int
     synack_count: int
 
-    @property
-    def difference(self) -> int:
-        """Δ_n = outgoing SYNs − incoming SYN/ACKs."""
-        return self.syn_count - self.synack_count
-
 
 class _CountingSniffer:
     """Shared machinery: classify each packet, bump one counter."""
@@ -60,12 +55,10 @@ class _CountingSniffer:
 
     def __init__(self) -> None:
         self._count = 0
-        self._total_seen = 0
 
     def observe(self, packet: Packet) -> bool:
         """Count *packet* if it matches the sniffer's target class.
         Returns True when it was counted."""
-        self._total_seen += 1
         if classify_packet(packet) is self._target_class:
             self._count += 1
             return True
@@ -75,28 +68,15 @@ class _CountingSniffer:
         """The update half of :meth:`observe` for callers that already
         classified the packet (the profiled hot path, which needs to
         attribute classification and counter update separately)."""
-        self._total_seen += 1
         if packet_class is self._target_class:
             self._count += 1
             return True
         return False
 
-    def observe_many(self, packets: Iterable[Packet]) -> int:
-        counted = 0
-        for packet in packets:
-            if self.observe(packet):
-                counted += 1
-        return counted
-
     @property
     def count(self) -> int:
         """Packets counted since the last :meth:`drain`."""
         return self._count
-
-    @property
-    def total_seen(self) -> int:
-        """All packets inspected over the sniffer's lifetime."""
-        return self._total_seen
 
     def drain(self) -> int:
         """Report and reset the period counter (end of observation
@@ -126,6 +106,12 @@ class CountExchange:
     timestamp crosses the current period boundary first closes the
     period (emitting a report — and empty reports for any fully idle
     periods in between) and then counts toward the new one.
+
+    The exchange owns the one period clock: an ``origin`` and an integer
+    ``period_index``.  Period *k* is ``[start_of(k), start_of(k + 1))``
+    with ``start_of(k) = origin + k * t0`` — a product, never a running
+    sum, so boundaries never drift.  A timestamp behind the current
+    period counts toward the current period.
     """
 
     def __init__(
@@ -141,8 +127,9 @@ class CountExchange:
         self.observation_period = float(observation_period)
         self.outbound = OutboundSniffer()
         self.inbound = InboundSniffer()
+        self.origin = float(start_time)
         self._period_index = 0
-        self._period_start = float(start_time)
+        self._next_boundary = self.start_of(1)
         # Hot-path contract (see repro.obs): bind instruments once here;
         # when the registry is disabled (even if events or the flight
         # recorder are live) every per-packet guard is a single None
@@ -182,9 +169,21 @@ class CountExchange:
             self._prof_classify = None
             self._prof_sniff = None
 
+    def start_of(self, k):
+        """Start time of period *k*: ``origin + k * t0``, the clock's
+        definition.  *k* may be an int or an integer array (the columnar
+        fastpath places whole captures at once)."""
+        return self.origin + k * self.observation_period
+
     @property
-    def current_period_end(self) -> float:
-        return self._period_start + self.observation_period
+    def period_index(self) -> int:
+        """Index of the open period."""
+        return self._period_index
+
+    @period_index.setter
+    def period_index(self, k: int) -> None:
+        self._period_index = int(k)
+        self._next_boundary = self.start_of(self._period_index + 1)
 
     # ------------------------------------------------------------------
     # Checkpoint / restore
@@ -198,35 +197,53 @@ class CountExchange:
         resumes the clock at the checkpointed boundary with empty
         counters.
         """
-        return {
-            "period_index": self._period_index,
-            "period_start": self._period_start,
-        }
+        return {"origin": self.origin, "period_index": self._period_index}
 
     def load_state(self, state: dict) -> None:
         """Resume the period clock from :meth:`state_dict` output."""
-        self._period_index = int(state["period_index"])
-        self._period_start = float(state["period_start"])
+        self.origin = float(state["origin"])
+        self.period_index = state["period_index"]
         self.outbound.drain()
         self.inbound.drain()
 
+    def account(
+        self,
+        out_seen: int,
+        out_counted: int,
+        in_seen: int,
+        in_counted: int,
+        periods: int,
+    ) -> None:
+        """Advance the sniffer and exchange counters by totals counted
+        elsewhere (the columnar fastpath), to the values a
+        packet-at-a-time run would leave.  A no-op when the registry is
+        off."""
+        if self._m_periods is None:
+            return
+        self._m_out_seen.inc(out_seen)
+        self._m_out_counted.inc(out_counted)
+        self._m_in_seen.inc(in_seen)
+        self._m_in_counted.inc(in_counted)
+        self._m_periods.inc(periods)
+
     def _close_period(self) -> PeriodReport:
+        k = self._period_index
         report = PeriodReport(
-            period_index=self._period_index,
-            start_time=self._period_start,
-            end_time=self.current_period_end,
+            period_index=k,
+            start_time=self.start_of(k),
+            end_time=self._next_boundary,
             syn_count=self.outbound.drain(),
             synack_count=self.inbound.drain(),
         )
-        self._period_index += 1
-        self._period_start += self.observation_period
+        self._period_index = k + 1
+        self._next_boundary = self.start_of(k + 2)
         if self._m_periods is not None:
             self._m_periods.inc()
         return report
 
     def _advance_to(self, timestamp: float) -> List[PeriodReport]:
         reports: List[PeriodReport] = []
-        while timestamp >= self.current_period_end:
+        while timestamp >= self._next_boundary:
             reports.append(self._close_period())
         return reports
 

@@ -36,7 +36,7 @@ __all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION"]
 
 #: Version tag written into every checkpoint so a future format change
 #: can refuse (or migrate) stale state instead of silently misreading it.
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: Fallback agent names (``syndog-0``, ``syndog-1``, ...) so several
 #: anonymous detectors sharing one flight recorder / event log stay
@@ -255,10 +255,11 @@ class SynDog:
     ) -> DetectionRecord:
         """Feed one observation period's aggregated counts.
 
-        ``start_time`` defaults to contiguous periods from t = 0; when
-        the caller supplies it (packet-level ingestion, warm-up-skipping
-        wrappers) the period index is derived from it so record indices
-        and times always agree on one absolute clock.
+        ``start_time`` defaults to the next contiguous period on the
+        exchange's clock; when the caller supplies it (packet-level
+        ingestion, warm-up-skipping wrappers) the period index is
+        derived from it, counted from the clock's origin, so record
+        indices and times always agree on one clock.
         """
         record = self._ingest(syn_count, synack_count, start_time, degraded=False)
         self._last_counts = (syn_count, synack_count)
@@ -296,12 +297,20 @@ class SynDog:
 
     def _period_coordinates(
         self, start_time: Optional[float]
-    ) -> Tuple[int, float]:
+    ) -> Tuple[int, float, float]:
+        """(index, start, end) of the period fed next, on the exchange's
+        clock: a caller-supplied start names the period nearest to it,
+        and every period ends where the clock starts the next one.  The
+        clock arithmetic is written out, not called through
+        ``CountExchange.start_of``: this runs once per period."""
         t0 = self.parameters.observation_period
+        origin = self.exchange.origin
         if start_time is None:
             period_index = self._period_offset + len(self._records)
-            return period_index, period_index * t0
-        return int(round(start_time / t0)), start_time
+            start_time = origin + period_index * t0
+        else:
+            period_index = int(round((start_time - origin) / t0))
+        return period_index, start_time, origin + (period_index + 1) * t0
 
     def _ingest(
         self,
@@ -310,7 +319,7 @@ class SynDog:
         start_time: Optional[float],
         degraded: bool,
     ) -> DetectionRecord:
-        period_index, start_time = self._period_coordinates(start_time)
+        period_index, start_time, end_time = self._period_coordinates(start_time)
         cusum = self.cusum
         prof = self._prof_cusum
         if prof is None:
@@ -330,7 +339,7 @@ class SynDog:
         record = DetectionRecord(
             period_index=period_index,
             start_time=start_time,
-            end_time=start_time + self.parameters.observation_period,
+            end_time=end_time,
             syn_count=syn_count,
             synack_count=synack_count,
             k_bar=self.normalizer.k_bar,
@@ -345,11 +354,11 @@ class SynDog:
     def _hold_period(self, start_time: Optional[float]) -> DetectionRecord:
         """Freeze-in-place handling of a stale gap: period index and
         clock advance, statistic and K̄ do not."""
-        period_index, start_time = self._period_coordinates(start_time)
+        period_index, start_time, end_time = self._period_coordinates(start_time)
         record = DetectionRecord(
             period_index=period_index,
             start_time=start_time,
-            end_time=start_time + self.parameters.observation_period,
+            end_time=end_time,
             syn_count=0,
             synack_count=0,
             k_bar=self.normalizer.k_bar,

@@ -100,23 +100,16 @@ def profile_network(
     inbound_image = packets_to_pcap_bytes(trace.inbound)
     if task.fastpath:
         from ..core.syndog import SynDog
-        from ..fastpath.pipeline import (
-            _drive_detector,
-            _merge_columns,
-            _periodize,
-            scan_capture,
-        )
+        from ..fastpath.pipeline import _drive_detector, scan_capture
 
         out_cols = scan_capture(outbound_image, obs=obs)
         in_cols = scan_capture(inbound_image, obs=obs)
         detector = SynDog(parameters=task.parameters, obs=obs)
-        merged = _merge_columns(out_cols, in_cols)
-        grid = _periodize(merged, task.parameters.observation_period)
-        _drive_detector(detector, merged, grid, stop_at_first_alarm=False)
+        _drive_detector(detector, out_cols, in_cols)
         # The federation bus records the agent's *first* alarm during the
         # feed (the trailing flush never relays); mirror that so the two
         # arms return the same outcome dict.
-        fed_records = detector.records[: grid.closed_periods]
+        fed_records = detector.records[:-1]
         alarms = 1 if any(record.alarm for record in fed_records) else 0
         return {
             "network_id": task.network_id,

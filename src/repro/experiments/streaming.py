@@ -54,22 +54,14 @@ def stream_detection(
     outbound: Iterable[Packet],
     inbound: Iterable[Packet],
     end_time: Optional[float] = None,
-    stop_at_first_alarm: bool = False,
 ) -> DetectionResult:
-    """Drive *detector* from two lazy packet streams.
-
-    With ``stop_at_first_alarm`` the function returns as soon as the
-    alarm fires — the on-line deployment behaviour, where the response
-    (ingress filtering, paging the operator) begins mid-stream rather
-    than after the capture ends.
-    """
+    """Drive *detector* from two lazy packet streams, then close the
+    trailing period."""
     for packet, is_outbound in merge_directional_streams(outbound, inbound):
         if is_outbound:
-            records = detector.observe_outbound(packet)
+            detector.observe_outbound(packet)
         else:
-            records = detector.observe_inbound(packet)
-        if stop_at_first_alarm and any(record.alarm for record in records):
-            return detector.result()
+            detector.observe_inbound(packet)
     detector.flush(end_time=end_time)
     return detector.result()
 
@@ -136,7 +128,6 @@ def detect_from_pcaps(
     outbound_path: PathLike,
     inbound_path: PathLike,
     parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
     obs: Optional[Instrumentation] = None,
     fastpath: bool = True,
 ) -> Tuple[DetectionResult, SynDog]:
@@ -157,11 +148,7 @@ def detect_from_pcaps(
         from ..fastpath.pipeline import detect_from_pcaps_fast
 
         return detect_from_pcaps_fast(
-            outbound_path,
-            inbound_path,
-            parameters=parameters,
-            stop_at_first_alarm=stop_at_first_alarm,
-            obs=obs,
+            outbound_path, inbound_path, parameters=parameters, obs=obs
         )
     detector = SynDog(parameters=parameters, obs=obs)
     with PcapReader.open(outbound_path) as outbound_reader, \
@@ -174,6 +161,5 @@ def detect_from_pcaps(
             detector,
             outbound_reader.iter_packets(strict=False),
             inbound_reader.iter_packets(strict=False),
-            stop_at_first_alarm=stop_at_first_alarm,
         )
     return result, detector

@@ -25,6 +25,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "pipeline": (
         "DirectionColumns", "counts_from_pcaps_fast",
-        "detect_from_pcap_images", "detect_from_pcaps_fast", "scan_capture",
+        "detect_from_pcaps_fast", "detect_from_sources", "scan_capture",
     ),
 })

@@ -11,21 +11,21 @@ callbacks:
   lexsort on (timestamp, direction) when both captures are time-sorted,
   an exact two-pointer replica of ``heapq.merge`` (ties outbound-first)
   when a fault-injected capture is reordered;
-* period boundaries replicate ``CountExchange``'s *accumulated* float
-  clock (``start += t0`` per close, not ``start + k*t0``), and each
-  packet lands in the period given by the running max of merged
-  timestamps — bit-for-bit the exchange's behaviour on out-of-order
-  timestamps;
-* per-period (SYN, SYN/ACK) counts come from ``np.bincount`` and are
-  fed through ``SynDog.observe_period`` with the exact start times the
-  exchange would report, so normalization, CUSUM, TSDB series, events,
-  alerts and the ``cusum.step`` profiler stage are untouched.
+* the detector's exchange owns the period clock: ``np.searchsorted``
+  finds where the running max of merged timestamps first reaches each
+  of its boundaries ``CountExchange.start_of(1..K)`` — the exchange's
+  rule for out-of-order timestamps, with no per-period Python loop;
+* per-period (SYN, SYN/ACK) counts are the number of each lane's
+  packets between those positions, fed through
+  ``SynDog.observe_period`` at ``start_of(k)``, so normalization,
+  CUSUM, TSDB series, events, alerts and the ``cusum.step`` profiler
+  stage are untouched.
 
-Metrics parity: the sniffer/exchange counter totals
+Afterwards the exchange's period index is set once and
+``CountExchange.account`` bulk-increments its sniffer/exchange counters
 (``sniffer_packets_total``, ``sniffer_packets_counted_total``,
-``exchange_periods_total``) are bulk-incremented to the values the
-object run would leave, and the detector's exchange clock is synced so
-checkpoints taken after a fastpath run equal the object pipeline's.
+``exchange_periods_total``), so metric totals and checkpoints equal the
+object pipeline's.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Any, BinaryIO, List, Optional, Tuple, Union
 import numpy as np
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from ..core.sniffer import Direction
+from ..core.sniffer import CountExchange
 from ..core.syndog import DetectionResult, SynDog
 from ..packet.classify import ClassifierStats
 from ..pcap.format import LINKTYPE_ETHERNET, PcapTruncatedError
@@ -48,7 +48,7 @@ from .columns import DEFAULT_BLOCK_BYTES, ColumnarPcapReader
 __all__ = [
     "DirectionColumns",
     "scan_capture",
-    "detect_from_pcap_images",
+    "detect_from_sources",
     "detect_from_pcaps_fast",
     "counts_from_pcaps_fast",
 ]
@@ -209,217 +209,69 @@ def _merge_columns(out: DirectionColumns, inb: DirectionColumns) -> _Merged:
     )
 
 
-@dataclass
-class _Periodized:
-    """Per-period counts plus the per-packet period index column."""
+def _periodize(merged: _Merged, clock: CountExchange) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-period (SYN, SYN/ACK) counts on *clock*'s periods.
 
-    starts: List[float]          # accumulated period start times, len P+1
-    syn_counts: np.ndarray       # int64, len P+1 (last = unflushed period)
-    synack_counts: np.ndarray    # int64, len P+1
-    packet_period: np.ndarray    # int64 per merged packet
-    closed_periods: int          # P: periods packet timestamps closed
-
-    @property
-    def flush_period(self) -> int:
-        return self.closed_periods
-
-
-def _periodize(merged: _Merged, period: float, start_time: float = 0.0) -> _Periodized:
-    """Replicate ``CountExchange``'s period arithmetic over columns.
-
-    Boundaries are produced by *repeated addition* (``start += t0``),
-    matching the exchange's float accumulation exactly; a packet counts
-    toward the period implied by the running max of merged timestamps,
-    which is how the exchange treats timestamps that step backwards.
+    A packet counts toward the last period that starts at or before the
+    running max of merged timestamps — how the exchange treats
+    timestamps that step backwards.  ``np.searchsorted`` finds where
+    that running max first reaches each boundary ``clock.start_of(k)``,
+    so boundaries are the exchange's to the bit and no Python loop runs
+    per period.  The final entry is the trailing period a flush closes.
     """
     ts = merged.timestamps
-    boundaries: List[float] = []
-    starts: List[float] = [start_time]
     if ts.size:
         running_max = np.maximum.accumulate(ts)
-        last = float(running_max[-1])
-        boundary = start_time + period
-        while last >= boundary:
-            boundaries.append(boundary)
-            starts.append(boundary)
-            boundary += period
-        packet_period = np.searchsorted(
-            np.asarray(boundaries, dtype=np.float64), running_max, side="right"
-        )
+        span = (float(running_max[-1]) - clock.origin) // clock.observation_period
+        # start_of(1 .. n) reaches past the last timestamp's period.
+        n = max(0, int(span)) + 2
+        firsts = np.searchsorted(running_max, clock.start_of(np.arange(1, n + 1)))
+        # edges[k] is the merged position where period k starts.
+        edges = np.concatenate(([0], firsts[firsts < ts.size], [ts.size]))
     else:
-        packet_period = np.empty(0, dtype=np.int64)
-    closed = len(boundaries)
-    syn_lane = merged.outbound & (merged.codes == CLASS_SYN)
-    synack_lane = ~merged.outbound & (merged.codes == CLASS_SYN_ACK)
-    syn_counts = np.bincount(
-        packet_period[syn_lane], minlength=closed + 1
-    ).astype(np.int64)
-    synack_counts = np.bincount(
-        packet_period[synack_lane], minlength=closed + 1
-    ).astype(np.int64)
-    return _Periodized(
-        starts=starts,
-        syn_counts=syn_counts,
-        synack_counts=synack_counts,
-        packet_period=packet_period,
-        closed_periods=closed,
+        edges = np.zeros(2, dtype=np.int64)
+    syn_at = np.flatnonzero(merged.outbound & (merged.codes == CLASS_SYN))
+    synack_at = np.flatnonzero(~merged.outbound & (merged.codes == CLASS_SYN_ACK))
+    return (
+        np.diff(np.searchsorted(syn_at, edges)),
+        np.diff(np.searchsorted(synack_at, edges)),
     )
 
 
-# ----------------------------------------------------------------------
-# Metrics parity
-# ----------------------------------------------------------------------
-def _bulk_counter_totals(
-    registry: Any,
-    out_seen: int,
-    out_counted: int,
-    in_seen: int,
-    in_counted: int,
+def _account(
+    exchange: CountExchange,
+    out: DirectionColumns,
+    inb: DirectionColumns,
     periods: int,
 ) -> None:
-    """Advance the sniffer/exchange counter families to the totals a
-    packet-at-a-time object run would have accumulated."""
-    seen = registry.counter(
-        "sniffer_packets_total",
-        "Packets inspected at the sniffers, by direction",
-        ("direction",),
+    """Leave the sniffer/exchange counters where a packet-at-a-time
+    object run would."""
+    exchange.account(
+        out_seen=out.decoded,
+        out_counted=int(np.count_nonzero(out.codes == CLASS_SYN)),
+        in_seen=inb.decoded,
+        in_counted=int(np.count_nonzero(inb.codes == CLASS_SYN_ACK)),
+        periods=periods,
     )
-    counted = registry.counter(
-        "sniffer_packets_counted_total",
-        "Packets matching the sniffer's target class, by direction",
-        ("direction",),
-    )
-    period_counter = registry.counter(
-        "exchange_periods_total",
-        "Observation periods closed by the count exchange",
-    )
-    if out_seen:
-        seen.labels(Direction.OUTBOUND).inc(out_seen)
-    if in_seen:
-        seen.labels(Direction.INBOUND).inc(in_seen)
-    if out_counted:
-        counted.labels(Direction.OUTBOUND).inc(out_counted)
-    if in_counted:
-        counted.labels(Direction.INBOUND).inc(in_counted)
-    if periods:
-        period_counter.inc(periods)
 
 
 def _drive_detector(
-    detector: SynDog,
-    merged: _Merged,
-    grid: _Periodized,
-    stop_at_first_alarm: bool,
+    detector: SynDog, out: DirectionColumns, inb: DirectionColumns
 ) -> None:
-    """Feed the periodized counts through ``SynDog.observe_period`` with
-    the object pipeline's exact semantics, including the packet-group
-    granularity of ``stop_at_first_alarm`` (the object path checks the
-    alarm only after consuming *all* periods one packet closed) and the
-    final single-period flush when no early stop happens."""
-    period = detector.parameters.observation_period
-    starts = grid.starts
-    syn = grid.syn_counts
-    synack = grid.synack_counts
+    """Feed every period of the two captures, the trailing flush period
+    included, through ``SynDog.observe_period`` at the exchange's start
+    times, then move the exchange's clock and counters to where the
+    object pipeline leaves them."""
     exchange = detector.exchange
-    registry_live = exchange._m_out_seen is not None
-
-    def observe(k: int) -> bool:
-        record = detector.observe_period(
-            int(syn[k]), int(synack[k]), start_time=starts[k]
-        )
-        return record.alarm
-
-    if stop_at_first_alarm and grid.closed_periods:
-        packet_period = grid.packet_period
-        previous = np.concatenate(([0], packet_period[:-1]))
-        closers = np.flatnonzero(packet_period > previous)
-        for position in closers:
-            low = int(previous[position])
-            high = int(packet_period[position])
-            alarmed = False
-            for k in range(low, high):
-                alarmed = observe(k) or alarmed
-            if alarmed:
-                # Early stop: the object run returns mid-stream, so the
-                # exchange clock and the metric totals reflect only the
-                # packets up to (and including) the closing one.
-                exchange.load_state(
-                    {"period_index": high, "period_start": starts[high]}
-                )
-                if registry_live:
-                    prefix = slice(0, int(position) + 1)
-                    lane_out = merged.outbound[prefix]
-                    lane_codes = merged.codes[prefix]
-                    _bulk_counter_totals(
-                        _registry_of(exchange),
-                        out_seen=int(np.count_nonzero(lane_out)),
-                        out_counted=int(np.count_nonzero(
-                            lane_out & (lane_codes == CLASS_SYN)
-                        )),
-                        in_seen=int(np.count_nonzero(~lane_out)),
-                        in_counted=int(np.count_nonzero(
-                            ~lane_out & (lane_codes == CLASS_SYN_ACK)
-                        )),
-                        periods=high,
-                    )
-                return
-    else:
-        for k in range(grid.closed_periods):
-            observe(k)
-    # End of stream: close the trailing period (``flush``).
-    observe(grid.flush_period)
-    closed = grid.closed_periods + 1
-    exchange.load_state(
-        {"period_index": closed, "period_start": starts[-1] + period}
-    )
-    if registry_live:
-        _bulk_counter_totals(
-            _registry_of(exchange),
-            out_seen=int(np.count_nonzero(merged.outbound)),
-            out_counted=int(np.count_nonzero(
-                merged.outbound & (merged.codes == CLASS_SYN)
-            )),
-            in_seen=int(np.count_nonzero(~merged.outbound)),
-            in_counted=int(np.count_nonzero(
-                ~merged.outbound & (merged.codes == CLASS_SYN_ACK)
-            )),
-            periods=closed,
-        )
-
-
-class _HandleRegistry:
-    """Adapter presenting the exchange's bound counter handles through
-    the registry.counter(...).labels(...) shape ``_bulk_counter_totals``
-    uses, so detect and counts share one bulk-increment path."""
-
-    def __init__(self, exchange: Any) -> None:
-        self._exchange = exchange
-
-    def counter(self, name: str, _help: str, labelnames: Tuple[str, ...] = ()) -> Any:
-        exchange = self._exchange
-        if name == "sniffer_packets_total":
-            return _HandleFamily({
-                Direction.OUTBOUND: exchange._m_out_seen,
-                Direction.INBOUND: exchange._m_in_seen,
-            })
-        if name == "sniffer_packets_counted_total":
-            return _HandleFamily({
-                Direction.OUTBOUND: exchange._m_out_counted,
-                Direction.INBOUND: exchange._m_in_counted,
-            })
-        return exchange._m_periods
-
-
-class _HandleFamily:
-    def __init__(self, handles: dict) -> None:
-        self._handles = handles
-
-    def labels(self, direction: str) -> Any:
-        return self._handles[direction]
-
-
-def _registry_of(exchange: Any) -> _HandleRegistry:
-    return _HandleRegistry(exchange)
+    syn_counts, synack_counts = _periodize(_merge_columns(out, inb), exchange)
+    observe = detector.observe_period
+    start_of = exchange.start_of
+    for k, (syn, synack) in enumerate(
+        zip(syn_counts.tolist(), synack_counts.tolist())
+    ):
+        observe(syn, synack, start_time=start_of(k))
+    exchange.period_index = len(syn_counts)
+    _account(exchange, out, inb, len(syn_counts))
 
 
 # ----------------------------------------------------------------------
@@ -429,10 +281,8 @@ def detect_from_sources(
     outbound: Source,
     inbound: Source,
     parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
     obs: Optional[Any] = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
-    detector: Optional[SynDog] = None,
 ) -> Tuple[DetectionResult, SynDog]:
     """Columnar twin of
     :func:`repro.experiments.streaming.detect_from_pcaps` over any
@@ -443,11 +293,8 @@ def detect_from_sources(
     in_cols = scan_capture(
         inbound, strict=False, obs=obs, block_bytes=block_bytes
     )
-    if detector is None:
-        detector = SynDog(parameters=parameters, obs=obs)
-    merged = _merge_columns(out_cols, in_cols)
-    grid = _periodize(merged, detector.parameters.observation_period)
-    _drive_detector(detector, merged, grid, stop_at_first_alarm)
+    detector = SynDog(parameters=parameters, obs=obs)
+    _drive_detector(detector, out_cols, in_cols)
     return detector.result(), detector
 
 
@@ -455,38 +302,12 @@ def detect_from_pcaps_fast(
     outbound_path: PathLike,
     inbound_path: PathLike,
     parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
     obs: Optional[Any] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
 ) -> Tuple[DetectionResult, SynDog]:
     """Drop-in columnar replacement for ``detect_from_pcaps`` — same
     tolerant truncation semantics, byte-identical results."""
     return detect_from_sources(
-        outbound_path,
-        inbound_path,
-        parameters=parameters,
-        stop_at_first_alarm=stop_at_first_alarm,
-        obs=obs,
-        block_bytes=block_bytes,
-    )
-
-
-def detect_from_pcap_images(
-    outbound_image: bytes,
-    inbound_image: bytes,
-    parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
-    obs: Optional[Any] = None,
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> Tuple[DetectionResult, SynDog]:
-    """In-memory variant (what the profiling workload drives)."""
-    return detect_from_sources(
-        outbound_image,
-        inbound_image,
-        parameters=parameters,
-        stop_at_first_alarm=stop_at_first_alarm,
-        obs=obs,
-        block_bytes=block_bytes,
+        outbound_path, inbound_path, parameters=parameters, obs=obs
     )
 
 
@@ -495,32 +316,24 @@ def counts_from_pcaps_fast(
     inbound_path: PathLike,
     period: float = 20.0,
     name: str = "pcap",
-    block_bytes: int = DEFAULT_BLOCK_BYTES,
 ):
     """Columnar twin of
     :func:`repro.experiments.streaming.counts_from_pcaps`: aggregate two
     interface captures into a CountTrace with byte-identical per-period
     counts (including the trailing flush period)."""
-    from ..obs.runtime import resolve_instrumentation
     from ..trace.events import CountTrace, TraceMetadata
 
-    out_cols = scan_capture(outbound_path, strict=False, block_bytes=block_bytes)
-    in_cols = scan_capture(inbound_path, strict=False, block_bytes=block_bytes)
-    merged = _merge_columns(out_cols, in_cols)
-    grid = _periodize(merged, float(period))
-    reports = list(zip(grid.syn_counts.tolist(), grid.synack_counts.tolist()))
-    # Metrics parity with the object aggregation, which feeds an
-    # ambient-instrumented CountExchange packet by packet.
-    obs = resolve_instrumentation(None)
-    if obs.registry.enabled:
-        _bulk_counter_totals(
-            obs.registry,
-            out_seen=out_cols.decoded,
-            out_counted=int(np.count_nonzero(out_cols.codes == CLASS_SYN)),
-            in_seen=in_cols.decoded,
-            in_counted=int(np.count_nonzero(in_cols.codes == CLASS_SYN_ACK)),
-            periods=grid.closed_periods + 1,
-        )
+    out_cols = scan_capture(outbound_path, strict=False)
+    in_cols = scan_capture(inbound_path, strict=False)
+    # An ambient-instrumented exchange, like the one the object
+    # aggregation feeds packet by packet: its clock places the periods
+    # and its counters take the totals.
+    exchange = CountExchange(observation_period=period)
+    syn_counts, synack_counts = _periodize(
+        _merge_columns(out_cols, in_cols), exchange
+    )
+    reports = list(zip(syn_counts.tolist(), synack_counts.tolist()))
+    _account(exchange, out_cols, in_cols, len(reports))
     metadata = TraceMetadata(
         name=name,
         duration=len(reports) * period,
@@ -530,5 +343,5 @@ def counts_from_pcaps_fast(
     return CountTrace(
         metadata=metadata,
         period=period,
-        counts=tuple((int(syn), int(synack)) for syn, synack in reports),
+        counts=tuple(reports),
     )

@@ -16,10 +16,9 @@ class TestSniffers:
             make_rst(0.3, "1.1.1.1", "2.2.2.2"),
             make_syn(0.4, "1.1.1.1", "2.2.2.2"),
         ]
-        counted = sniffer.observe_many(packets)
-        assert counted == 2
+        counted = [sniffer.observe(packet) for packet in packets]
+        assert counted == [True, False, False, False, True]
         assert sniffer.count == 2
-        assert sniffer.total_seen == 5
 
     def test_inbound_counts_only_synacks(self):
         sniffer = InboundSniffer()
@@ -32,7 +31,7 @@ class TestSniffers:
         sniffer.observe(make_syn(0.0, "1.1.1.1", "2.2.2.2"))
         assert sniffer.drain() == 1
         assert sniffer.count == 0
-        assert sniffer.total_seen == 1  # lifetime counter survives
+        assert sniffer.drain() == 0
 
 
 class TestCountExchange:
@@ -46,7 +45,6 @@ class TestCountExchange:
         assert report.period_index == 0
         assert report.syn_count == 1
         assert report.synack_count == 1
-        assert report.difference == 0
         assert (report.start_time, report.end_time) == (0.0, 20.0)
 
     def test_boundary_packet_counts_in_next_period(self):
@@ -75,6 +73,24 @@ class TestCountExchange:
         reports = exchange.observe_outbound(make_syn(115.0, "1.1.1.1", "2.2.2.2"))
         assert len(reports) == 1
         assert (reports[0].start_time, reports[0].end_time) == (100.0, 110.0)
+
+    def test_clock_is_origin_plus_index_times_period(self):
+        exchange = CountExchange(observation_period=0.1, start_time=15.0)
+        assert exchange.start_of(3) == 15.0 + 3 * 0.1
+        reports = exchange.observe_outbound(make_syn(15.35, "1.1.1.1", "2.2.2.2"))
+        assert [r.period_index for r in reports] == [0, 1, 2]
+        assert [r.start_time for r in reports] == [exchange.start_of(k) for k in range(3)]
+        assert [r.end_time for r in reports] == [exchange.start_of(k) for k in range(1, 4)]
+        assert exchange.state_dict() == {"origin": 15.0, "period_index": 3}
+
+    def test_load_state_moves_the_next_boundary(self):
+        exchange = CountExchange(observation_period=20.0)
+        exchange.load_state({"origin": 5.0, "period_index": 4})
+        assert exchange.observe_outbound(make_syn(104.0, "1.1.1.1", "2.2.2.2")) == []
+        reports = exchange.observe_outbound(make_syn(105.0, "1.1.1.1", "2.2.2.2"))
+        assert [(r.period_index, r.start_time, r.syn_count) for r in reports] == [
+            (4, 85.0, 1)
+        ]
 
     def test_invalid_period(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.parameters import SynDogParameters
+from repro.core.sniffer import CountExchange
 from repro.core.syndog import SynDog
 from repro.packet.packet import make_syn, make_syn_ack
 
@@ -122,6 +123,44 @@ class TestPacketLevel:
         dog.flush()
         assert len(dog.records) == 1
         assert dog.records[0].syn_count == 1
+
+
+class TestPeriodClock:
+    """Records are numbered on the exchange's clock, counted from its
+    origin — what ``SynDogAgent(start_time=...)`` builds."""
+
+    @staticmethod
+    def _feed(dog, times):
+        records = []
+        for t in times:
+            records.extend(dog.observe_outbound(make_syn(t, "152.2.0.1", "8.8.8.8")))
+        return records
+
+    def test_record_indices_equal_report_indices_off_zero_origin(self):
+        times = [16.0, 36.0, 56.0, 76.0]
+        records = self._feed(SynDog(start_time=15.0), times)
+        exchange = CountExchange(observation_period=20.0, start_time=15.0)
+        reports = []
+        for t in times:
+            reports.extend(exchange.observe_outbound(make_syn(t, "152.2.0.1", "8.8.8.8")))
+        assert [r.period_index for r in records] == [0, 1, 2]
+        assert [r.period_index for r in records] == [r.period_index for r in reports]
+        assert [(r.start_time, r.end_time) for r in records] == [
+            (15.0, 35.0), (35.0, 55.0), (55.0, 75.0)
+        ]
+
+    def test_restore_at_origin_15_continues_contiguously(self):
+        dog = SynDog(start_time=15.0)
+        first = self._feed(dog, [16.0, 36.0, 56.0])
+        state = dog.checkpoint()
+        assert state["next_period_index"] == 2
+        assert state["exchange"] == {"origin": 15.0, "period_index": 2}
+        restored = SynDog.restore(state)
+        second = self._feed(restored, [60.0, 80.0, 100.0])
+        second.extend(restored.flush())
+        indices = [r.period_index for r in first + second]
+        assert indices == list(range(len(indices)))
+        assert [r.start_time for r in second] == [55.0, 75.0, 95.0]
 
 
 class TestAlarmClearing:

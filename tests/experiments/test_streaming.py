@@ -65,23 +65,6 @@ class TestStreamDetection:
         assert streamed.alarmed == batch.alarmed
         assert streamed.statistics == pytest.approx(batch.statistics)
 
-    def test_stop_at_first_alarm_truncates(self):
-        rng = random.Random(2)
-        trace = generate_packet_trace(AUCKLAND, seed=2, duration=1800.0)
-        mixed = mix_flood_into_packets(
-            trace, FloodSource(pattern=10.0), AttackWindow(240.0, 600.0), rng
-        )
-        full = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound), end_time=1800.0
-        )
-        early = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound),
-            stop_at_first_alarm=True,
-        )
-        assert early.alarmed and full.alarmed
-        assert early.first_alarm_period == full.first_alarm_period
-        assert len(early.records) < len(full.records)
-
 
 class TestPcapPath:
     def test_detect_from_pcaps(self, tmp_path):

@@ -17,7 +17,7 @@ from repro.core.syndog import SynDog
 from repro.experiments.streaming import stream_detection
 from repro.fastpath.pipeline import (
     DirectionColumns,
-    detect_from_pcap_images,
+    detect_from_sources,
     scan_capture,
 )
 from repro.packet.classify import PacketClassifier
@@ -81,7 +81,6 @@ def object_detect(
     outbound_image: bytes,
     inbound_image: bytes,
     parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
     obs=None,
 ):
     """The oracle detection run over two in-memory captures (tolerant
@@ -91,7 +90,6 @@ def object_detect(
         detector,
         PcapReader(io.BytesIO(outbound_image)).iter_packets(strict=False),
         PcapReader(io.BytesIO(inbound_image)).iter_packets(strict=False),
-        stop_at_first_alarm=stop_at_first_alarm,
     )
     return result, detector
 
@@ -110,25 +108,17 @@ def assert_detection_identical(
     outbound_image: bytes,
     inbound_image: bytes,
     parameters: SynDogParameters = DEFAULT_PARAMETERS,
-    stop_at_first_alarm: bool = False,
     block_bytes: Optional[int] = None,
 ):
     """Full detection byte-identity: DetectionResult, every per-period
     DetectionRecord, and the durable checkpoint (modulo the
     auto-generated per-process instance name)."""
     oracle_result, oracle_dog = object_detect(
-        outbound_image,
-        inbound_image,
-        parameters=parameters,
-        stop_at_first_alarm=stop_at_first_alarm,
+        outbound_image, inbound_image, parameters=parameters
     )
     kwargs = {} if block_bytes is None else {"block_bytes": block_bytes}
-    fast_result, fast_dog = detect_from_pcap_images(
-        outbound_image,
-        inbound_image,
-        parameters=parameters,
-        stop_at_first_alarm=stop_at_first_alarm,
-        **kwargs,
+    fast_result, fast_dog = detect_from_sources(
+        outbound_image, inbound_image, parameters=parameters, **kwargs
     )
     assert fast_result == oracle_result
     assert len(fast_dog.records) == len(oracle_dog.records)
