@@ -1,7 +1,7 @@
 """Vectorized packet classification over record columns.
 
 The paper's 3-step test (Section 2) as boolean-mask passes over a
-:class:`~repro.fastpath.columns.RecordBlock`'s byte buffer, producing a
+:class:`~repro.fastpath.columns.RecordBlock`'s header rows, producing a
 class code and a rejection-step code per record.  Semantics replicate
 the object pipeline *exactly* — the decoded-``Packet`` route through
 ``Packet.decode_frame`` / ``Packet.decode_ip`` + ``classify_packet`` /
@@ -28,7 +28,8 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..packet.classify import ClassifierStats, PacketClass, RejectionStep
-from .columns import RecordBlock
+from ..pcap.format import RECORD_HEADER_LENGTH
+from .columns import RecordBlock, row_field
 
 __all__ = [
     "CLASS_SKIP",
@@ -85,6 +86,21 @@ STEP_CODE_TO_REJECTION: Dict[int, RejectionStep] = {
 _ETHERNET_HEADER = 14
 _IP_HEADER = 20
 _TCP_HEADER = 20
+_BE16 = np.dtype(">u2")
+
+#: The class of every TCP flag byte, with ``TCPSegment.kind``'s
+#: precedence: RST > SYN/ACK > SYN > FIN > other.
+_FLAG_CLASS = np.array(
+    [
+        CLASS_RST if flags & 0x04
+        else CLASS_SYN_ACK if (flags & 0x12) == 0x12
+        else CLASS_SYN if flags & 0x02
+        else CLASS_FIN if flags & 0x01
+        else CLASS_TCP_OTHER
+        for flags in range(256)
+    ],
+    dtype=np.uint8,
+)
 
 
 def classify_block(
@@ -95,72 +111,53 @@ def classify_block(
 
     ``ethernet`` selects the link layer (LINKTYPE_ETHERNET strips a
     14-byte header and requires ethertype 0x0800; LINKTYPE_RAW decodes
-    the captured bytes as IP directly).
+    the captured bytes as IP directly).  Every field is a column of the
+    block's header rows; a field past a record's captured length reads
+    another record's bytes, so each use is masked by a length check.
     """
-    n = int(block.offsets.size)
-    codes = np.zeros(n, dtype=np.uint8)
-    steps = np.zeros(n, dtype=np.uint8)
-    if n == 0:
-        return codes, steps
-    u8 = np.frombuffer(block.buffer, dtype=np.uint8)
-    last = len(u8) - 1
-
-    def g(idx: np.ndarray) -> np.ndarray:
-        # Clipped gather: out-of-range lanes are masked off by the
-        # validity flags below, the clip just keeps the load legal.
-        return u8[np.minimum(idx, last)]
-
-    off = block.offsets
+    n = len(block)
+    rows = block.rows
     cap = block.caplens
+    body = RECORD_HEADER_LENGTH
     if ethernet:
         ok = cap >= _ETHERNET_HEADER
-        ethertype = (g(off + 12).astype(np.int32) << 8) | g(off + 13)
-        ok &= ethertype == 0x0800
-        ip_off = off + _ETHERNET_HEADER
+        ok &= row_field(rows, body + 12, _BE16) == 0x0800
+        ip = body + _ETHERNET_HEADER
         ip_len = cap - _ETHERNET_HEADER
     else:
         ok = np.ones(n, dtype=bool)
-        ip_off = off
+        ip = body
         ip_len = cap
     # Step 1a equivalent (IPv4Header.decode): intact fixed header,
     # version 4, IHL exactly 5, total_length >= 20.
     ok &= ip_len >= _IP_HEADER
-    version_ihl = g(ip_off)
-    ok &= (version_ihl >> 4) == 4
-    ok &= (version_ihl & 0x0F) == 5
-    total_length = (g(ip_off + 2).astype(np.int64) << 8) | g(ip_off + 3)
+    ok &= rows[:, ip] == 0x45
+    total_length = row_field(rows, ip + 2, _BE16)
     ok &= total_length >= _IP_HEADER
-    codes[ok] = CLASS_NON_TCP
     # Step 1b: protocol 6 and first fragment.
-    protocol = g(ip_off + 9)
-    fragment = ((g(ip_off + 6).astype(np.int32) & 0x1F) << 8) | g(ip_off + 7)
-    tcp_protocol = ok & (protocol == 6)
-    steps[ok & (protocol != 6)] = STEP_NON_TCP_PROTOCOL
-    is_tcp = tcp_protocol & (fragment == 0)
-    steps[tcp_protocol & (fragment != 0)] = STEP_FRAGMENT
+    tcp_protocol = rows[:, ip + 9] == 6
+    first_fragment = (row_field(rows, ip + 6, _BE16) & 0x1FFF) == 0
+    is_tcp = ok & tcp_protocol & first_fragment
     # Step 2: the payload IPv4Packet.decode hands to TCPSegment.decode
     # is clipped to min(total_length, captured IP bytes); the segment
     # decodes iff it holds a full 20-byte header and a sane data offset.
     payload_len = np.minimum(total_length, ip_len) - _IP_HEADER
-    tcp_off = ip_off + _IP_HEADER
-    data_offset = (g(tcp_off + 12).astype(np.int64) >> 4) * 4
+    tcp = ip + _IP_HEADER
+    data_offset = (rows[:, tcp + 12] >> 4) * 4
     tcp_ok = (
         is_tcp
         & (payload_len >= _TCP_HEADER)
         & (data_offset >= _TCP_HEADER)
         & (data_offset <= payload_len)
     )
+    # Step 3: the flag byte's class.
+    codes = np.where(
+        tcp_ok, _FLAG_CLASS[rows[:, tcp + 13]], ok * np.uint8(CLASS_NON_TCP)
+    )
+    steps = np.zeros(n, dtype=np.uint8)
+    steps[ok & ~tcp_protocol] = STEP_NON_TCP_PROTOCOL
+    steps[ok & tcp_protocol & ~first_fragment] = STEP_FRAGMENT
     steps[is_tcp & ~tcp_ok] = STEP_TRUNCATED_FLAGS
-    # Step 3: the six flag bits, with TCPSegment.kind's precedence.
-    flags = g(tcp_off + 13) & 0x3F
-    tcp_class = np.full(n, CLASS_TCP_OTHER, dtype=np.uint8)
-    tcp_class[(flags & 0x01) != 0] = CLASS_FIN
-    syn = (flags & 0x02) != 0
-    ack = (flags & 0x10) != 0
-    tcp_class[syn & ~ack] = CLASS_SYN
-    tcp_class[syn & ack] = CLASS_SYN_ACK
-    tcp_class[(flags & 0x04) != 0] = CLASS_RST
-    codes[tcp_ok] = tcp_class[tcp_ok]
     return codes, steps
 
 

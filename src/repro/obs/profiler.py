@@ -123,7 +123,8 @@ COST_MODEL: Dict[str, StageCost] = {
     "pcap.parse": StageCost(per_call_ns=400, per_packet_ns=0, per_byte_ns=2, allocs_per_call=4),
     # Columnar stages run once per record *block*, not per packet: a
     # large per-call constant plus a small per-packet slope mirrors the
-    # measured batched shape (BENCH_throughput.json).
+    # measured batched shape (BENCHMARK.json capture-unc:
+    # fastpath.parse.ns_per_pkt, fastpath.classify.ns_per_pkt).
     "fastpath.parse": StageCost(per_call_ns=20000, per_packet_ns=30, per_byte_ns=0, allocs_per_call=12),
     "fastpath.classify": StageCost(per_call_ns=30000, per_packet_ns=60, per_byte_ns=0, allocs_per_call=40),
     "classify": StageCost(per_call_ns=150, per_packet_ns=0, per_byte_ns=0, allocs_per_call=1),

@@ -55,12 +55,16 @@ def _truncation_key(error) -> Optional[Tuple[str, int, int]]:
     return (str(error), error.byte_offset, error.records_read)
 
 
-def assert_capture_equivalent(image: bytes) -> DirectionColumns:
-    """Columnar scan of *image* must agree with the object oracle on
-    every observable: record counters, truncation details, per-class
-    counts, per-step rejections and the quarantine total."""
+def assert_capture_equivalent(
+    image: bytes, block_bytes: Optional[int] = None
+) -> DirectionColumns:
+    """Columnar scan of *image* (in *block_bytes* reads, or the default)
+    must agree with the object oracle on every observable: record
+    counters, truncation details, per-class counts, per-step rejections
+    and the quarantine total."""
     reader, classifier, packets = oracle_scan(image)
-    cols = scan_capture(image)
+    kwargs = {} if block_bytes is None else {"block_bytes": block_bytes}
+    cols = scan_capture(image, **kwargs)
     assert cols.records_read == reader.records_read
     assert cols.skipped_records == reader.skipped_records
     assert cols.decoded == len(packets)
