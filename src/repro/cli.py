@@ -592,17 +592,19 @@ def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
     from .trace.synthetic import generate_count_trace, generate_packet_trace
 
     profile = get_profile(args.site)
+    generate = (generate_count_trace if args.format == "counts"
+                else generate_packet_trace)
+    try:
+        trace = generate(profile, seed=args.seed, duration=args.duration)
+    except ValueError as exc:  # a duration out of range
+        raise CommandError(str(exc)) from None
     if args.format == "counts":
-        trace = generate_count_trace(
-            profile, seed=args.seed, duration=args.duration
-        )
         save_count_trace(trace, args.out)
         return Outcome(text=f"wrote {trace.num_periods} periods "
                             f"({trace.duration:.0f}s of {profile.name}) "
                             f"to {args.out}")
     from .pcap.writer import write_pcap
 
-    trace = generate_packet_trace(profile, seed=args.seed, duration=args.duration)
     out_path = f"{args.out}.out.pcap"
     in_path = f"{args.out}.in.pcap"
     write_pcap(out_path, trace.outbound)
@@ -1071,8 +1073,17 @@ def _cmd_soak(args: argparse.Namespace, obs: Any) -> Outcome:
     detect -> checkpoint -> restore -> continue, with periodic fault
     bursts and attack windows, judged by multi-window SLO burn rates
     and the resource ledger's memory-flatness verdict."""
-    from .experiments.soak import render_soak_report, run_soak_campaign
+    from .experiments.soak import (
+        render_soak_report,
+        run_soak_campaign,
+        soak_epochs,
+    )
 
+    try:
+        soak_epochs(args.sim_days, args.periods_per_epoch, args.rate,
+                    DEFAULT_PARAMETERS.observation_period)
+    except ValueError as exc:
+        raise CommandError(str(exc)) from None
     report = run_soak_campaign(
         site=args.site,
         seed=args.seed,

@@ -45,6 +45,7 @@ CI diffs across worker counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -72,6 +73,7 @@ __all__ = [
     "run_soak_campaign",
     "soak_alerts_document",
     "render_soak_report",
+    "soak_epochs",
     "SECONDS_PER_DAY",
 ]
 
@@ -441,6 +443,20 @@ class SoakReport:
         }
 
 
+def soak_epochs(
+    sim_days: int, periods_per_epoch: int, rate: float, t0: float
+) -> int:
+    """The number of epochs a soak of these options runs; ValueError
+    naming the first option out of range."""
+    if sim_days < 1:
+        raise ValueError(f"sim_days must be >= 1: {sim_days}")
+    if not (math.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be a finite SYN/s >= 0: {rate}")
+    if periods_per_epoch < 1:
+        raise ValueError(f"periods_per_epoch must be >= 1: {periods_per_epoch}")
+    return sim_days * _epochs_per_day(periods_per_epoch, t0)
+
+
 def _epochs_per_day(periods_per_epoch: int, t0: float) -> int:
     epoch_seconds = periods_per_epoch * t0
     per_day = SECONDS_PER_DAY / epoch_seconds
@@ -478,11 +494,8 @@ def run_soak_campaign(
     """
     from ..parallel import WorkPlan, run_plan
 
-    if sim_days < 1:
-        raise ValueError(f"sim_days must be >= 1: {sim_days}")
     t0 = parameters.observation_period
-    per_day = _epochs_per_day(periods_per_epoch, t0)
-    epochs = sim_days * per_day
+    epochs = soak_epochs(sim_days, periods_per_epoch, rate, t0)
     if obs is None:
         # A soak without an operator-supplied bundle still needs a
         # store to judge itself against — memory-only, no file sinks.

@@ -169,44 +169,84 @@ class ParetoOnOffArrivals(ArrivalProcess):
         """Hurst parameter of the aggregate: H = (3 − alpha) / 2."""
         return (3.0 - self.alpha) / 2.0
 
-    def _pareto_duration(self, rng: random.Random, mean: float) -> float:
-        # Pareto with shape alpha and mean m has scale x_m = m(alpha-1)/alpha.
-        scale = mean * (self.alpha - 1.0) / self.alpha
-        return scale / (rng.random() ** (1.0 / self.alpha))
-
     def _on_overlap_per_period(
         self, rng: random.Random, num_periods: int, period: float
     ) -> List[float]:
-        """Total ON-seconds falling inside each period, over all sources."""
+        """Total ON-seconds falling inside each period, over all sources.
+
+        Each source starts at a random phase of its cycle (an ON/OFF
+        coin, then a partial sojourn) so the aggregate is stationary
+        from t=0, then alternates Pareto sojourns: with shape alpha and
+        mean m the scale is x_m = m(alpha-1)/alpha and a sojourn is
+        x_m / U**(1/alpha).  The loop is written out by hand because it
+        runs once per sojourn: the draws, their order and every float
+        expression are those of tests/trace/_reference.py, so the output
+        is bit-identical to it.
+        """
+        random_ = rng.random
         horizon = num_periods * period
         overlap = [0.0] * num_periods
+        last_index = num_periods - 1
+        alpha = self.alpha
+        mean_on = self.mean_on
+        mean_off = self.mean_off
+        scale_on = mean_on * (alpha - 1.0) / alpha
+        scale_off = mean_off * (alpha - 1.0) / alpha
+        exponent = 1.0 / alpha
+        duty = mean_on / (mean_on + mean_off)
         for _ in range(self.num_sources):
-            time = 0.0
-            # Random initial phase: start each source at a random point of
-            # a cycle so the aggregate is stationary from t=0.
-            on = rng.random() < self.mean_on / (self.mean_on + self.mean_off)
-            # Burn a partial sojourn for the phase.
-            first = self._pareto_duration(
-                rng, self.mean_on if on else self.mean_off
-            ) * rng.random()
-            segment_end = first
+            on = random_() < duty
+            # Burn a partial sojourn for the phase.  A source that starts
+            # OFF then draws its first ON sojourn, unless there are no
+            # periods at all, where the reference loop draws nothing more.
+            if on:
+                segment_end = scale_on / (random_() ** exponent) * random_()
+                time = 0.0
+            else:
+                time = scale_off / (random_() ** exponent) * random_()
+                if not 0.0 < horizon:
+                    continue
+                segment_end = time + scale_on / (random_() ** exponent)
             while time < horizon:
-                if on:
-                    _accumulate_overlap(overlap, time, min(segment_end, horizon), period)
-                time = segment_end
-                on = not on
-                segment_end = time + self._pareto_duration(
-                    rng, self.mean_on if on else self.mean_off
-                )
+                # ON over [time, end): _accumulate_overlap written out,
+                # one int() and no range() when it stays inside one bin.
+                end = horizon if horizon < segment_end else segment_end
+                if end > time:
+                    first_bin = time // period
+                    if end // period == first_bin and first_bin < num_periods:
+                        bin_start = first_bin * period
+                        bin_end = bin_start + period
+                        seconds = (bin_end if bin_end < end else end) - (
+                            bin_start if bin_start > time else time
+                        )
+                        if seconds > 0:
+                            overlap[int(first_bin)] += seconds
+                    else:
+                        last_bin = int(end // period)
+                        if last_bin > last_index:
+                            last_bin = last_index
+                        for index in range(int(first_bin), last_bin + 1):
+                            bin_start = index * period
+                            bin_end = bin_start + period
+                            seconds = (bin_end if bin_end < end else end) - (
+                                bin_start if bin_start > time else time
+                            )
+                            if seconds > 0:
+                                overlap[index] += seconds
+                # OFF over [segment_end, next end), then the next ON.
+                time = segment_end + scale_off / (random_() ** exponent)
+                if segment_end >= horizon:
+                    break
+                segment_end = time + scale_on / (random_() ** exponent)
         return overlap
 
     def counts(
         self, rng: random.Random, num_periods: int, period: float
     ) -> List[int]:
         overlaps = self._on_overlap_per_period(rng, num_periods, period)
+        on_rate = self.on_rate
         return [
-            _poisson_sample(rng, self.on_rate * on_seconds)
-            for on_seconds in overlaps
+            _poisson_sample(rng, on_rate * on_seconds) for on_seconds in overlaps
         ]
 
 
@@ -291,10 +331,11 @@ def _poisson_sample(rng: random.Random, mean: float) -> int:
         return 0
     if mean > 500.0:
         return max(0, int(round(rng.gauss(mean, math.sqrt(mean)))))
+    random_ = rng.random
     threshold = math.exp(-mean)
     count = 0
-    product = rng.random()
+    product = random_()
     while product > threshold:
         count += 1
-        product *= rng.random()
+        product *= random_()
     return count

@@ -211,23 +211,41 @@ class HandshakeModel:
             if self.congestion is not None
             else []
         )
+        # Connections take their draws one after another: each draw is
+        # one SYN of the connection in progress, answered when u >= drop,
+        # and the connection ends when answered or after ``attempts_max``
+        # unanswered SYNs.  Every unfinished connection takes at least one
+        # more draw, so ``remaining`` draws at a time never reads past the
+        # reference loop's sequence (tests/trace/_reference.py); only the
+        # rare unanswered draws are walked, to book retries.
+        random_ = rng.random
+        attempts_max = 1 + self.max_retransmissions
         results: List[Tuple[int, int]] = []
         for index, connections in enumerate(connection_counts):
             midpoint = (index + 0.5) * period
             drop = self._drop_probability_at(midpoint, episodes)
             syns = 0
             synacks = 0
-            for _ in range(connections):
-                attempts = 0
-                answered = False
-                for _attempt in range(1 + self.max_retransmissions):
-                    attempts += 1
-                    if rng.random() >= drop:
-                        answered = True
-                        break
-                syns += attempts
-                if answered:
-                    synacks += 1
+            remaining = connections
+            streak = 0  # unanswered SYNs of the connection in progress
+            while remaining > 0:
+                failed = [i for i in range(remaining) if random_() < drop]
+                syns += remaining
+                answered = remaining - len(failed)
+                given_up = 0
+                previous = -1
+                for i in failed:
+                    if i != previous + 1:
+                        streak = 0
+                    streak += 1
+                    if streak == attempts_max:
+                        given_up += 1
+                        streak = 0
+                    previous = i
+                if previous != remaining - 1:
+                    streak = 0
+                synacks += answered
+                remaining -= answered + given_up
             results.append((syns, synacks))
         return results
 

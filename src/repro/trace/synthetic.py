@@ -16,6 +16,7 @@ cross-validates the two.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
@@ -93,10 +94,12 @@ def generate_count_trace(
     length when experiments need shorter (unit tests) or longer
     (false-alarm-time estimation) runs.
     """
-    rng = random.Random(seed)
     total = profile.duration if duration is None else duration
-    if total <= 0:
-        raise ValueError(f"duration must be positive: {total}")
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"duration must be finite and positive: {total}")
+    if not period > 0:
+        raise ValueError(f"period must be positive: {period}")
+    rng = random.Random(seed)
     num_periods = int(round(total / period))
     if num_periods <= 0:
         raise ValueError(
@@ -130,10 +133,10 @@ def generate_packet_trace(
     assigned so the downstream classifier, router, and localization
     machinery all see realistic headers.
     """
-    rng = random.Random(seed)
     total = profile.duration if duration is None else duration
-    if total <= 0:
-        raise ValueError(f"duration must be positive: {total}")
+    if not (math.isfinite(total) and total > 0):
+        raise ValueError(f"duration must be finite and positive: {total}")
+    rng = random.Random(seed)
     plan = address_plan or AddressPlan(rng)
     arrivals = profile.make_arrivals()
     arrival_times = arrivals.arrival_times(rng, total, DEFAULT_OBSERVATION_PERIOD)

@@ -201,6 +201,27 @@ class TestUsage:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("duration,fmt", [
+        ("0", "counts"), ("-5", "counts"), ("nan", "counts"),
+        ("inf", "counts"), ("5", "counts"), ("nan", "pcap"),
+    ], ids=["zero", "negative", "nan", "inf", "under-one-period",
+            "nan-pcap"])
+    def test_bad_generate_duration_is_one_line_and_usage_exit(
+        self, duration, fmt, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_USAGE
+
+        out = tmp_path / "bg"
+        assert main([
+            "generate", "--site", "auckland", "--duration", duration,
+            "--format", fmt, "--out", str(out),
+        ]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("generate: ")
+        assert duration in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_metrics_path_names_the_path_given(
         self, background_csv, tmp_path
     ):

@@ -56,6 +56,27 @@ class TestSoakCommand:
         assert "restores 15" in captured
 
 
+class TestSoakUsage:
+    @pytest.mark.parametrize("flags,named", [
+        (["--sim-days", "0"], "sim_days"),
+        (["--periods-per-epoch", "0"], "periods_per_epoch"),
+        (["--periods-per-epoch", "7"], "must divide a simulated day"),
+        (["--rate", "-3"], "rate"),
+        (["--rate", "nan"], "rate"),
+    ], ids=["sim-days-zero", "epoch-zero", "epoch-not-dividing-a-day",
+            "rate-negative", "rate-nan"])
+    def test_bad_option_is_one_line_and_usage_exit(
+        self, flags, named, tmp_path, capsys
+    ):
+        out = tmp_path / "soak.json"
+        assert main(["soak", *flags, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("soak: ")
+        assert named in err and flags[1] in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestStrictEventsGuards:
     def test_report_on_empty_file_exits_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -84,6 +84,15 @@ class TestLayering:
         # The detector runs on any substrate: no core module needs numpy.
         assert "numpy" not in loaded_after(f"import {module}")
 
+    @pytest.mark.parametrize("statement", [
+        "from repro.trace.synthetic import generate_count_trace",
+        "import repro.experiments.soak",
+    ])
+    def test_trace_synthesis_loads_no_numpy(self, statement):
+        # Count traces are standard-library code: soak epochs and the
+        # checkpoint tests synthesize them where numpy is not installed.
+        assert "numpy" not in loaded_after(statement)
+
     def test_cli_loads_no_command_code_and_no_numpy(self):
         modules = loaded_after("import repro.cli")
         assert "numpy" not in modules

@@ -16,12 +16,24 @@ that key removed, by putting it back and matching the old digest.
 
 Every command runs as ``python -m repro`` in a fresh interpreter, as a
 user runs it (see ``tests/_cli.py``).
+
+The trace-level pins (``COUNT_TRACE_SHA256``, ``PACKET_TRACE_SHA256``)
+were recorded before the count-trace synthesis loops were rewritten for
+speed.  A generator's output is a function of its seed and of the exact
+order of its ``random()`` draws, so these digests hold the draw order
+itself; they run in-process, since trace generation keeps no
+process-wide state.
 """
 
 import hashlib
 import json
 
+import pytest
+
 from repro.cli import EXIT_ALARM, EXIT_OK
+from repro.trace.io import save_packet_trace_jsonl
+from repro.trace.profiles import SITE_PROFILES
+from repro.trace.synthetic import generate_count_trace, generate_packet_trace
 
 from ._cli import PLAYBOOK, run_repro
 
@@ -60,6 +72,35 @@ SENSITIVITY_JSON_SHA256 = (
 )
 PROFILE_JSON_SHA256 = (
     "4d825bd5c6bf6679333d5e6804100834037545089170fac9d9b7a783ac230e26"
+)
+
+#: sha256 of ``generate_count_trace(...).counts`` as compact JSON, keyed
+#: by (site, seed, period, duration); None is the profile's Table 1
+#: length.  100.1 s is not a multiple of 0.3 s and 1234.5 s is not a
+#: multiple of 20 s.
+COUNT_TRACE_SHA256 = {
+    ("lbl", 1, 20.0, None): "f3dde120c994541dc8f10cc647ff89983fc5a5f65f2a3243ee7b5e6c523b2086",
+    ("lbl", 1, 0.3, 100.1): "fe9f94e1606ab228ced95a29319decba074cb95f61642870851dd1b03f78b72b",
+    ("lbl", 7, 20.0, None): "702d4ea646efd1d9486ffab3e6727145da7c18e6c16be37c4c91edbcab3aa348",
+    ("lbl", 7, 0.3, 100.1): "f459b8aab8e583a631037fc3006ce347ee68041ef49470622c3b5cfed3f2adbe",
+    ("harvard", 1, 20.0, None): "a2f9767758e328efc79b72557256d599b73a1cc0308c5f24303c3c5b9a595c3a",
+    ("harvard", 1, 0.3, 100.1): "79f6e85295fff6c203211a20347e9518d1bd245d0ef67d28e087a25be5aad14a",
+    ("harvard", 7, 20.0, None): "dbfc71ed6327bbcb2803644d1adf8eb93a4008d269d8f794139ce8e660071e11",
+    ("harvard", 7, 0.3, 100.1): "939529da4e58b4d53ab6edc4363e5ebc035e27a84321f1fb9d06729282a0d12b",
+    ("unc", 1, 20.0, None): "cb3918fcb9ed8e27f5d84fe3d8f6c422d970b7e707f0f9d88098a591eb572fc7",
+    ("unc", 1, 0.3, 100.1): "0364d3e408c32ea0c0c0d446a41639f66104f17b3d26f4a3b479c0b3148256b6",
+    ("unc", 7, 20.0, None): "2e672fa19bd1c771f433535b6ae5971cb37877b6b5297a0eec2d2fa6d0ff6d19",
+    ("unc", 7, 0.3, 100.1): "3512b50dd4690b86315843026143c0b7b64c85bf1b59badd0bacdc919686ce55",
+    ("auckland", 1, 20.0, None): "22b33211ee4582d3b9ce2afeecdb59204488237da5185ca7b5800f394ee647c8",
+    ("auckland", 1, 0.3, 100.1): "6e02d02c404c26d9f46a4634db90e784385655455e24964b2111abed156a84cf",
+    ("auckland", 7, 20.0, None): "10fd9e322b81664110ecf9a3ed2180e1cd2afa75db17c353a2e6e21ecb5dc14d",
+    ("auckland", 7, 0.3, 100.1): "00c80ed1f3d35c98a5188314f516fffe7a71fff289d2f015ecaca37c569bc8a9",
+    ("auckland", 3, 20.0, 1234.5): "fd75799c0c235c8184550bec5baec132ef3ab88e907eea15a1a26692a7956cc3",
+}
+#: sha256 of the JSONL form of ``generate_packet_trace(UNC, seed=1,
+#: duration=120.0)``: its arrival instants come from ``counts``.
+PACKET_TRACE_SHA256 = (
+    "902559fbd33bb22ce9eab60d0ea4d69f1714a1333f308417479c46b265ea0b14"
 )
 
 
@@ -175,3 +216,24 @@ def test_cost_model_profile_json_is_pinned(tmp_path):
         "--json", str(out),
     ]) == EXIT_OK
     assert _sha256(out) == PROFILE_JSON_SHA256
+
+
+@pytest.mark.parametrize(
+    "site, seed, period, duration", sorted(COUNT_TRACE_SHA256, key=str)
+)
+def test_count_trace_is_pinned(site, seed, period, duration):
+    trace = generate_count_trace(
+        SITE_PROFILES[site], seed, period=period, duration=duration
+    )
+    text = json.dumps(trace.counts, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        COUNT_TRACE_SHA256[site, seed, period, duration]
+    )
+
+
+def test_packet_trace_is_pinned(tmp_path):
+    out = tmp_path / "unc.jsonl"
+    save_packet_trace_jsonl(
+        generate_packet_trace(SITE_PROFILES["unc"], 1, duration=120.0), out
+    )
+    assert _sha256(out) == PACKET_TRACE_SHA256

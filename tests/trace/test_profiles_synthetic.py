@@ -64,6 +64,16 @@ class TestCountGeneration:
         with pytest.raises(ValueError):
             generate_count_trace(UNC, seed=0, duration=-5.0)
 
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_non_finite_duration_names_the_value(self, duration):
+        with pytest.raises(ValueError, match=str(duration)):
+            generate_count_trace(UNC, seed=0, duration=duration)
+
+    @pytest.mark.parametrize("period", [0.0, -20.0, float("nan")])
+    def test_non_positive_period_names_the_value(self, period):
+        with pytest.raises(ValueError, match=f"period must be positive: {period}"):
+            generate_count_trace(UNC, seed=0, period=period, duration=60.0)
+
     def test_unc_calibration(self, unc_counts):
         stats = summarize_counts(unc_counts)
         # K_bar within 10% of the calibration target (1922/period).
