@@ -32,15 +32,26 @@ runs, print the command's report, write its JSON documents in
 canonical form, finalize the bundle (``--metrics-out``), and return the
 command's verdict as the exit code.  Usage errors, bad inputs and
 unreadable files are one line on stderr and exit 64.
+
+Each numeric option's domain is declared with the option, as its
+argparse ``type=`` (``_finite``, ``_non_negative``, ``_positive``,
+``_count``, ``_natural``, ``_port``), so a value outside it never
+reaches a handler.  Every argparse error, a value outside its domain
+included, goes through :class:`_Parser` and prints the same one
+``<command>: <message>`` line as a :class:`CommandError`.  Handlers
+check only what spans several options (an attack window against the
+trace, epochs dividing a day).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 from typing import (
-    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, NamedTuple, NoReturn, Optional,
+    Sequence, Tuple,
 )
 
 from .core.parameters import DEFAULT_PARAMETERS, SynDogParameters
@@ -55,6 +66,31 @@ EXIT_USAGE = 64
 
 _SERVED = "(/metrics /healthz /events /query /alerts /slo)"
 
+
+def _domain(parse: Callable[[str], Any], inside: Callable[[Any], bool],
+            name: str) -> Callable[[str], Any]:
+    """An argparse ``type=``: *parse* the text, then keep the value only
+    when it lies *inside* the domain, which the usage error calls *name*."""
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+            if inside(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {name}, got {text!r}")
+
+    return convert
+
+
+_finite = _domain(float, math.isfinite, "a finite number")
+_non_negative = _domain(float, lambda v: 0 <= v < math.inf,
+                        "a finite number >= 0")
+_positive = _domain(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_count = _domain(int, lambda v: v >= 1, "an integer >= 1")
+_natural = _domain(int, lambda v: v >= 0, "an integer >= 0")
+_port = _domain(int, lambda v: 0 <= v <= 65535, "a port in 0-65535")
+
 #: Flags several subcommands share, declared once: name -> (flags, spec).
 _SHARED: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "site": (("--site",), dict(choices=sorted(SITE_PROFILES),
@@ -63,15 +99,16 @@ _SHARED: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
                                help="root seed (default %(default)s): the "
                                     "same seed gives byte-identical output")),
     "workers": (("--workers",), dict(
-        type=int, default=None, metavar="N",
+        type=_count, default=None, metavar="N",
         help="worker processes sharding the run (default: every core; "
-             "the output is byte-identical for every N)")),
+             "1 for fleet and profile); the output is byte-identical "
+             "for every N")),
     "serve": (("--serve",), dict(
-        type=int, metavar="PORT",
+        type=_port, metavar="PORT",
         help=f"serve live telemetry {_SERVED} on PORT for the run's "
              f"duration (0 picks a free port)")),
     "hold": (("--hold",), dict(
-        type=float, default=None, metavar="SECONDS",
+        type=_non_negative, default=None, metavar="SECONDS",
         help="with --serve: keep the server up this long after the run "
              "so scrapers can query the finished history")),
     "metrics-out": (("--metrics-out",), dict(
@@ -92,14 +129,16 @@ _SHARED: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
              "differential oracle -- results are byte-identical")),
     "pcap-in": (("--pcap-in",), dict(
         help="pcap of the inbound interface (with --pcap-out)")),
-    "drift": (("--drift",), dict(type=float,
-                                 default=DEFAULT_PARAMETERS.drift,
-                                 help="a (default 0.35)")),
+    "drift": (("--drift",), dict(
+        # The detector designs with h = 2a, so 2a must be finite too.
+        type=_domain(float, lambda v: 0 < 2 * v < math.inf,
+                     "a finite number > 0 (and 2a finite)"),
+        default=DEFAULT_PARAMETERS.drift, help="a (default 0.35)")),
     "threshold": (("--threshold",), dict(
-        type=float, default=DEFAULT_PARAMETERS.threshold,
+        type=_positive, default=DEFAULT_PARAMETERS.threshold,
         help="CUSUM threshold N (default 1.05)")),
     "period": (("--period",), dict(
-        type=float, default=DEFAULT_PARAMETERS.observation_period,
+        type=_positive, default=DEFAULT_PARAMETERS.observation_period,
         help="t0 seconds (default 20; counts input keeps its own)")),
 }
 
@@ -116,8 +155,26 @@ def _shared(*names: str, **defaults: Any) -> argparse.ArgumentParser:
     return parent
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as :func:`main` reports a
+    :class:`CommandError`: one ``<command>: <message>`` line on stderr,
+    then exit 64 (``--help`` still exits 0)."""
+
+    def error(self, message: str) -> NoReturn:
+        print(f"{self.prog.split()[-1]}: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            # A subcommand owns every argument after its name, so its
+            # leftovers are its usage error, reported under its name.
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro-syndog",
         description="SYN-dog: sniff SYN flooding sources (ICDCS 2002 reproduction)",
     )
@@ -128,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "generate", parents=[_shared("site", "seed")],
         help="synthesize background traffic for a site profile",
     )
-    generate.add_argument("--duration", type=float, default=None,
+    generate.add_argument("--duration", type=_positive, default=None,
                           help="seconds (default: the site's Table 1 "
                                "duration)")
     generate.add_argument("--format", choices=("counts", "pcap"),
@@ -140,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     attack = sub.add_parser("attack", help="mix a SYN flood into a count trace")
     attack.add_argument("--counts", required=True, help="background count-trace CSV")
-    attack.add_argument("--rate", type=float, required=True, help="flood SYN/s")
-    attack.add_argument("--start", type=float, default=360.0,
+    attack.add_argument("--rate", type=_non_negative, required=True,
+                        help="flood SYN/s")
+    attack.add_argument("--start", type=_non_negative, default=360.0,
                         help="attack start (s)")
-    attack.add_argument("--duration", type=float, default=600.0,
+    attack.add_argument("--duration", type=_positive, default=600.0,
                         help="attack duration (s)")
     attack.add_argument("--out", required=True)
 
@@ -185,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="e.g. 'max_over_time(syndog_cusum[5m])' or "
                             'syndog_x_n{agent="syn-dog"}')
     _add_telemetry_source(query)
-    query.add_argument("--at", type=float, default=None, metavar="T",
+    query.add_argument("--at", type=_finite, default=None, metavar="T",
                        help="evaluation time in trace seconds "
                             "(default: newest sample)")
     query.add_argument("--json", action="store_true",
@@ -204,21 +262,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full alerts document as JSON")
 
     fleet = sub.add_parser(
-        "fleet", parents=[_shared("seed", "serve", "hold")],
+        "fleet", parents=[_shared("seed", "workers", "serve", "hold",
+                                  workers=1)],
         help="fleet telemetry rollup: population counters, quantile "
              "digests over detector state and top-K suspect tables "
              "(O(K) however large the fleet; exit 2 when any agent "
              "is alarming)",
     )
     fleet_source = _add_telemetry_source(fleet)
-    fleet_source.add_argument("--synthetic", type=int, metavar="N",
+    fleet_source.add_argument("--synthetic", type=_natural, metavar="N",
                               help="roll up an N-agent deterministic "
                                    "synthetic fleet (--serve serves it)")
-    fleet.add_argument("--workers", type=int, default=1,
-                       help="shard the synthetic rollup across worker "
-                            "processes; the merged document is "
-                            "byte-identical at any count (default 1)")
-    fleet.add_argument("--k", type=int, default=8,
+    fleet.add_argument("--k", type=_count, default=8,
                        help="suspect-table size K (default 8)")
     fleet.add_argument("--json", action="store_true",
                        help="print the rollup document as JSON")
@@ -234,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "--events-out")
     report.add_argument("--format", choices=("text", "markdown", "json"),
                         default="text")
-    report.add_argument("--min-alarm-periods", type=int, default=2,
+    report.add_argument("--min-alarm-periods", type=_natural, default=2,
                         help="alarm spans clearing in fewer periods "
                              "count as false alarms (default 2)")
     report.add_argument("--profile", action="store_true",
@@ -245,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        parents=[_shared("site", "seed", "json", "events-out", "fastpath")],
+        parents=[_shared("site", "seed", "workers", "json", "events-out",
+                         "fastpath", workers=1)],
         help="profile the packet pipeline per stage over a small "
              "deterministic campaign; export flamegraph/callgrind",
     )
@@ -254,16 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="cost-model: deterministic fixed per-op "
                               "costs (byte-identical at any --workers); "
                               "timers: real wall/CPU/alloc measurements")
-    profile.add_argument("--networks", type=int, default=2,
+    profile.add_argument("--networks", type=_count, default=2,
                          help="stub networks driven through the pipeline")
-    profile.add_argument("--duration", type=float, default=None,
+    profile.add_argument("--duration", type=_positive, default=None,
                          help="seconds of synthetic trace per network "
                               "(default 60)")
-    profile.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="worker processes sharding the networks "
-                              "(cost-model profiles are byte-identical "
-                              "for every N; default 1)")
-    profile.add_argument("--sample-every", type=int, default=64, metavar="K",
+    profile.add_argument("--sample-every", type=_count, default=64,
+                         metavar="K",
                          help="timers mode: time 1 of every K calls on "
                               "per-packet stages (default 64)")
     profile.add_argument("--flame-out", metavar="PATH",
@@ -275,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-stage ns/packet baseline "
                               "(BENCH_profile.json); exit 2 when any "
                               "stage regresses past the tolerance")
-    profile.add_argument("--baseline-tolerance", type=float, default=1.5,
-                         metavar="X",
+    profile.add_argument("--baseline-tolerance", type=_non_negative,
+                         default=1.5, metavar="X",
                          help="allowed ns/packet multiple of the "
                               "baseline (default 1.5)")
 
@@ -285,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="regenerate a paper table (1, 2 or 3)",
     )
     table.add_argument("number", type=int, choices=(1, 2, 3))
-    table.add_argument("--trials", type=int, default=10)
+    table.add_argument("--trials", type=_count, default=10)
 
     figure = sub.add_parser(
         "figure", parents=[_shared("seed")],
@@ -299,11 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
                          "serve")],
         help="simulate a distributed campaign against a fleet of SYN-dogs",
     )
-    campaign.add_argument("--aggregate", type=float, default=14000.0,
+    campaign.add_argument("--aggregate", type=_positive, default=14000.0,
                           help="campaign rate V toward the victim (SYN/s)")
-    campaign.add_argument("--networks", type=int, required=True,
+    campaign.add_argument("--networks", type=_count, required=True,
                           help="stub networks A the campaign spreads over")
-    campaign.add_argument("--sample", type=int, default=6,
+    campaign.add_argument("--sample", type=_count, default=6,
                           help="networks actually simulated (uniform sample)")
 
     from .faults.schedule import BUILTIN_SCHEDULES, DEFAULT_SCHEDULE
@@ -319,22 +372,22 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_SCHEDULE,
                        help=f"built-in fault schedule "
                             f"(default {DEFAULT_SCHEDULE})")
-    chaos.add_argument("--rate", type=float, default=5.0,
+    chaos.add_argument("--rate", type=_non_negative, default=5.0,
                        help="flood SYN/s mixed into the background")
-    chaos.add_argument("--attack-start", type=float, default=360.0,
+    chaos.add_argument("--attack-start", type=_non_negative, default=360.0,
                        help="flood onset (s)")
-    chaos.add_argument("--attack-duration", type=float, default=600.0,
+    chaos.add_argument("--attack-duration", type=_positive, default=600.0,
                        help="flood duration (s)")
-    chaos.add_argument("--duration", type=float, default=1800.0,
+    chaos.add_argument("--duration", type=_positive, default=1800.0,
                        help="total trace length (s)")
-    chaos.add_argument("--max-delay-ratio", type=float, default=2.0,
+    chaos.add_argument("--max-delay-ratio", type=_non_negative, default=2.0,
                        help="envelope: faulted detection delay must stay "
                             "within this multiple of the baseline")
     chaos.add_argument("--alerts-out", metavar="PATH",
                        help="replay the builtin alert rules over the "
                             "campaign's telemetry history and write the "
                             "alerts document as canonical JSON")
-    chaos.add_argument("--max-memory-events", type=int, default=100_000,
+    chaos.add_argument("--max-memory-events", type=_natural, default=100_000,
                        metavar="N",
                        help="bound on the in-memory event sink (small "
                             "bounds exercise drop accounting and the "
@@ -348,20 +401,21 @@ def build_parser() -> argparse.ArgumentParser:
              "with fault bursts and attack windows, judged by SLO "
              "burn rates and the resource ledger",
     )
-    soak.add_argument("--sim-days", type=int, default=2,
+    soak.add_argument("--sim-days", type=_count, default=2,
                       help="simulated days of continuous operation")
-    soak.add_argument("--periods-per-epoch", type=int, default=288,
+    soak.add_argument("--periods-per-epoch", type=_count, default=288,
                       help="observation periods per epoch; one epoch = "
                            "one checkpoint/restore cycle and one work "
                            "shard (epochs must divide a day evenly)")
-    soak.add_argument("--rate", type=float, default=5.0,
+    soak.add_argument("--rate", type=_non_negative, default=5.0,
                       help="flood SYN/s mixed into attack epochs")
-    soak.add_argument("--tsdb-retention", type=int, default=2048,
-                      metavar="N",
-                      help="per-series telemetry retention; the default "
-                           "reaches compaction equilibrium inside the "
-                           "first simulated day, so the ledger flatness "
-                           "gate measures steady state, not ramp-up")
+    soak.add_argument("--tsdb-retention", default=2048, metavar="N",
+                      type=_domain(int, lambda v: v >= 8, "an integer >= 8"),
+                      help="per-series telemetry retention (at least 8); "
+                           "the default reaches compaction equilibrium "
+                           "inside the first simulated day, so the ledger "
+                           "flatness gate measures steady state, not "
+                           "ramp-up")
 
     respond = sub.add_parser(
         "respond",
@@ -371,31 +425,31 @@ def build_parser() -> argparse.ArgumentParser:
              "playbook-mitigated flood, with recovery and collateral "
              "verdicts",
     )
-    respond.add_argument("--rate", type=float, default=200.0,
+    respond.add_argument("--rate", type=_non_negative, default=200.0,
                          help="flood SYN/s aimed at the victim")
-    respond.add_argument("--client-rate", type=float, default=15.0,
+    respond.add_argument("--client-rate", type=_non_negative, default=15.0,
                          help="legitimate connection attempts per second")
-    respond.add_argument("--duration", type=float, default=300.0,
+    respond.add_argument("--duration", type=_positive, default=300.0,
                          help="total scenario length (s)")
-    respond.add_argument("--attack-start", type=float, default=60.0,
+    respond.add_argument("--attack-start", type=_non_negative, default=60.0,
                          help="flood onset (s)")
-    respond.add_argument("--attack-duration", type=float, default=120.0,
+    respond.add_argument("--attack-duration", type=_positive, default=120.0,
                          help="flood duration (s)")
-    respond.add_argument("--period", type=float, default=5.0,
+    respond.add_argument("--period", type=_positive, default=5.0,
                          help="detector observation period t0 (s)")
-    respond.add_argument("--backlog", type=int, default=256,
+    respond.add_argument("--backlog", type=_count, default=256,
                          help="victim listen-queue capacity")
     respond.add_argument("--playbook", metavar="PATH",
                          help="playbook file (JSON or YAML-lite; default: "
                               "the built-in block-and-shield playbook)")
-    respond.add_argument("--flaky", type=int, default=0, metavar="N",
+    respond.add_argument("--flaky", type=_natural, default=0, metavar="N",
                          help="inject N deterministic actuator failures "
                               "per action kind (exercises retry/backoff)")
-    respond.add_argument("--recovery-factor", type=float, default=2.0,
+    respond.add_argument("--recovery-factor", type=_non_negative, default=2.0,
                          help="pass bar: mitigated handshake completion "
                               "over the attack window must be at least "
                               "this multiple of the unmitigated arm's")
-    respond.add_argument("--alert-cut", type=float, default=50.0,
+    respond.add_argument("--alert-cut", type=_non_negative, default=50.0,
                          help="syndog_delta threshold for the syn_flood "
                               "alert rule driving the engine")
     respond.add_argument("--timeline-out", metavar="PATH",
@@ -412,18 +466,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep the (a, N) tuning grid: false-alarm rate vs "
              "detection delay per cell, with an operator recommendation",
     )
-    sensitivity.add_argument("--drifts", type=float, nargs="+",
+    sensitivity.add_argument("--drifts", type=_positive, nargs="+",
                              default=[0.05, 0.1, 0.2, 0.35, 0.5],
                              help="drift (a) values to sweep")
-    sensitivity.add_argument("--thresholds", type=float, nargs="+",
+    sensitivity.add_argument("--thresholds", type=_positive, nargs="+",
                              default=[0.3, 0.6, 1.05, 2.0],
                              help="threshold (N) values to sweep")
-    sensitivity.add_argument("--rate", type=float, default=5.0,
+    sensitivity.add_argument("--rate", type=_non_negative, default=5.0,
                              help="reference flood SYN/s for the "
                                   "detection-delay column")
-    sensitivity.add_argument("--traces", type=int, default=5,
+    sensitivity.add_argument("--traces", type=_count, default=5,
                              help="normal traces and attack trials per cell")
-    sensitivity.add_argument("--max-false-alarm-rate", type=float,
+    sensitivity.add_argument("--max-false-alarm-rate", type=_non_negative,
                              default=0.0,
                              help="false-alarm budget for the "
                                   "recommendation (onsets per period)")
@@ -431,10 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     theory = sub.add_parser(
         "theory", help="print the analytic bounds for a site size"
     )
-    theory.add_argument("--k-bar", type=float, required=True,
+    theory.add_argument("--k-bar", type=_positive, required=True,
                         help="mean SYN/ACKs per observation period at the "
                              "deployment site")
-    theory.add_argument("--aggregate", type=float, default=14000.0,
+    theory.add_argument("--aggregate", type=_positive, default=14000.0,
                         help="campaign rate V for the coverage bound (SYN/s)")
 
     return parser
@@ -596,7 +650,7 @@ def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
                 else generate_packet_trace)
     try:
         trace = generate(profile, seed=args.seed, duration=args.duration)
-    except ValueError as exc:  # a duration out of range
+    except ValueError as exc:  # a duration under one of the site's periods
         raise CommandError(str(exc)) from None
     if args.format == "counts":
         save_count_trace(trace, args.out)
@@ -620,6 +674,9 @@ def _cmd_attack(args: argparse.Namespace, obs: Any) -> Outcome:
     from .trace.mixer import AttackWindow, mix_flood_into_counts
 
     background = load_count_trace(args.counts)
+    if args.start >= background.duration:
+        raise CommandError(f"--start {args.start:g}s is past the trace's "
+                           f"span [0, {background.duration:g})s")
     mixed = mix_flood_into_counts(
         background,
         FloodSource(pattern=args.rate),
@@ -650,15 +707,12 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
         period = trace.period
     elif not args.pcap_in:
         raise CommandError("--pcap-out requires --pcap-in")
-    try:
-        parameters = SynDogParameters(
-            observation_period=period,
-            drift=args.drift,
-            attack_increase=2.0 * args.drift,
-            threshold=args.threshold,
-        )
-    except ValueError as exc:  # e.g. --threshold nan, --drift 0
-        raise CommandError(str(exc)) from None
+    parameters = SynDogParameters(
+        observation_period=period,
+        drift=args.drift,
+        attack_increase=2.0 * args.drift,
+        threshold=args.threshold,
+    )
     if trace is None:
         from .experiments.streaming import detect_from_pcaps
         from .pcap.format import PcapFormatError
@@ -956,7 +1010,7 @@ def _fleet_obs(args: argparse.Namespace) -> Any:
     from .obs.rollup import synthetic_fleet_states
 
     obs = _instrumentation(memory_events=True)
-    for state in synthetic_fleet_states(max(args.synthetic, 0), seed=args.seed):
+    for state in synthetic_fleet_states(args.synthetic, seed=args.seed):
         if not state.down:
             obs.recorder.record(state.name, {
                 "period_index": 0,
@@ -981,8 +1035,6 @@ def _cmd_fleet(args: argparse.Namespace, obs: Any) -> Outcome:
         from .obs.rollup import rollup_from_events
 
         doc = rollup_from_events(read_jsonl(args.events), k=args.k).to_dict()
-    elif args.synthetic < 0:
-        raise CommandError(f"--synthetic must be >= 0: {args.synthetic}")
     else:
         from .obs.merge import merge_rollup_snapshots
         from .obs.rollup import synthetic_shard_rollup
@@ -1082,7 +1134,7 @@ def _cmd_soak(args: argparse.Namespace, obs: Any) -> Outcome:
     try:
         soak_epochs(args.sim_days, args.periods_per_epoch, args.rate,
                     DEFAULT_PARAMETERS.observation_period)
-    except ValueError as exc:
+    except ValueError as exc:  # epochs that do not divide a day
         raise CommandError(str(exc)) from None
     report = run_soak_campaign(
         site=args.site,

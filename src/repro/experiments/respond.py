@@ -534,6 +534,9 @@ def run_respond_campaign(
     else:
         playbook_doc = playbook
     parsed = Playbook.from_dict(playbook_doc)  # validate before running
+    # Likewise t0: a period of 0 or NaN would schedule occupancy samples
+    # forever.
+    SynDogParameters(observation_period=period)
     playbook_json = json.dumps(playbook_doc, sort_keys=True)
     tasks = [
         RespondArmTask(

@@ -14,6 +14,7 @@ Two resolutions, matching the two ingestion styles of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -48,8 +49,10 @@ class CountTrace:
     counts: Tuple[Tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.period <= 0:
-            raise ValueError(f"period must be positive: {self.period}")
+        if not 0 < self.period < math.inf:
+            raise ValueError(
+                f"period must be finite and positive: {self.period}"
+            )
         for syn, synack in self.counts:
             if syn < 0 or synack < 0:
                 raise ValueError("counts cannot be negative")

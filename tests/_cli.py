@@ -29,11 +29,12 @@ def fresh_env():
     return env
 
 
-def run_repro(argv, cwd=None):
+def run_repro(argv, cwd=None, timeout=None):
     """``python -m repro *argv*`` in a fresh process, stdout and stderr
-    captured."""
+    captured; a run past *timeout* seconds is killed and raises
+    :class:`subprocess.TimeoutExpired`."""
     return subprocess.run(
         [sys.executable, "-m", "repro", *argv], env=fresh_env(), cwd=cwd,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-        check=False,
+        check=False, timeout=timeout,
     )

@@ -65,6 +65,13 @@ class TestCampaign:
         assert "applied" in outcomes
         assert doc["recovery"]["passed"]
 
+    @pytest.mark.parametrize("period", [0.0, -5.0, float("nan")])
+    def test_bad_period_is_refused_before_anything_runs(self, period):
+        # Unchecked, a zero or NaN period schedules occupancy samples
+        # forever.
+        with pytest.raises(ValueError, match="observation"):
+            run_respond_campaign(workers=1, **{**FAST, "period": period})
+
     def test_byte_identical_across_workers(self):
         serial = run_respond_campaign(workers=1, **FAST)
         sharded = run_respond_campaign(workers=2, **FAST)

@@ -239,6 +239,85 @@ class TestUsage:
         assert ".tmp" not in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def auckland_csv(tmp_path_factory):
+    """The full 10,800 s Auckland count trace."""
+    path = tmp_path_factory.mktemp("auckland") / "bg.csv"
+    assert main(["generate", "--site", "auckland", "--out", str(path)]) == 0
+    return str(path)
+
+
+class TestOptionDomains:
+    """Numbers outside an option's domain are refused at the parse, as
+    one line and exit 64, before anything runs or any file is written."""
+
+    @pytest.mark.parametrize("argv", [
+        ["chaos", "--duration", "nan", "--out", "r.json"],
+        ["chaos", "--duration", "0", "--out", "r.json"],
+        ["chaos", "--rate", "-5", "--out", "r.json"],
+        ["chaos", "--duration", "x", "--out", "r.json"],
+        ["profile", "--duration", "0", "--json", "p.json"],
+        ["respond", "--duration", "-1", "--out", "r.json"],
+        # Unchecked, a zero period loops forever, growing memory.
+        ["respond", "--period", "0", "--out", "r.json"],
+        ["sensitivity", "--rate", "nan", "--json", "s.json"],
+        ["campaign", "--networks", "0", "--json", "c.json"],
+        ["campaign", "--networks", "10", "--sample", "-2",
+         "--json", "c.json"],
+        ["table", "2", "--trials", "0", "--json", "t.json"],
+        ["table", "9", "--json", "t.json"],
+        ["fleet", "--synthetic", "3", "--k", "0"],
+        ["fleet", "--synthetic", "3", "--workers", "0"],
+        ["theory", "--k-bar", "nan"],
+        ["theory", "--k-bar", "-5"],
+        ["attack", "--counts", "BG", "--rate", "nan", "--out", "m.csv"],
+        ["attack", "--counts", "BG", "--rate", "5", "--start", "20000",
+         "--out", "m.csv"],
+        ["detect", "--counts", "BG", "--serve", "70000", "--json", "d.json"],
+        ["detect", "--counts", "BG", "--serve", "-1", "--json", "d.json"],
+        ["observe", "--trace", "BG", "--hold", "-1", "--serve", "0",
+         "--events-out", "e.jsonl", "--metrics-out", "m.prom"],
+        ["soak", "--tsdb-retention", "0", "--out", "s.json"],
+    ], ids=lambda argv: "-".join(argv[:4]))
+    def test_is_one_line_and_usage_exit(self, argv, auckland_csv, tmp_path):
+        from repro.cli import EXIT_USAGE
+
+        argv = [auckland_csv if arg == "BG" else arg for arg in argv]
+        proc = run_repro(argv, cwd=tmp_path, timeout=120)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith(f"{argv[0]}: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_attack_past_the_trace_names_its_span(
+        self, auckland_csv, tmp_path, capsys
+    ):
+        from repro.cli import EXIT_USAGE
+
+        out = tmp_path / "m.csv"
+        assert main(["attack", "--counts", auckland_csv, "--rate", "5",
+                     "--start", "10800", "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "attack: --start 10800s is past the trace's span [0, 10800)s\n"
+        )
+        assert not out.exists()
+
+    def test_count_trace_with_a_nan_period_is_bad_input(
+        self, background_csv, capsys
+    ):
+        from repro.cli import EXIT_USAGE
+
+        text = background_csv.read_text()
+        background_csv.write_text(
+            text.replace('"period": 20.0', '"period": NaN', 1)
+        )
+        assert main(["detect", "--counts", str(background_csv)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("detect: bad count trace ")
+        assert "period must be finite and positive: nan" in err
+
+
 class TestForensicReport:
     def test_report_flag_prints_estimates(self, background_csv, tmp_path, capsys):
         mixed = tmp_path / "mixed.csv"

@@ -58,8 +58,8 @@ class TestSoakCommand:
 
 class TestSoakUsage:
     @pytest.mark.parametrize("flags,named", [
-        (["--sim-days", "0"], "sim_days"),
-        (["--periods-per-epoch", "0"], "periods_per_epoch"),
+        (["--sim-days", "0"], "--sim-days"),
+        (["--periods-per-epoch", "0"], "--periods-per-epoch"),
         (["--periods-per-epoch", "7"], "must divide a simulated day"),
         (["--rate", "-3"], "rate"),
         (["--rate", "nan"], "rate"),

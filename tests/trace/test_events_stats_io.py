@@ -62,6 +62,15 @@ class TestCountTrace:
                 counts=((-1, 0),),
             )
 
+    @pytest.mark.parametrize("period", [0.0, -20.0, math.nan, math.inf])
+    def test_period_must_be_finite_and_positive(self, period):
+        with pytest.raises(ValueError, match="period must be finite"):
+            CountTrace(
+                metadata=TraceMetadata(name="x", duration=20.0, bidirectional=False),
+                period=period,
+                counts=((1, 1),),
+            )
+
     def test_traffic_type_label(self):
         assert small_counts().metadata.traffic_type == "Uni-directional"
 
