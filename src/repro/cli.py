@@ -668,12 +668,22 @@ def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
                         f"packets to {in_path}")
 
 
+def _load_counts(path: str) -> Any:
+    """The count trace at *path*; a malformed one is a usage error."""
+    from .trace.io import load_count_trace
+
+    try:
+        return load_count_trace(path)
+    except ValueError as exc:  # a malformed line or header
+        raise CommandError(f"bad count trace {path}: {exc}") from None
+
+
 def _cmd_attack(args: argparse.Namespace, obs: Any) -> Outcome:
     from .attack.flooder import FloodSource
-    from .trace.io import load_count_trace, save_count_trace
+    from .trace.io import save_count_trace
     from .trace.mixer import AttackWindow, mix_flood_into_counts
 
-    background = load_count_trace(args.counts)
+    background = _load_counts(args.counts)
     if args.start >= background.duration:
         raise CommandError(f"--start {args.start:g}s is past the trace's "
                            f"span [0, {background.duration:g})s")
@@ -698,12 +708,7 @@ def _detection(args: argparse.Namespace, obs: Any, counts_path: Optional[str]):
     period = args.period
     trace = None
     if counts_path:
-        from .trace.io import load_count_trace
-
-        try:
-            trace = load_count_trace(counts_path)
-        except ValueError as exc:  # a malformed line or header
-            raise CommandError(f"bad count trace {counts_path}: {exc}") from None
+        trace = _load_counts(counts_path)
         period = trace.period
     elif not args.pcap_in:
         raise CommandError("--pcap-out requires --pcap-in")
@@ -1217,13 +1222,16 @@ def _cmd_theory(args: argparse.Namespace, obs: Any) -> Outcome:
     parameters = DEFAULT_PARAMETERS
     k_bar = args.k_bar
     floor = parameters.min_detectable_rate(k_bar)
+    try:
+        hidden = parameters.max_hidden_sources(args.aggregate, k_bar)
+    except ValueError as exc:  # f_min underflows at a tiny --k-bar
+        raise CommandError(str(exc)) from None
     rows = [
         ["K-bar (SYN/ACKs per period)", k_bar],
         ["f_min, Eq. 8 (SYN/s)", round(floor, 2)],
         ["design detection time (periods)", parameters.design_detection_periods],
         ["design detection time (seconds)", parameters.design_detection_seconds],
-        [f"max hidden stub networks at V={args.aggregate:.0f}/s",
-         parameters.max_hidden_sources(args.aggregate, k_bar)],
+        [f"max hidden stub networks at V={args.aggregate:.0f}/s", hidden],
     ]
     for rate_multiple in (1.2, 1.5, 2.0, 3.0):
         rate = floor * rate_multiple

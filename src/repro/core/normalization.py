@@ -54,13 +54,26 @@ class EwmaEstimator:
         """
         if observation < 0:
             raise ValueError(f"negative count: {observation}")
-        if self._estimate is None:
-            self._estimate = float(observation)
-        else:
-            self._estimate = (
-                self.alpha * self._estimate + (1.0 - self.alpha) * observation
-            )
+        self.step(observation, fold=self._estimate is not None)
         return self.value
+
+    def step(self, observation: float, fold: bool = True) -> float:
+        """Return K̄ as it stands before ``observation`` (clamped below
+        by ``floor``, as :attr:`value`), then fold ``observation`` into
+        it by Eq. 1 when ``fold``.
+
+        With no estimate yet, ``observation`` first becomes the estimate
+        (the warm start), so the first period is normalized by its own
+        count.  This is the detector's one call per period.
+        """
+        estimate = self._estimate
+        if estimate is None:
+            estimate = self._estimate = float(observation)
+        if fold:
+            alpha = self.alpha
+            self._estimate = alpha * estimate + (1.0 - alpha) * observation
+        floor = self.floor
+        return floor if floor > estimate else estimate
 
     @property
     def value(self) -> float:
@@ -123,14 +136,10 @@ class NormalizedDifference:
         """
         if syn_count < 0 or synack_count < 0:
             raise ValueError("packet counts cannot be negative")
-        if not self.estimator.initialized:
-            # Warm start: the very first period also initializes K̄.
-            self.estimator.update(synack_count)
-        k_bar = self.estimator.value
-        x = (syn_count - synack_count) / k_bar
-        if not (self.freeze_on_alarm and alarm_active):
-            self.estimator.update(synack_count)
-        return x
+        k_bar = self.estimator.step(
+            synack_count, fold=not (self.freeze_on_alarm and alarm_active)
+        )
+        return (syn_count - synack_count) / k_bar
 
     @property
     def k_bar(self) -> float:

@@ -165,7 +165,14 @@ class SynDogParameters:
         if aggregate_rate <= 0:
             raise ValueError(f"aggregate rate must be positive: {aggregate_rate}")
         floor = self.min_detectable_rate(k_bar)
-        return int(aggregate_rate / floor)
+        quotient = aggregate_rate / floor if floor > 0 else math.inf
+        if not math.isfinite(quotient):
+            raise ValueError(
+                f"no finite source count: f_min = {floor!r} SYN/s at "
+                f"k_bar {k_bar!r} spreads {aggregate_rate!r} SYN/s over "
+                "unboundedly many sources"
+            )
+        return int(quotient)
 
     # ------------------------------------------------------------------
     # Eq. 5 — false-alarm scaling

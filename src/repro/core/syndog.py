@@ -291,26 +291,9 @@ class SynDog:
             self._last_counts is None
             or self._consecutive_missing > self.staleness_cap
         ):
-            return self._hold_period(start_time)
+            return self._ingest(0, 0, start_time, degraded=True, hold=True)
         syn_count, synack_count = self._last_counts
         return self._ingest(syn_count, synack_count, start_time, degraded=True)
-
-    def _period_coordinates(
-        self, start_time: Optional[float]
-    ) -> Tuple[int, float, float]:
-        """(index, start, end) of the period fed next, on the exchange's
-        clock: a caller-supplied start names the period nearest to it,
-        and every period ends where the clock starts the next one.  The
-        clock arithmetic is written out, not called through
-        ``CountExchange.start_of``: this runs once per period."""
-        t0 = self.parameters.observation_period
-        origin = self.exchange.origin
-        if start_time is None:
-            period_index = self._period_offset + len(self._records)
-            start_time = origin + period_index * t0
-        else:
-            period_index = int(round((start_time - origin) / t0))
-        return period_index, start_time, origin + (period_index + 1) * t0
 
     def _ingest(
         self,
@@ -318,11 +301,29 @@ class SynDog:
         synack_count: int,
         start_time: Optional[float],
         degraded: bool,
+        hold: bool = False,
     ) -> DetectionRecord:
-        period_index, start_time, end_time = self._period_coordinates(start_time)
+        """Step the detector on one period's counts and emit its record.
+
+        The period's index, start and end come from the exchange's
+        clock: a caller-supplied start names the period nearest to it,
+        and every period ends where the clock starts the next one.  The
+        clock arithmetic is written out, not called through
+        ``CountExchange.start_of``: this runs once per period.  With
+        *hold* (a stale gap) the clock advances but the statistic and
+        K̄ do not."""
+        t0 = self.parameters.observation_period
+        origin = self.exchange.origin
+        if start_time is None:
+            period_index = self._period_offset + len(self._records)
+            start_time = origin + period_index * t0
+        else:
+            period_index = int(round((start_time - origin) / t0))
         cusum = self.cusum
         prof = self._prof_cusum
-        if prof is None:
+        if hold:
+            x, statistic = 0.0, cusum.statistic
+        elif prof is None:
             x = self.normalizer.observe(
                 syn_count, synack_count, alarm_active=cusum.alarm
             )
@@ -337,89 +338,61 @@ class SynDog:
             statistic = cusum.update(x)
             prof.end(token, packets=1)
         record = DetectionRecord(
-            period_index=period_index,
-            start_time=start_time,
-            end_time=end_time,
-            syn_count=syn_count,
-            synack_count=synack_count,
-            k_bar=self.normalizer.k_bar,
-            x=x,
-            statistic=statistic,
-            alarm=statistic > cusum.threshold,
-            degraded=degraded,
-        )
-        self._emit_record(record)
-        return record
-
-    def _hold_period(self, start_time: Optional[float]) -> DetectionRecord:
-        """Freeze-in-place handling of a stale gap: period index and
-        clock advance, statistic and K̄ do not."""
-        period_index, start_time, end_time = self._period_coordinates(start_time)
-        record = DetectionRecord(
-            period_index=period_index,
-            start_time=start_time,
-            end_time=end_time,
-            syn_count=0,
-            synack_count=0,
-            k_bar=self.normalizer.k_bar,
-            x=0.0,
-            statistic=self.cusum.statistic,
-            alarm=self.cusum.alarm,
-            degraded=True,
+            period_index, start_time, origin + (period_index + 1) * t0,
+            syn_count, synack_count, self.normalizer.k_bar, x, statistic,
+            statistic > cusum.threshold, degraded,
         )
         self._emit_record(record)
         return record
 
     def _emit_record(self, record: DetectionRecord) -> None:
         self._records.append(record)
+        # The fields, read once: this runs once per period.
+        (period_index, _start, end_time, syn_count, synack_count, k_bar,
+         x, statistic, alarm, degraded) = record
         if self._tsdb is not None:
             # Snapshot the pipeline *before* this period's emissions
             # (the parallel merge re-creates exactly this watermark by
             # ticking before re-emitting each period event), then
             # retain the full per-period trajectory point.
-            t = record.end_time
-            self._tsdb.tick(t)
+            self._tsdb.tick(end_time)
             self._trajectory.write(
-                t,
-                float(record.syn_count - record.synack_count),
-                record.x,
-                record.statistic,
-                record.alarm,
-                record.degraded,
+                end_time, float(syn_count - synack_count), x, statistic,
+                alarm, degraded,
             )
         if self._m_periods is not None:
             self._m_periods.inc()
-            self._m_syn.inc(record.syn_count)
-            self._m_synack.inc(record.synack_count)
-            self._g_statistic.set(record.statistic)
-            self._g_x.set(record.x)
-            self._g_k_bar.set(record.k_bar)
-            self._g_alarm.set(1.0 if record.alarm else 0.0)
-            if record.degraded:
+            self._m_syn.inc(syn_count)
+            self._m_synack.inc(synack_count)
+            self._g_statistic.set(statistic)
+            self._g_x.set(x)
+            self._g_k_bar.set(k_bar)
+            self._g_alarm.set(1.0 if alarm else 0.0)
+            if degraded:
                 self._m_degraded.inc()
-            if record.alarm != self._prev_alarm:
+            if alarm != self._prev_alarm:
                 self._m_transitions.labels(
-                    "raised" if record.alarm else "cleared"
+                    "raised" if alarm else "cleared"
                 ).inc()
         if self._events is not None or self._recorder is not None:
             snapshot = record.snapshot(self.parameters.threshold)
         if self._events is not None:
             self._events.emit("period", agent=self.name, **snapshot)
-            if record.alarm != self._prev_alarm:
+            if alarm != self._prev_alarm:
                 self._events.emit(
-                    "alarm_raised" if record.alarm else "alarm_cleared",
+                    "alarm_raised" if alarm else "alarm_cleared",
                     agent=self.name,
-                    period_index=record.period_index,
-                    time=record.end_time,
-                    statistic=record.statistic,
-                    k_bar=record.k_bar,
+                    period_index=period_index,
+                    time=end_time,
+                    statistic=statistic,
+                    k_bar=k_bar,
                 )
         if self._recorder is not None:
             self._recorder.record(self.name, snapshot)
-        self._prev_alarm = record.alarm
+        self._prev_alarm = alarm
         if self._alerts is not None:
             # Rules see this period's samples: evaluate after the feed.
-            self._alerts.evaluate(record.end_time)
+            self._alerts.evaluate(end_time)
 
     def observe_counts(
         self, counts: Iterable[Tuple[int, int]]

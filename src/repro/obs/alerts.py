@@ -245,9 +245,10 @@ class AlertManager:
         self.evaluations += 1
 
         produced: List[Dict[str, Any]] = []
+        query, states = self._tsdb.query, self._states
         for rule in self._rules:
-            vector = self._tsdb.query(rule.query, at=t)
-            state = self._states[rule.name]
+            vector = query(rule.query, t)
+            state = states[rule.name]
             if vector:
                 value = max(entry["value"] for entry in vector)
                 state["consecutive"] += 1

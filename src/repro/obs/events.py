@@ -118,8 +118,7 @@ class EventLog:
         return sum(getattr(sink, "dropped", 0) for sink in self._sinks)
 
     def emit(self, kind: str, **fields: Any) -> Event:
-        event: Event = {"event": kind, "seq": self._seq}
-        event.update(fields)
+        event: Event = {"event": kind, "seq": self._seq, **fields}
         self._seq += 1
         for sink in self._sinks:
             sink.write(event)

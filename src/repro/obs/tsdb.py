@@ -10,10 +10,11 @@ is both halves:
 
 :class:`TimeSeriesDB`
     A dependency-free in-memory TSDB.  Series are identified by
-    ``(name, labels)``; every series is a bounded ring with
-    deterministic stride-2 downsampling of its oldest half when the
-    retention cap is hit, so a long-running agent holds history at
-    O(retention) memory per series, forever.  Two sample sources:
+    ``(name, labels)``; every series is a bounded ring, held as two
+    columns (sample times, sample values), with deterministic stride-2
+    downsampling of its oldest half when the retention cap is hit, so a
+    long-running agent holds history at O(retention) memory per series,
+    forever.  Two sample sources:
 
     * **feed samples** — appended explicitly by instrumented
       components (the detector's per-period trajectory, the event-loss
@@ -77,7 +78,9 @@ __all__ = [
 LabelsKey = Tuple[Tuple[str, str], ...]
 Sample = Tuple[float, float]  #: (logical time, value)
 
-_sample_time = operator.itemgetter(0)
+#: Reads a registry instrument's current value for the per-period
+#: snapshot (counters and gauges keep it in ``_value``).
+_instrument_value = operator.attrgetter("_value")
 
 #: Series names the registry snapshot must never shadow: these are fed
 #: as first-class samples (with deterministic merge semantics) and the
@@ -107,6 +110,18 @@ def _labels_key(labels: Optional[Dict[str, Any]]) -> LabelsKey:
 class Series:
     """One named, labeled sample ring with deterministic downsampling.
 
+    The samples are two parallel columns, ``times`` and ``values``:
+    an append adds one float to each, a window bisects ``times``
+    directly, and a range function reduces a slice of ``values`` in C.
+    :attr:`samples` is the ``(t, v)`` view of the two, built on read.
+
+    Readers on other threads (the live server's ``/query`` and
+    ``/slo``) take no lock, so the columns are kept readable at every
+    instant: both live in the one ``columns`` tuple, which compaction
+    and :meth:`TimeSeriesDB.merge_from` replace whole; an append adds
+    the value before the time; and a reader indexes only below the
+    length of the ``times`` it took.
+
     ``ordered`` is True while the samples are non-decreasing in time —
     the live path's case, and the state :meth:`TimeSeriesDB.merge_from`
     restores by sorting.  Ordered series answer :meth:`window` and
@@ -115,7 +130,7 @@ class Series:
     """
 
     __slots__ = (
-        "name", "labels", "source", "samples", "compactions",
+        "name", "labels", "source", "columns", "compactions",
         "points_dropped", "ordered",
     )
 
@@ -123,10 +138,23 @@ class Series:
         self.name = name
         self.labels = labels
         self.source = source
-        self.samples: List[Sample] = []
+        self.columns: Tuple[List[float], List[float]] = ([], [])
         self.compactions = 0
         self.points_dropped = 0
         self.ordered = True
+
+    @property
+    def times(self) -> List[float]:
+        return self.columns[0]
+
+    @property
+    def values(self) -> List[float]:
+        return self.columns[1]
+
+    @property
+    def samples(self) -> List[Sample]:
+        """The ring as ``(t, v)`` pairs, oldest first (a copy)."""
+        return list(zip(*self.columns))
 
     def _compact(self) -> int:
         """Halve the resolution of the oldest half of the ring.
@@ -136,10 +164,12 @@ class Series:
         worker-merge byte-identity tests rely on.  Returns the number
         of samples the decimation discarded.
         """
-        half = len(self.samples) // 2
-        before = len(self.samples)
-        self.samples = self.samples[0:half:2] + self.samples[half:]
-        dropped = before - len(self.samples)
+        times, values = self.columns
+        half = len(times) // 2
+        self.columns = (
+            times[0:half:2] + times[half:], values[0:half:2] + values[half:]
+        )
+        dropped = len(times) - len(self.columns[0])
         self.compactions += 1
         self.points_dropped += dropped
         return dropped
@@ -147,30 +177,29 @@ class Series:
     # ------------------------------------------------------------------
     def latest(self, at: float, staleness: float) -> Optional[Sample]:
         """The newest sample with ``t <= at`` and ``t > at - staleness``."""
+        times, values = self.columns
         if self.ordered:
-            index = bisect_right(self.samples, at, key=_sample_time) - 1
-            if index >= 0 and self.samples[index][0] > at - staleness:
-                return self.samples[index]
-            return None
-        for t, value in reversed(self.samples):
-            if t <= at:
-                if t > at - staleness:
-                    return (t, value)
-                return None
+            index = bisect_right(times, at) - 1
+        else:
+            index = len(times) - 1
+            while index >= 0 and not times[index] <= at:
+                index -= 1
+        if index >= 0 and times[index] > at - staleness:
+            return (times[index], values[index])
         return None
 
-    def window(self, at: float, duration: float) -> List[Sample]:
-        """Samples with ``at - duration < t <= at``, oldest first."""
-        samples = self.samples
+    def window(
+        self, at: float, duration: float
+    ) -> Tuple[List[float], List[float]]:
+        """The ``(times, values)`` columns of the samples with
+        ``at - duration < t <= at``, oldest first."""
+        times, values = self.columns
         if self.ordered:
-            end = bisect_right(samples, at, key=_sample_time)
-            start = bisect_right(samples, at - duration, 0, end, key=_sample_time)
-            return samples[start:end]
-        return [
-            (t, value)
-            for t, value in self.samples
-            if at - duration < t <= at
-        ]
+            end = bisect_right(times, at)
+            start = bisect_right(times, at - duration, 0, end)
+            return times[start:end], values[start:end]
+        keep = [i for i, t in enumerate(times) if at - duration < t <= at]
+        return [times[i] for i in keep], [values[i] for i in keep]
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -178,13 +207,13 @@ class Series:
             "labels": [list(pair) for pair in self.labels],
             "source": self.source,
             "compactions": self.compactions,
-            "samples": [[t, value] for t, value in self.samples],
+            "samples": [list(pair) for pair in zip(*self.columns)],
         }
 
     def __repr__(self) -> str:
         return (
             f"Series({self.name!r}, labels={dict(self.labels)!r}, "
-            f"n={len(self.samples)})"
+            f"n={len(self.columns[0])})"
         )
 
 
@@ -230,9 +259,11 @@ class TimeSeriesDB:
         self._registry: Optional[Any] = None
         self._events: Optional[Any] = None
         self._profiler: Optional[Any] = None
-        #: The registry snapshot's ``(series, instrument)`` pairs, valid
-        #: while the bound registry's generation holds.
-        self._snapshot: List[Tuple[Series, Any]] = []
+        #: The registry snapshot's bindings, valid while the bound
+        #: registry's generation holds: instrument ``i`` is sampled
+        #: into series ``i``.
+        self._snapshot_series: Tuple[Series, ...] = ()
+        self._snapshot_instruments: Tuple[Any, ...] = ()
         self._snapshot_generation: Optional[int] = None
         self._event_series: Tuple[Series, ...] = ()
         self._last_tick = float("-inf")
@@ -296,12 +327,13 @@ class TimeSeriesDB:
         retention = self.retention
         appended = 0
         for series, value in points:
-            samples = series.samples
-            if samples and not t >= samples[-1][0]:
+            times, values = series.columns
+            if times and not t >= times[-1]:
                 series.ordered = False
-            samples.append((t, float(value)))
+            values.append(float(value))
+            times.append(t)
             appended += 1
-            if len(samples) > retention:
+            if len(times) > retention:
                 dropped = series._compact()
                 if dropped:
                     self.compactions_total += 1
@@ -368,21 +400,27 @@ class TimeSeriesDB:
         span timings and the event stats :meth:`_tick_events` records)
         into a ``source="registry"`` series.  The bindings are rebuilt
         only when the registry gained a family or child since the last
-        tick."""
+        tick; until then each tick reads the bound instruments straight
+        into their series."""
         registry = self._registry
         if registry is None or not getattr(registry, "enabled", False):
             return
         generation = registry.generation
         if generation == self._snapshot_generation:
             self.append_at(
-                t, [(series, each._value) for series, each in self._snapshot]
+                t,
+                zip(
+                    self._snapshot_series,
+                    map(_instrument_value, self._snapshot_instruments),
+                ),
             )
             return
         # Read before the walk: a family or child created during it (a
         # scrape thread folding profiler counters) still forces the
         # next tick to rebind.
         self._snapshot_generation = generation
-        snapshot: List[Tuple[Series, Any]] = []
+        bound_series: List[Series] = []
+        instruments: List[Any] = []
         for family in registry.collect():
             name = family.name
             if (
@@ -396,9 +434,12 @@ class TimeSeriesDB:
                 for key, child in list(family._children.items())
             ]
             for labels, each in bound:
-                series = self.append(name, labels, t, each._value, "registry")
-                snapshot.append((series, each))
-        self._snapshot = snapshot
+                bound_series.append(
+                    self.append(name, labels, t, each._value, "registry")
+                )
+                instruments.append(each)
+        self._snapshot_series = tuple(bound_series)
+        self._snapshot_instruments = tuple(instruments)
 
     def _tick_profiler(self, t: float) -> None:
         """Per-period snapshot of the bound profiler's per-stage cost:
@@ -448,7 +489,7 @@ class TimeSeriesDB:
         occupancy number the resource ledger tracks against retention
         (``samples_appended`` only ever grows; this is the bounded
         figure that must flatten out)."""
-        return sum(len(series.samples) for series in self._series.values())
+        return sum(len(series.times) for series in self._series.values())
 
     def watermarks(self) -> List[float]:
         """Every distinct sample time, ascending — the replay grid
@@ -456,15 +497,15 @@ class TimeSeriesDB:
         times = {
             t
             for series in self._series.values()
-            for t, _value in series.samples
+            for t in series.times
         }
         return sorted(times)
 
     def last_time(self) -> Optional[float]:
         newest = None
         for series in self._series.values():
-            if series.samples:
-                t = series.samples[-1][0]
+            if series.times:
+                t = series.times[-1]
                 if newest is None or t > newest:
                     newest = t
         return newest
@@ -511,10 +552,15 @@ class TimeSeriesDB:
                 series = self._add_series(key, entry.get("source", "feed"))
             for t, value in entry.get("samples", ()):
                 self.append_at(t, ((series, value),))
-            # Stable sort: new samples interleave by logical time, with
+            # One stable sort of the positions by time reorders both
+            # columns: new samples interleave by logical time, with
             # earlier-merged shards winning ties — deterministic for a
             # fixed merge order.
-            series.samples.sort(key=_sample_time)
+            times, values = series.columns
+            order = sorted(range(len(times)), key=times.__getitem__)
+            series.columns = (
+                [times[i] for i in order], [values[i] for i in order]
+            )
             series.ordered = True
 
     # ------------------------------------------------------------------
@@ -535,10 +581,6 @@ class TimeSeriesDB:
         """
         compiled = isinstance(expr, Query)
         parsed = expr if compiled else parse_query(expr)
-        if at is None:
-            at = self.last_time()
-            if at is None:
-                return []
         selector = parsed.selector
         if not compiled:
             selected = selector.select(self)
@@ -548,6 +590,12 @@ class TimeSeriesDB:
             selected = selections.get(selector)
             if selected is None:
                 selected = selections[selector] = selector.select(self)
+        if not selected:
+            return []
+        if at is None:
+            at = self.last_time()
+            if at is None:
+                return []
         return parsed.over(selected, float(at), self.staleness)
 
 
@@ -725,7 +773,11 @@ class _Selector:
         ]
 
 
-_RANGE_FUNCS: Dict[str, Callable[[List[Sample], float], Optional[float]]] = {}
+#: A range function reduces a window's ``(times, values)`` columns to
+#: one value, or None when the window is too short for it.
+_RangeFunc = Callable[[List[float], List[float]], Optional[float]]
+
+_RANGE_FUNCS: Dict[str, _RangeFunc] = {}
 
 
 def _range_func(name: str):
@@ -737,62 +789,45 @@ def _range_func(name: str):
 
 
 @_range_func("rate")
-def _rate(samples: List[Sample], duration: float) -> Optional[float]:
-    if len(samples) < 2:
+def _rate(times: List[float], values: List[float]) -> Optional[float]:
+    if len(times) < 2 or times[-1] <= times[0]:
         return None
-    (t0, v0), (t1, v1) = samples[0], samples[-1]
-    if t1 <= t0:
-        return None
-    return (v1 - v0) / (t1 - t0)
+    return (values[-1] - values[0]) / (times[-1] - times[0])
 
 
 @_range_func("increase")
-def _increase(samples: List[Sample], duration: float) -> Optional[float]:
-    if len(samples) < 2:
-        return None
-    return samples[-1][1] - samples[0][1]
+def _increase(times: List[float], values: List[float]) -> Optional[float]:
+    return values[-1] - values[0] if len(values) >= 2 else None
 
 
 @_range_func("avg_over_time")
-def _avg(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return sum(value for _t, value in samples) / len(samples)
+def _avg(times: List[float], values: List[float]) -> Optional[float]:
+    return sum(values) / len(values) if values else None
 
 
 @_range_func("max_over_time")
-def _max(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return max(value for _t, value in samples)
+def _max(times: List[float], values: List[float]) -> Optional[float]:
+    return max(values) if values else None
 
 
 @_range_func("min_over_time")
-def _min(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return min(value for _t, value in samples)
+def _min(times: List[float], values: List[float]) -> Optional[float]:
+    return min(values) if values else None
 
 
 @_range_func("sum_over_time")
-def _sum(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return sum(value for _t, value in samples)
+def _sum(times: List[float], values: List[float]) -> Optional[float]:
+    return sum(values) if values else None
 
 
 @_range_func("count_over_time")
-def _count(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return float(len(samples))
+def _count(times: List[float], values: List[float]) -> Optional[float]:
+    return float(len(values)) if values else None
 
 
 @_range_func("last_over_time")
-def _last(samples: List[Sample], duration: float) -> Optional[float]:
-    if not samples:
-        return None
-    return samples[-1][1]
+def _last(times: List[float], values: List[float]) -> Optional[float]:
+    return values[-1] if values else None
 
 
 _COMPARATORS: Dict[str, Callable[[float, float], bool]] = {
@@ -851,7 +886,7 @@ class Query:
         results: List[Dict[str, Any]] = []
         for series in selected:
             if range_fn is not None:
-                value = range_fn(series.window(at, duration), duration)
+                value = range_fn(*series.window(at, duration))
             else:
                 sample = series.latest(at, staleness)
                 value = None if sample is None else sample[1]

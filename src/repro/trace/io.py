@@ -9,6 +9,7 @@ JSONL convenience codec is provided here for debugging and diffing.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import List, Tuple, Union
 
@@ -24,6 +25,9 @@ __all__ = [
 ]
 
 _FORMAT_VERSION = 1
+
+#: Header keys :func:`load_count_trace` cannot do without.
+_REQUIRED_HEADER_KEYS = ("name", "duration", "bidirectional", "period")
 
 
 def save_count_trace(trace: CountTrace, path: Union[str, Path]) -> None:
@@ -48,7 +52,13 @@ def save_count_trace(trace: CountTrace, path: Union[str, Path]) -> None:
 
 
 def load_count_trace(path: Union[str, Path]) -> CountTrace:
-    """Read a count trace written by :func:`save_count_trace`."""
+    """Read a count trace written by :func:`save_count_trace`.
+
+    Raises ValueError on any malformed input: a bad count line, a
+    missing or foreign-version header, a header without one of
+    ``name``/``duration``/``bidirectional``/``period``, a ``period``
+    that is not a finite number > 0, or a ``duration`` that is not a
+    finite number >= 0."""
     path = Path(path)
     header = None
     counts: List[Tuple[int, int]] = []
@@ -73,15 +83,31 @@ def load_count_trace(path: Union[str, Path]) -> CountTrace:
         raise ValueError(
             f"unsupported trace format version: {header.get('format_version')}"
         )
+    missing = [key for key in _REQUIRED_HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    period = _header_number(header, "period")
+    # CountTrace itself refuses a period that is not finite and > 0.
+    duration = _header_number(header, "duration")
+    if not (0.0 <= duration < math.inf):
+        raise ValueError(f"duration must be finite and >= 0: {duration!r}")
     metadata = TraceMetadata(
         name=header["name"],
-        duration=header["duration"],
+        duration=duration,
         bidirectional=header["bidirectional"],
         description=header.get("description", ""),
         site=header.get("site", ""),
         seed=header.get("seed"),
     )
-    return CountTrace(metadata=metadata, period=header["period"], counts=tuple(counts))
+    return CountTrace(metadata=metadata, period=period, counts=tuple(counts))
+
+
+def _header_number(header: dict, key: str) -> float:
+    """``header[key]`` if it is an int or float (not a bool)."""
+    value = header[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number: {value!r}")
+    return value
 
 
 def _packet_to_record(packet: Packet, direction: str) -> dict:

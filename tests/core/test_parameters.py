@@ -120,6 +120,13 @@ class TestCoverageBound:
         with pytest.raises(ValueError):
             DEFAULT_PARAMETERS.max_hidden_sources(0.0, 100.0)
 
+    @pytest.mark.parametrize("k_bar", [1e-320, 5e-324])
+    def test_underflowing_floor_has_no_finite_count(self, k_bar):
+        # f_min is subnormal (1e-320) or rounds to 0.0 (5e-324), so
+        # V / f_min is infinite, not an integer.
+        with pytest.raises(ValueError, match="no finite source count"):
+            DEFAULT_PARAMETERS.max_hidden_sources(14000.0, k_bar)
+
 
 class TestValidation:
     def test_drift_must_exceed_mean(self):

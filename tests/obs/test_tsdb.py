@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.syndog import SynDog
+from repro.obs.alerts import builtin_rules
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.runtime import enabled_instrumentation
 from repro.obs.tsdb import (
@@ -455,8 +456,8 @@ class TestBisectedWindowDifferential:
             assert series.ordered
         if kind == "compacted" and len(samples) > 8:
             assert series.compactions >= 1
-        assert series.window(at, float(duration)) == reference_window(
-            series, at, float(duration)
+        assert list(zip(*series.window(at, float(duration)))) == (
+            reference_window(series, at, float(duration))
         )
         assert series.latest(at, tsdb.staleness) == reference_latest(
             series, at, tsdb.staleness
@@ -501,11 +502,11 @@ class TestBisectedWindowDifferential:
         feed(tsdb, "y", [(20.0, 1.0), (60.0, 3.0), (40.0, 2.0)])
         (series,) = tsdb.series("y")
         assert not series.ordered
-        assert series.window(60.0, 30.0) == [(60.0, 3.0), (40.0, 2.0)]
+        assert series.window(60.0, 30.0) == ([60.0, 40.0], [3.0, 2.0])
         merged = merge_tsdb(TimeSeriesDB(), [tsdb.to_dict()])
         (restored,) = merged.series("y")
         assert restored.ordered
-        assert restored.window(60.0, 30.0) == [(40.0, 2.0), (60.0, 3.0)]
+        assert restored.window(60.0, 30.0) == ([40.0, 60.0], [2.0, 3.0])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -532,3 +533,74 @@ class TestBisectedWindowDifferential:
             assert [(s.name, s.labels) for s in tsdb.series(name)] == [
                 key for key in keys if key[0] == name
             ]
+
+
+class TupleRing:
+    """The store's series as one list of ``(t, v)`` tuples: the model
+    the two-column :class:`~repro.obs.tsdb.Series` must match."""
+
+    def __init__(self, retention):
+        self.retention = retention
+        self.samples = []
+        self.ordered = True
+        self.compactions = 0
+
+    def append(self, t, value):
+        if self.samples and not t >= self.samples[-1][0]:
+            self.ordered = False
+        self.samples.append((float(t), float(value)))
+        if len(self.samples) > self.retention:
+            half = len(self.samples) // 2
+            self.samples = self.samples[0:half:2] + self.samples[half:]
+            self.compactions += 1
+
+    def merge(self, samples):
+        for t, value in samples:
+            self.append(t, value)
+        self.samples.sort(key=lambda sample: sample[0])
+        self.ordered = True
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), grid_times, st.integers(-50, 50)),
+        st.tuples(st.just("merge"), sample_lists),
+    ),
+    min_size=1, max_size=40,
+)
+
+
+class TestColumnarSeries:
+    @settings(max_examples=200, deadline=None)
+    @given(ops=operations, retention=st.sampled_from((8, 9, 16)))
+    def test_columns_match_a_tuple_ring(self, ops, retention):
+        tsdb = TimeSeriesDB(retention=retention)
+        model = TupleRing(retention)
+        for op in ops:
+            if op[0] == "append":
+                tsdb.append("y", None, op[1], op[2])
+                model.append(op[1], op[2])
+            else:
+                tsdb.merge_from({"series": [{
+                    "name": "y", "labels": [],
+                    "samples": [list(sample) for sample in op[1]],
+                }]})
+                model.merge(op[1])
+            (series,) = tsdb.series("y")
+            assert series.times == [t for t, _ in model.samples]
+            assert series.values == [v for _, v in model.samples]
+            assert series.samples == model.samples
+            assert series.ordered == model.ordered
+            assert series.compactions == model.compactions
+            assert tsdb.points_retained() == len(model.samples)
+
+    def test_enabled_bundle_records_equal_a_bare_detector(self):
+        counts = [(100 + 7 * (i % 5), 100) for i in range(300)]
+        counts[200:] = [(syn + 400, synack) for syn, synack in counts[200:]]
+        bare = SynDog(name="dog").observe_counts(counts)
+        obs = enabled_instrumentation(
+            tsdb_retention=16, alert_rules=builtin_rules()
+        )
+        live = SynDog(obs=obs, name="dog").observe_counts(counts)
+        assert live.alarmed
+        assert live == bare

@@ -252,6 +252,44 @@ class TestSelectionCache:
         assert errors == []
         assert seen == list(range(1, agents + 1))
 
+    def test_reader_threads_see_aligned_columns(self):
+        # The live server reads series without a lock while the detector
+        # appends and compacts; every read must pair each time with its
+        # own value.  Three readers and a writer outnumber the cores.
+        store = TimeSeriesDB(retention=8)
+        series = store.append("y", None, 0.0, 0.0)
+        done = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not done.is_set():
+                    times, values = series.window(1e9, 2e9)
+                    if values != [2.0 * t for t in times]:
+                        errors.append(("window", times, values))
+                    latest = series.latest(1e9, 2e9)
+                    if latest is not None and latest[1] != 2.0 * latest[0]:
+                        errors.append(("latest", latest))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(3)]
+        try:
+            for reader in readers:
+                reader.start()
+            for step in range(1, 20_000):
+                store.append_at(float(step), ((series, 2.0 * step),))
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10.0)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert series.compactions > 1000
+
     def test_a_new_series_clears_the_cache(self):
         store = TimeSeriesDB()
         store.append("y", {"agent": "a"}, 20.0, 1.0)

@@ -2,6 +2,8 @@
 malformed input also through ``python -m repro``, to see the exit code
 and stderr a user sees."""
 
+import json
+
 import pytest
 
 from repro.cli import EXIT_ALARM, EXIT_OK, main
@@ -316,6 +318,72 @@ class TestOptionDomains:
         err = capsys.readouterr().err
         assert err.startswith("detect: bad count trace ")
         assert "period must be finite and positive: nan" in err
+
+
+class TestMalformedCountTrace:
+    """A count trace with a bad header or line is one ``bad count
+    trace`` line and exit 64 from every command that reads one."""
+
+    @staticmethod
+    def _broken(source, target, how):
+        lines = source.read_text().splitlines()
+        header = json.loads(lines[0].lstrip("#"))
+        if how == "bad-line":
+            lines.append("90,abc,3")
+        elif how.startswith(("text-", "null-")):
+            kind, key = how.split("-", 1)
+            header[key] = "x" if kind == "text" else None
+        else:
+            del header[how.split("-", 1)[1]]
+        if how != "bad-line":
+            lines[0] = "# " + json.dumps(header)
+        target.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("command", ["detect", "observe", "attack"])
+    @pytest.mark.parametrize("how", [
+        "no-period", "no-name", "no-duration", "no-bidirectional",
+        "text-period", "text-duration", "null-duration", "bad-line",
+    ])
+    def test_is_one_line_and_usage_exit(
+        self, command, how, background_csv, tmp_path
+    ):
+        from repro.cli import EXIT_USAGE
+
+        broken = tmp_path / "broken.csv"
+        self._broken(background_csv, broken, how)
+        if command == "detect":
+            argv = ["detect", "--counts", str(broken)]
+        elif command == "observe":
+            argv = ["observe", "--trace", str(broken)]
+        else:
+            argv = ["attack", "--counts", str(broken), "--rate", "5",
+                    "--out", str(tmp_path / "mixed.csv")]
+        proc = run_repro(argv, cwd=tmp_path)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith(f"{command}: bad count trace ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+        if how.startswith("no-"):
+            assert proc.stderr.endswith(
+                f"header lacks {how.split('-', 1)[1]}\n"
+            )
+        assert not (tmp_path / "mixed.csv").exists()
+
+
+class TestTheoryUnderflow:
+    @pytest.mark.parametrize("k_bar", ["1e-320", "5e-324"])
+    def test_tiny_k_bar_is_one_line_and_usage_exit(self, k_bar):
+        from repro.cli import EXIT_USAGE
+
+        proc = run_repro(["theory", "--k-bar", k_bar])
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("theory: no finite source count")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    def test_small_k_bar_still_reports(self, capsys):
+        assert main(["theory", "--k-bar", "1e-300"]) == EXIT_OK
+        assert "max hidden stub networks" in capsys.readouterr().out
 
 
 class TestForensicReport:

@@ -23,6 +23,12 @@ speed.  A generator's output is a function of its seed and of the exact
 order of its ``random()`` draws, so these digests hold the draw order
 itself; they run in-process, since trace generation keeps no
 process-wide state.
+
+The telemetry-store pins (``TSDB_DOCUMENT_SHA256``,
+``LIVE_ALERTS_SHA256``) were recorded before the store's series moved
+from a list of ``(t, v)`` tuples to two columns and the live alert pass
+was trimmed.  They cover the registry snapshot series and retention
+compaction of every series, which the CLI pins above do not reach.
 """
 
 import hashlib
@@ -30,7 +36,12 @@ import json
 
 import pytest
 
+from repro.attack.flooder import FloodSource
 from repro.cli import EXIT_ALARM, EXIT_OK
+from repro.core.syndog import SynDog
+from repro.obs.alerts import builtin_rules
+from repro.obs.runtime import enabled_instrumentation
+from repro.trace.mixer import AttackWindow, mix_flood_into_counts
 from repro.trace.io import save_packet_trace_jsonl
 from repro.trace.profiles import SITE_PROFILES
 from repro.trace.synthetic import generate_count_trace, generate_packet_trace
@@ -101,6 +112,16 @@ COUNT_TRACE_SHA256 = {
 #: duration=120.0)``: its arrival instants come from ``counts``.
 PACKET_TRACE_SHA256 = (
     "902559fbd33bb22ce9eab60d0ea4d69f1714a1333f308417479c46b265ea0b14"
+)
+
+#: sha256 of the live TSDB's ``to_dict()`` (registry series included)
+#: and of the live alerts document, as sorted compact JSON, after
+#: :func:`test_live_tsdb_and_alerts_documents_are_pinned`'s run.
+TSDB_DOCUMENT_SHA256 = (
+    "83548b5efefb17699b366a6b61282127bb7689c3e0c58406c38165c1b26130cc"
+)
+LIVE_ALERTS_SHA256 = (
+    "e38ba5ee899ae972b15c7fec04ea791c34844a9a9c3855e166cecb3818d9e063"
 )
 
 
@@ -237,3 +258,34 @@ def test_packet_trace_is_pinned(tmp_path):
         generate_packet_trace(SITE_PROFILES["unc"], 1, duration=120.0), out
     )
     assert _sha256(out) == PACKET_TRACE_SHA256
+
+
+def _json_sha256(document):
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_live_tsdb_and_alerts_documents_are_pinned():
+    background = generate_count_trace(
+        SITE_PROFILES["auckland"], 7, duration=7200.0
+    )
+    mixed = mix_flood_into_counts(
+        background, FloodSource(pattern=5.0), AttackWindow(3600.0, 3600.0)
+    )
+    obs = enabled_instrumentation(
+        tsdb_retention=64, alert_rules=builtin_rules()
+    )
+    dog = SynDog(obs=obs, name="pinned")
+    assert dog.observe_counts(mixed.counts).alarmed
+    obs.alerts.close()
+    tsdb = obs.tsdb.to_dict()
+    assert {series["source"] for series in tsdb["series"]} == {
+        "feed", "registry",
+    }
+    assert all(series["compactions"] >= 1 for series in tsdb["series"])
+    assert _json_sha256(tsdb) == TSDB_DOCUMENT_SHA256
+    alerts = obs.alerts.to_dict()
+    assert [entry["to"] for entry in alerts["transitions"]] == [
+        "pending", "firing", "resolved",
+    ]
+    assert _json_sha256(alerts) == LIVE_ALERTS_SHA256

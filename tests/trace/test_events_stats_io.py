@@ -1,5 +1,6 @@
 """Tests for trace containers, statistics helpers, and persistence."""
 
+import json
 import math
 
 import pytest
@@ -195,6 +196,33 @@ class TestIO:
                         '"bidirectional": false, "period": 20.0}\n0,1\n')
         with pytest.raises(ValueError):
             load_count_trace(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ({"duration": 20.0, "bidirectional": False, "period": 20.0},
+         "header lacks name"),
+        ({"name": "x", "bidirectional": False}, "header lacks duration, period"),
+        ({"name": "x", "duration": 20.0, "bidirectional": False,
+          "period": "20"}, "period must be a number: '20'"),
+        ({"name": "x", "duration": 20.0, "bidirectional": False,
+          "period": True}, "period must be a number: True"),
+        ({"name": "x", "duration": 20.0, "bidirectional": False,
+          "period": -20.0}, "period must be finite and positive: -20.0"),
+        ({"name": "x", "duration": "x", "bidirectional": False,
+          "period": 20.0}, "duration must be a number: 'x'"),
+        ({"name": "x", "duration": None, "bidirectional": False,
+          "period": 20.0}, "duration must be a number: None"),
+        ({"name": "x", "duration": -1.0, "bidirectional": False,
+          "period": 20.0}, "duration must be finite and >= 0: -1.0"),
+        ({"name": "x", "duration": float("inf"), "bidirectional": False,
+          "period": 20.0}, "duration must be finite and >= 0: inf"),
+    ])
+    def test_count_load_rejects_bad_header(self, tmp_path, header, message):
+        path = tmp_path / "bad.csv"
+        header = {"format_version": 1, **header}
+        path.write_text(f"# {json.dumps(header)}\n0,1,2\n")
+        with pytest.raises(ValueError) as raised:
+            load_count_trace(path)
+        assert str(raised.value) == message
 
     def test_packet_jsonl_round_trip(self, tmp_path):
         trace = generate_packet_trace(HARVARD, seed=1, duration=30.0)
