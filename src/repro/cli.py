@@ -46,7 +46,9 @@ trace, epochs dividing a day).
 from __future__ import annotations
 
 import argparse
+import importlib
 import math
+import os
 import sys
 from contextlib import contextmanager
 from typing import (
@@ -55,7 +57,6 @@ from typing import (
 )
 
 from .core.parameters import DEFAULT_PARAMETERS, SynDogParameters
-from .trace.profiles import SITE_PROFILES, get_profile
 
 __all__ = ["main", "build_parser"]
 
@@ -91,10 +92,34 @@ _count = _domain(int, lambda v: v >= 1, "an integer >= 1")
 _natural = _domain(int, lambda v: v >= 0, "an integer >= 0")
 _port = _domain(int, lambda v: 0 <= v <= 65535, "a port in 0-65535")
 
+
+class _Names:
+    """An option's ``choices``: the keys of *table* in *module*, read on
+    first use (a value to check, ``--help``, a usage error), so building
+    the parser loads none of the models behind the names.  The option
+    needs a ``metavar``: without one argparse lists the choices in the
+    usage line as soon as the option is added."""
+
+    def __init__(self, module: str, table: str) -> None:
+        self._module, self._table = module, table
+
+    def _names(self) -> List[str]:
+        module = importlib.import_module(self._module, __package__)
+        return sorted(getattr(module, self._table))
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names())
+
+
 #: Flags several subcommands share, declared once: name -> (flags, spec).
 _SHARED: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
-    "site": (("--site",), dict(choices=sorted(SITE_PROFILES),
-                               default="auckland")),
+    "site": (("--site",), dict(
+        choices=_Names(".trace.profiles", "SITE_PROFILES"),
+        default="auckland", metavar="SITE",
+        help="site profile: %(choices)s (default %(default)s)")),
     "seed": (("--seed",), dict(type=int, default=0,
                                help="root seed (default %(default)s): the "
                                     "same seed gives byte-identical output")),
@@ -359,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--sample", type=_count, default=6,
                           help="networks actually simulated (uniform sample)")
 
-    from .faults.schedule import BUILTIN_SCHEDULES, DEFAULT_SCHEDULE
-
     chaos = sub.add_parser(
         "chaos",
         parents=[_shared("site", "seed", "workers", "out", "metrics-out",
@@ -368,10 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fault-injection campaign and assert the "
              "degradation envelope (baseline vs faulted detection)",
     )
-    chaos.add_argument("--schedule", choices=sorted(BUILTIN_SCHEDULES),
-                       default=DEFAULT_SCHEDULE,
-                       help=f"built-in fault schedule "
-                            f"(default {DEFAULT_SCHEDULE})")
+    chaos.add_argument("--schedule",
+                       choices=_Names(".faults.schedule", "BUILTIN_SCHEDULES"),
+                       metavar="NAME",
+                       help="built-in fault schedule: %(choices)s (default: "
+                            "the campaign's, lossy-crash)")
     chaos.add_argument("--rate", type=_non_negative, default=5.0,
                        help="flood SYN/s mixed into the background")
     chaos.add_argument("--attack-start", type=_non_negative, default=360.0,
@@ -616,6 +640,11 @@ def _fired(alerts_doc: dict) -> List[str]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
+    # Set before anything imports numpy.  Only the pcap fastpath uses
+    # numpy, for column work (bincount, searchsorted, cumsum) that never
+    # calls BLAS, yet OpenBLAS starts a thread per core at import, about
+    # half of numpy's import time.  A value the caller set wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exit_:  # --help exits 0; a usage error is 64
@@ -643,6 +672,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 def _cmd_generate(args: argparse.Namespace, obs: Any) -> Outcome:
     from .trace.io import save_count_trace
+    from .trace.profiles import get_profile
     from .trace.synthetic import generate_count_trace, generate_packet_trace
 
     profile = get_profile(args.site)
@@ -1104,7 +1134,7 @@ def _cmd_chaos(args: argparse.Namespace, obs: Any) -> Outcome:
     report = run_chaos_campaign(
         site=args.site,
         seed=args.seed,
-        schedule=get_schedule(args.schedule),
+        schedule=get_schedule(args.schedule) if args.schedule else None,
         rate=args.rate,
         attack_start=args.attack_start,
         attack_duration=args.attack_duration,
@@ -1250,6 +1280,7 @@ def _cmd_campaign(args: argparse.Namespace, obs: Any) -> Outcome:
     from .experiments.campaign import simulate_campaign
     from .experiments.export import campaign_result_to_dict
     from .packet.addresses import IPv4Address
+    from .trace.profiles import get_profile
 
     profile = get_profile(args.site)
     campaign = DDoSCampaign.evenly_distributed(
@@ -1294,6 +1325,7 @@ def _cmd_sensitivity(args: argparse.Namespace, obs: Any) -> Outcome:
     from .experiments.export import sensitivity_cells_to_dict
     from .experiments.report import render_table
     from .experiments.sensitivity import recommend_parameters, sweep_parameters
+    from .trace.profiles import get_profile
 
     profile = get_profile(args.site)
     cells = sweep_parameters(
@@ -1388,6 +1420,7 @@ def _cmd_profile(args: argparse.Namespace, obs: Any) -> Outcome:
         run_profile_campaign,
     )
     from .obs.profiler import write_callgrind, write_folded
+    from .trace.profiles import get_profile
 
     baseline = _load_profile_baseline(args.baseline) if args.baseline else {}
     site = get_profile(args.site)

@@ -14,11 +14,13 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.classify import PacketClass, classify_packet
-from ..packet.packet import Packet
+
+if TYPE_CHECKING:
+    from ..packet.packet import Packet
 
 __all__ = [
     "Direction",

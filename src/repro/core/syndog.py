@@ -22,15 +22,19 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, NamedTuple, Optional, Sequence,
+    Tuple,
+)
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
-from ..obs.tsdb import TrajectoryWriter
-from ..packet.packet import Packet
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
 from .sniffer import CountExchange, PeriodReport
+
+if TYPE_CHECKING:
+    from ..packet.packet import Packet
 
 __all__ = ["SynDog", "DetectionRecord", "DetectionResult", "CHECKPOINT_VERSION"]
 
@@ -232,9 +236,11 @@ class SynDog:
         self._events = obs.events if obs.events.enabled else None
         self._recorder = obs.recorder if obs.recorder.enabled else None
         self._tsdb = obs.tsdb if obs.tsdb.enabled else None
-        self._trajectory = (
-            TrajectoryWriter(obs.tsdb, self.name) if obs.tsdb.enabled else None
-        )
+        self._trajectory = None
+        if obs.tsdb.enabled:  # with obs off, no obs implementation loads
+            from ..obs.tsdb import TrajectoryWriter
+
+            self._trajectory = TrajectoryWriter(obs.tsdb, self.name)
         self._alerts = obs.alerts if obs.alerts.enabled else None
         # Per-period stage: always timed in timers mode (sample_every=1)
         # — period cadence is t0 = 20 s, clocks here are cheap.

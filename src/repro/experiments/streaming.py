@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import heapq
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import DetectionResult, SynDog
 from ..obs.runtime import Instrumentation
-from ..packet.packet import Packet
-from ..pcap.reader import PcapReader
+
+if TYPE_CHECKING:
+    from ..packet.packet import Packet
 
 __all__ = [
     "detect_from_pcaps",
@@ -92,6 +93,7 @@ def counts_from_pcaps(
             outbound_path, inbound_path, period=period, name=name
         )
     from ..core.sniffer import CountExchange
+    from ..pcap.reader import PcapReader
     from ..trace.events import CountTrace, TraceMetadata
 
     exchange = CountExchange(observation_period=period)
@@ -150,6 +152,8 @@ def detect_from_pcaps(
         return detect_from_pcaps_fast(
             outbound_path, inbound_path, parameters=parameters, obs=obs
         )
+    from ..pcap.reader import PcapReader
+
     detector = SynDog(parameters=parameters, obs=obs)
     with PcapReader.open(outbound_path) as outbound_reader, \
             PcapReader.open(inbound_path) as inbound_reader:

@@ -24,6 +24,10 @@ Modules
 ``runtime``
     The :class:`Instrumentation` bundle, the process-wide default, and
     the ``instrumented(...)`` scope manager.
+``null``
+    The six disabled components the default bundle holds, in
+    standard-library code: with obs off, this and ``runtime`` are all
+    of the package a process loads.
 ``recorder``
     The per-agent flight recorder: detector-state ring buffers and
     self-describing ``alarm_context`` events.

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
 
 from .tsdb import TimeSeriesDB, parse_query
+from .null import NullAlertManager
 
 __all__ = [
     "AlertRule",
@@ -382,47 +383,6 @@ class AlertManager:
             f"AlertManager(rules={len(self._rules)}, "
             f"firing={self.firing()}, transitions={len(self.transitions)})"
         )
-
-
-class NullAlertManager:
-    """The disabled default: no rules, no state, no cost."""
-
-    enabled = False
-    closed = False
-    evaluations = 0
-    transitions: List[Dict[str, Any]] = []
-    contexts: Deque[Dict[str, Any]] = deque()
-
-    @property
-    def rules(self) -> List[AlertRule]:
-        return []
-
-    def bind(self, tsdb=None, events=None, recorder=None) -> None:
-        pass
-
-    def subscribe(self, callback: Any) -> None:
-        pass
-
-    def add_rule(self, rule: AlertRule) -> None:
-        raise ValueError(
-            "cannot add rules to the null alert manager; build an "
-            "AlertManager (e.g. enabled_instrumentation(alert_rules=...))"
-        )
-
-    def firing(self) -> List[str]:
-        return []
-
-    def pending(self) -> List[str]:
-        return []
-
-    def evaluate(self, t: float) -> List[Dict[str, Any]]:
-        return []
-
-    def close(self, t: Optional[float] = None) -> List[Dict[str, Any]]:
-        return []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"enabled": False}
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,8 @@ import json
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Union
 
+from .null import NullEventLog
+
 __all__ = [
     "EventLog",
     "JsonlSink",
@@ -131,27 +133,6 @@ class EventLog:
     def close(self) -> None:
         for sink in self._sinks:
             sink.close()
-
-
-class NullEventLog:
-    """Disabled event log: ``emit`` does nothing and returns nothing."""
-
-    enabled = False
-    events_emitted = 0
-    dropped = 0
-
-    def emit(self, kind: str, **fields: Any) -> None:
-        return None
-
-    def sinks(self) -> List[Any]:
-        return []
-
-    def add_sink(self, sink: Any) -> None:
-        raise ValueError("cannot attach a sink to the null event log; "
-                         "build an enabled Instrumentation instead")
-
-    def close(self) -> None:
-        pass
 
 
 def read_jsonl(path: PathLike) -> List[Event]:

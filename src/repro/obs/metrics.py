@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .null import NullRegistry
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -371,60 +373,3 @@ class MetricsRegistry:
 
     def __len__(self) -> int:
         return len(self._families)
-
-
-class _NullInstrument:
-    """Absorbs every instrument operation; ``labels`` returns itself so
-    pre-binding code needs no special-casing."""
-
-    __slots__ = ()
-
-    def labels(self, *values: object, **kwargs: object) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> None:
-        return None
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The default, disabled registry: every factory hands back one
-    shared no-op instrument and :attr:`enabled` is False, which lets
-    instrumented components skip binding entirely."""
-
-    enabled = False
-
-    def counter(self, name, help="", labelnames=()):  # noqa: D401
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name, help="", labelnames=()):
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name, help="", labelnames=(), buckets=()):
-        return _NULL_INSTRUMENT
-
-    def collect(self) -> List[_Family]:
-        return []
-
-    def get(self, name: str) -> None:
-        return None
-
-    def __contains__(self, name: str) -> bool:
-        return False
-
-    def __len__(self) -> int:
-        return 0

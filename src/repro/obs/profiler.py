@@ -53,6 +53,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
+from .null import NullProfiler
+
 
 def allocation_count() -> int:
     """The GC's generation-0 allocation count — the O(1) allocation
@@ -369,65 +371,6 @@ class Profiler:
             entry = snapshot[name]
             for field in _SNAPSHOT_FIELDS:
                 setattr(handle, field, getattr(handle, field) + int(entry.get(field, 0)))
-
-
-class _NullStageHandle:
-    """Inert stage handle; every operation is a no-op."""
-
-    __slots__ = ()
-
-    def sample(self) -> bool:
-        return False
-
-    def add(self, packets: int = 1, nbytes: int = 0) -> None:
-        pass
-
-    def add_timed(self, wall_ns, cpu_ns, allocs, packets=1, nbytes=0) -> None:
-        pass
-
-    def begin(self) -> None:
-        return None
-
-    def end(self, token, packets: int = 0, nbytes: int = 0) -> None:
-        pass
-
-
-_NULL_HANDLE = _NullStageHandle()
-
-
-class NullProfiler:
-    """Disabled profiler: components bind no handles and pay nothing."""
-
-    enabled = False
-    mode: Optional[str] = None
-    sample_every = 0
-
-    def __len__(self) -> int:
-        return 0
-
-    def stage(self, name: str, sample_every: Optional[int] = None) -> _NullStageHandle:
-        return _NULL_HANDLE
-
-    def stages(self) -> List[StageHandle]:
-        return []
-
-    def stage_documents(self) -> List[Dict[str, Any]]:
-        return []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": None,
-            "sample_every": 0,
-            "stages": [],
-            "total_ns": 0,
-            "total_calls": 0,
-        }
-
-    def to_snapshot(self) -> Dict[str, Dict[str, int]]:
-        return {}
-
-    def merge_from(self, snapshot: Dict[str, Dict[str, int]]) -> None:
-        pass
 
 
 # ----------------------------------------------------------------------

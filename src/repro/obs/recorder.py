@@ -28,6 +28,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
+from .null import NullFlightRecorder
+
 __all__ = ["FlightRecorder", "NullFlightRecorder"]
 
 Snapshot = Dict[str, Any]
@@ -220,33 +222,3 @@ class FlightRecorder:
             f"capacity={self.capacity}, "
             f"contexts_emitted={self.contexts_emitted})"
         )
-
-
-class NullFlightRecorder:
-    """The disabled default: absorbs records, reports nothing."""
-
-    enabled = False
-    contexts_emitted = 0
-    contexts: Deque[Dict[str, Any]] = deque()
-
-    def bind_events(self, events: Any) -> None:
-        pass
-
-    def record(self, agent: str, snapshot: Snapshot) -> None:
-        return None
-
-    def flush(self) -> int:
-        return 0
-
-    def window(self, agent: str) -> List[Snapshot]:
-        return []
-
-    def last_snapshots(self) -> Dict[str, Snapshot]:
-        return {}
-
-    def status(self) -> Dict[str, Dict[str, Any]]:
-        return {}
-
-    @property
-    def agents(self) -> List[str]:
-        return []

@@ -11,6 +11,10 @@ contract that keeps the default pipeline indistinguishable from an
 uninstrumented build (``benchmarks/test_obs_overhead.py`` holds the
 line at ≤10%).
 
+This module and :mod:`repro.obs.null` are all a process with obs off
+loads: the live components are imported by :func:`enabled_instrumentation`
+(or by whoever builds one), never by the bundle itself.
+
 Typical operator setup::
 
     from repro.obs import enabled_instrumentation, instrumented
@@ -25,14 +29,19 @@ Typical operator setup::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
 
-from .alerts import AlertManager, NullAlertManager
-from .events import EventLog, JsonlSink, MemorySink, NullEventLog
-from .metrics import MetricsRegistry, NullRegistry
-from .profiler import NullProfiler, Profiler
-from .recorder import FlightRecorder, NullFlightRecorder
-from .tsdb import NullTSDB, TimeSeriesDB
+from .null import (
+    NullAlertManager,
+    NullEventLog,
+    NullFlightRecorder,
+    NullProfiler,
+    NullRegistry,
+    NullTSDB,
+)
+
+if TYPE_CHECKING:
+    from .events import MemorySink
 
 __all__ = [
     "Instrumentation",
@@ -150,6 +159,8 @@ class Instrumentation:
 
     def memory_events(self) -> Optional[MemorySink]:
         """The bundle's in-memory event sink, when one is attached."""
+        from .events import MemorySink
+
         for sink in getattr(self.events, "sinks", lambda: [])():
             if isinstance(sink, MemorySink):
                 return sink
@@ -193,6 +204,14 @@ def enabled_instrumentation(
     (see :mod:`repro.obs.profiler`); it is off by default because,
     unlike the rest of the bundle, its hot-path handles live inside the
     packet loop."""
+    # Imported here, not with the module, so that obs off loads none.
+    from .alerts import AlertManager
+    from .events import EventLog, JsonlSink, MemorySink
+    from .metrics import MetricsRegistry
+    from .profiler import Profiler
+    from .recorder import FlightRecorder
+    from .tsdb import TimeSeriesDB
+
     sinks = []
     if events_path is not None:
         sinks.append(JsonlSink(events_path))

@@ -60,6 +60,8 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
+from .null import NullTSDB
+
 __all__ = [
     "DETECTOR_SERIES",
     "Sample",
@@ -636,63 +638,6 @@ class TrajectoryWriter:
                 tsdb.append(name, labels, t, value)
                 for name, value in zip(DETECTOR_SERIES, values)
             )
-
-
-class NullTSDB:
-    """The disabled default: absorbs samples, answers nothing."""
-
-    enabled = False
-    retention = 0
-    record_snapshots = False
-    samples_appended = 0
-    compactions_total = 0
-    points_dropped_total = 0
-
-    def bind(
-        self,
-        registry: Optional[Any] = None,
-        events: Optional[Any] = None,
-        profiler: Optional[Any] = None,
-    ) -> None:
-        pass
-
-    def append(self, name, labels, t, value, source="feed") -> None:
-        pass
-
-    def tick(self, t: float) -> None:
-        pass
-
-    def tick_events(self, t: float) -> None:
-        pass
-
-    def series(self, name=None, source=None) -> List[Series]:
-        return []
-
-    def names(self) -> List[str]:
-        return []
-
-    def points_retained(self) -> int:
-        return 0
-
-    def watermarks(self) -> List[float]:
-        return []
-
-    def last_time(self) -> None:
-        return None
-
-    def to_dict(self, include_registry: bool = True) -> Dict[str, Any]:
-        return {"retention": 0, "series": []}
-
-    def merge_from(self, snapshot: Dict[str, Any]) -> None:
-        pass
-
-    def query(
-        self, expr: Union[str, Query], at: Optional[float] = None
-    ) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
 
 
 # ----------------------------------------------------------------------

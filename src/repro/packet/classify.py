@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
-from .packet import Packet
 from .tcp import TCP_PROTOCOL_NUMBER, SegmentKind, TCPFlags
+
+if TYPE_CHECKING:
+    from .packet import Packet
 
 __all__ = [
     "PacketClass",

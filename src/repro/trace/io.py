@@ -57,8 +57,9 @@ def load_count_trace(path: Union[str, Path]) -> CountTrace:
     Raises ValueError on any malformed input: a bad count line, a
     missing or foreign-version header, a header without one of
     ``name``/``duration``/``bidirectional``/``period``, a ``period``
-    that is not a finite number > 0, or a ``duration`` that is not a
-    finite number >= 0."""
+    that is not a finite number > 0, a ``duration`` that is not a
+    finite number >= 0, or no count line at all (a trace with no
+    observation period gives the detector nothing to decide on)."""
     path = Path(path)
     header = None
     counts: List[Tuple[int, int]] = []
@@ -91,6 +92,8 @@ def load_count_trace(path: Union[str, Path]) -> CountTrace:
     duration = _header_number(header, "duration")
     if not (0.0 <= duration < math.inf):
         raise ValueError(f"duration must be finite and >= 0: {duration!r}")
+    if not counts:
+        raise ValueError("no count lines: the trace has no observation periods")
     metadata = TraceMetadata(
         name=header["name"],
         duration=duration,

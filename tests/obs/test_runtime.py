@@ -112,3 +112,57 @@ class TestProcessDefault:
             assert get_instrumentation() is NULL_INSTRUMENTATION
         finally:
             set_instrumentation(None)
+
+
+class TestTheNullBundleStandsAlone:
+    """The disabled components live in standard-library code
+    (:mod:`repro.obs.null`); the live modules re-export them, and a
+    scoped live bundle still reaches components built with ``obs=None``."""
+
+    @pytest.mark.parametrize("module, name, slot", [
+        ("metrics", "NullRegistry", "registry"),
+        ("events", "NullEventLog", "events"),
+        ("recorder", "NullFlightRecorder", "recorder"),
+        ("tsdb", "NullTSDB", "tsdb"),
+        ("alerts", "NullAlertManager", "alerts"),
+        ("profiler", "NullProfiler", "profiler"),
+    ])
+    def test_each_null_class_is_one_class_on_every_path(self, module, name, slot):
+        import importlib
+
+        import repro.obs
+        from repro.obs import null
+
+        cls = getattr(null, name)
+        assert getattr(importlib.import_module(f"repro.obs.{module}"), name) is cls
+        assert getattr(repro.obs, name) is cls
+        assert type(getattr(NULL_INSTRUMENTATION, slot)) is cls
+
+    def test_null_instrumentation_is_one_object_on_every_path(self):
+        import repro.obs
+        from repro.obs import NULL_INSTRUMENTATION as from_package
+        from repro.obs import runtime
+
+        assert from_package is NULL_INSTRUMENTATION
+        assert repro.obs.NULL_INSTRUMENTATION is NULL_INSTRUMENTATION
+        assert runtime.NULL_INSTRUMENTATION is NULL_INSTRUMENTATION
+        assert get_instrumentation() is NULL_INSTRUMENTATION
+
+    def test_obs_none_components_bind_a_scoped_live_bundle(self):
+        from repro.core.sniffer import CountExchange
+        from repro.core.syndog import SynDog
+
+        obs = enabled_instrumentation()
+        with instrumented(obs):
+            dog = SynDog(name="scoped")
+            exchange = CountExchange(observation_period=20.0)
+        dog.observe_period(100, 98)
+        exchange.flush(end_time=45.0)
+        registry = obs.registry
+        assert registry.get("syndog_periods_total").value == 1
+        # One period through the dog's own exchange, two through this one.
+        assert registry.get("exchange_periods_total").value == 1 + 2
+        events = obs.memory_events().events
+        assert [e["event"] for e in events] == ["period"]
+        assert events[0]["agent"] == "scoped"
+        assert obs.tsdb.names()  # the trajectory writer was built

@@ -330,12 +330,14 @@ class TestMalformedCountTrace:
         header = json.loads(lines[0].lstrip("#"))
         if how == "bad-line":
             lines.append("90,abc,3")
+        elif how == "no-lines":  # the header and column names only
+            lines = lines[:2]
         elif how.startswith(("text-", "null-")):
             kind, key = how.split("-", 1)
             header[key] = "x" if kind == "text" else None
         else:
             del header[how.split("-", 1)[1]]
-        if how != "bad-line":
+        if how not in ("bad-line", "no-lines"):
             lines[0] = "# " + json.dumps(header)
         target.write_text("\n".join(lines) + "\n")
 
@@ -343,6 +345,7 @@ class TestMalformedCountTrace:
     @pytest.mark.parametrize("how", [
         "no-period", "no-name", "no-duration", "no-bidirectional",
         "text-period", "text-duration", "null-duration", "bad-line",
+        "no-lines",
     ])
     def test_is_one_line_and_usage_exit(
         self, command, how, background_csv, tmp_path
@@ -363,7 +366,10 @@ class TestMalformedCountTrace:
         assert proc.stderr.startswith(f"{command}: bad count trace ")
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
-        if how.startswith("no-"):
+        if how == "no-lines":
+            assert proc.stderr.endswith("no count lines: the trace has no "
+                                        "observation periods\n")
+        elif how.startswith("no-"):
             assert proc.stderr.endswith(
                 f"header lacks {how.split('-', 1)[1]}\n"
             )
@@ -705,6 +711,20 @@ class TestChaos:
         ])
         assert code == EXIT_DEGRADED
         assert "EXCEEDS" in capsys.readouterr().out
+
+    def test_help_lists_the_schedules_and_names_the_default(
+        self, capsys, monkeypatch
+    ):
+        # The choices are read from the schedule table at --help time;
+        # the default is the campaign's, which the help names.
+        from repro.faults.schedule import BUILTIN_SCHEDULES, DEFAULT_SCHEDULE
+
+        monkeypatch.setenv("COLUMNS", "400")  # one help line per option
+        assert main(["chaos", "--help"]) == EXIT_OK
+        [line] = [line for line in capsys.readouterr().out.splitlines()
+                  if line.lstrip().startswith("--schedule NAME")]
+        assert ", ".join(sorted(BUILTIN_SCHEDULES)) in line
+        assert line.endswith(f"(default: the campaign's, {DEFAULT_SCHEDULE})")
 
     def test_chaos_unknown_schedule_rejected(self):
         from repro.cli import EXIT_USAGE

@@ -19,14 +19,15 @@ import pytest
 import repro
 import repro.core
 
-from ._cli import fresh_env
+from ._cli import fresh_env, run_repro
 
 
-def fresh(code, *args):
-    """Run *code* in a fresh interpreter with ``src`` on the path; its
-    stdout, decoded as JSON."""
+def fresh(code, *args, env=None):
+    """Run *code* in a fresh interpreter with ``src`` on the path (in
+    *env*, when given); its stdout, decoded as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], env=fresh_env(),
+        [sys.executable, "-c", code, *args],
+        env=env if env is not None else fresh_env(),
         capture_output=True, text=True, check=False,
     )
     assert proc.returncode == 0, proc.stderr
@@ -68,12 +69,12 @@ class TestLayering:
         )]) == []
 
     def test_detector_loads_exactly_the_per_period_obs_modules(self):
-        modules = loaded_after("from repro.core import SynDog")
-        assert offenders(modules, ["repro.obs"]) == ["repro.obs"] + [
-            f"repro.obs.{name}" for name in (
-                "alerts", "events", "metrics", "profiler", "recorder",
-                "runtime", "tsdb",
-            )
+        # With obs off a detector needs only the null bundle: the live
+        # metrics, events, recorder, TSDB, alert and profiler modules
+        # load when a live bundle is built.
+        modules = loaded_after("from repro.core import SynDog; SynDog()")
+        assert offenders(modules, ["repro.obs"]) == [
+            "repro.obs", "repro.obs.null", "repro.obs.runtime",
         ]
 
     @pytest.mark.parametrize("module", sorted(
@@ -102,6 +103,68 @@ class TestLayering:
             "repro.router", "repro.defense", "repro.traceback",
             "repro.tcpsim", "repro.experiments.chaos",
         ]) == []
+
+
+#: What ``repro detect`` on a pcap pair must not load: the live obs
+#: stack, the per-packet object pipeline and the traffic and fault models.
+NOT_ON_THE_VERDICT_PATH = [
+    "repro.obs.alerts", "repro.obs.events", "repro.obs.metrics",
+    "repro.obs.profiler", "repro.obs.recorder", "repro.obs.tsdb",
+    "repro.packet.packet", "repro.pcap.reader", "repro.trace.arrival",
+    "repro.trace.handshake", "repro.faults",
+]
+
+DETECT = """
+import contextlib, io, json, sys
+from repro.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["detect", "--pcap-out", sys.argv[1], "--pcap-in", sys.argv[2],
+                 "--quiet"])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def pcap_pair(tmp_path_factory):
+    prefix = tmp_path_factory.mktemp("pair") / "h"
+    proc = run_repro(["generate", "--site", "harvard", "--seed", "2",
+                      "--duration", "200", "--format", "pcap",
+                      "--out", str(prefix)])
+    assert proc.returncode == 0, proc.stderr
+    return f"{prefix}.out.pcap", f"{prefix}.in.pcap"
+
+
+class TestDetectStartup:
+    def test_pcap_detect_loads_only_the_verdict_path(self, pcap_pair):
+        report = fresh(DETECT, *pcap_pair)
+        assert report["code"] in (0, 2)
+        assert offenders(report["modules"], NOT_ON_THE_VERDICT_PATH) == []
+
+    def test_object_pipeline_gives_the_same_verdict(self, pcap_pair):
+        out, inn = pcap_pair
+        argv = ["detect", "--pcap-out", out, "--pcap-in", inn, "--quiet"]
+        fast = run_repro(argv)
+        slow = run_repro([*argv, "--no-fastpath"])
+        assert fast.returncode in (0, 2), fast.stderr
+        assert (slow.returncode, slow.stdout) == (fast.returncode, fast.stdout)
+
+    @pytest.mark.parametrize("caller, seen", [(None, "1"), ("3", "3")])
+    def test_main_defaults_openblas_to_one_thread(self, caller, seen):
+        # numpy reads OPENBLAS_NUM_THREADS when it loads, so main() sets
+        # it first; a value the caller set wins.
+        env = fresh_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        assert fresh(
+            "import contextlib, io, json, os\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['theory', '--k-bar', '1922'])\n"
+            "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))",
+            env=env,
+        ) == seen
 
 
 CONTRACT = """

@@ -190,6 +190,13 @@ class TestIO:
         with pytest.raises(ValueError):
             load_count_trace(path)
 
+    def test_count_load_rejects_a_trace_without_count_lines(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        save_count_trace(small_counts(), path)
+        path.write_text("\n".join(path.read_text().splitlines()[:2]) + "\n")
+        with pytest.raises(ValueError, match="no count lines"):
+            load_count_trace(path)
+
     def test_count_load_rejects_malformed_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text('# {"format_version": 1, "name": "x", "duration": 20.0, '
