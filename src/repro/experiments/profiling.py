@@ -100,12 +100,14 @@ def profile_network(
     inbound_image = packets_to_pcap_bytes(trace.inbound)
     if task.fastpath:
         from ..core.syndog import SynDog
-        from ..fastpath.pipeline import _drive_detector, scan_capture
+        from ..fastpath.pipeline import _drive_detector, scan_pair
 
-        out_cols = scan_capture(outbound_image, obs=obs)
-        in_cols = scan_capture(inbound_image, obs=obs)
+        out, inb = scan_pair(
+            outbound_image, inbound_image,
+            task.parameters.observation_period, obs=obs,
+        )
         detector = SynDog(parameters=task.parameters, obs=obs)
-        _drive_detector(detector, out_cols, in_cols)
+        _drive_detector(detector, out, inb)
         # The federation bus records the agent's *first* alarm during the
         # feed (the trailing flush never relays); mirror that so the two
         # arms return the same outcome dict.
@@ -113,9 +115,9 @@ def profile_network(
         alarms = 1 if any(record.alarm for record in fed_records) else 0
         return {
             "network_id": task.network_id,
-            "packets": out_cols.decoded + in_cols.decoded,
-            "outbound": out_cols.decoded,
-            "inbound": in_cols.decoded,
+            "packets": out.decoded + inb.decoded,
+            "outbound": out.decoded,
+            "inbound": inb.decoded,
             "alarms": alarms,
         }
     # Round-trip through the pcap layer so parsing is part of the

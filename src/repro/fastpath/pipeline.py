@@ -1,35 +1,32 @@
-"""The columnar detection pipeline: scan → periodize → SynDog.
+"""The columnar detection pipeline: scan and count per block → SynDog.
 
 Feeds :class:`~repro.core.syndog.SynDog` the *same per-period count
 deltas* the object pipeline's :class:`~repro.core.sniffer.CountExchange`
 would emit, computed with vectorized passes instead of per-packet
-callbacks:
+callbacks.  :func:`scan_capture` classifies each ~1 MiB block of one
+capture and folds it straight into a :class:`CaptureSummary` — class
+totals, the running max of the timestamps carried across blocks, and
+per-period counts of the capture's counted lane (outbound SYN, inbound
+SYN/ACK) — then drops it, so a scan holds one block and one count per
+period, however long the capture.  Periods are the detector clock's,
+``CountExchange.start_of(k)``.  The captures are never merged: the
+running max of the exchange's ``heapq.merge`` at each packet is the
+running max of the packet's own capture, so a block's lane is counted
+by one ``np.searchsorted`` of the block's own boundaries into its
+packets' running maxima, for sorted and reordered captures alike.
 
-* the two interface captures are scanned into decoded-record columns
-  (timestamp + class code) by :func:`scan_capture`;
-* the detector's exchange owns the period clock, with boundaries
-  ``CountExchange.start_of(1..K)``;
-* the captures are never merged: the running max of the exchange's
-  ``heapq.merge`` at each packet is the running max of the packet's
-  own capture, so each counted lane (outbound SYN, inbound SYN/ACK) is
-  counted per period by one ``np.searchsorted`` of the boundaries into
-  its packets' running maxima, for sorted and reordered captures alike;
-* no Python loop runs per period, and the counts are fed
-  through ``SynDog.observe_period`` at ``start_of(k)``, so
-  normalization, CUSUM, TSDB series, events, alerts and the
-  ``cusum.step`` profiler stage are untouched.
-
-Afterwards the exchange's period index is set once and
-``CountExchange.account`` bulk-increments its sniffer/exchange counters
-(``sniffer_packets_total``, ``sniffer_packets_counted_total``,
-``exchange_periods_total``), so metric totals and checkpoints equal the
-object pipeline's.
+Once both captures are scanned, the larger running max sets the number
+of periods, each is fed through ``SynDog.observe_period`` at
+``start_of(k)`` (normalization, CUSUM, TSDB series, events, alerts and
+the ``cusum.step`` profiler stage are untouched), and
+``CountExchange.account`` bulk-increments the sniffer/exchange
+counters, so metric totals and checkpoints equal the object pipeline's.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, List, Optional, Tuple, Union
 
@@ -38,63 +35,127 @@ import numpy as np
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.sniffer import CountExchange
 from ..core.syndog import DetectionResult, SynDog
+from ..obs.runtime import NULL_INSTRUMENTATION
 from ..packet.classify import ClassifierStats
 from ..pcap.format import LINKTYPE_ETHERNET, PcapTruncatedError
-from .classify import CLASS_SKIP, CLASS_SYN, CLASS_SYN_ACK, accumulate_stats, classify_block
+from .classify import (
+    CLASS_SKIP, CLASS_SYN, CLASS_SYN_ACK, CODES, accumulate_stats,
+    classify_block,
+)
 from .columns import DEFAULT_BLOCK_BYTES, ColumnarPcapReader
 
 __all__ = [
-    "DirectionColumns",
-    "scan_capture",
-    "detect_from_sources",
-    "detect_from_pcaps_fast",
-    "counts_from_pcaps_fast",
+    "CaptureSummary", "scan_capture", "scan_pair", "detect_from_sources",
+    "detect_from_pcaps_fast", "counts_from_pcaps_fast",
 ]
 
 PathLike = Union[str, Path]
 Source = Union[str, Path, bytes, BinaryIO]
 
-_EMPTY_F8 = np.empty(0, dtype=np.float64)
-_EMPTY_U8 = np.empty(0, dtype=np.uint8)
-
 
 @dataclass
-class DirectionColumns:
-    """One interface capture reduced to decoded-record columns.
+class CaptureSummary:
+    """One interface capture folded block by block.
 
-    Skipped (undecodable) records are excluded from the columns — they
-    never reach the sniffers in the object pipeline — but stay audited
-    in ``skipped_records``, mirroring ``PcapReader``'s counters.
+    Skipped (undecodable) records never reach the sniffers in the
+    object pipeline; they count only in ``skipped_records``, mirroring
+    ``PcapReader``'s counters, and move no running max.
     """
 
-    timestamps: np.ndarray  # float64, decoded records in capture order
-    codes: np.ndarray       # uint8 class codes, aligned with timestamps
-    steps: np.ndarray       # uint8 rejection-step codes, aligned
-    records_read: int
-    skipped_records: int
-    truncation: Optional[PcapTruncatedError]
+    lane: int  # the code counted per period
+    #: Records per code, over every complete record read.
+    code_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(CODES, dtype=np.int64)
+    )
+    #: Lane records per period; entries past the last period are zero.
+    lane_counts: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64)
+    )
+    #: Running max of the decoded timestamps; None before the first.
+    last: Optional[float] = None
+    records_read: int = 0
+    truncation: Optional[PcapTruncatedError] = None
+
+    @property
+    def skipped_records(self) -> int:
+        return int(self.code_counts[CLASS_SKIP])
 
     @property
     def decoded(self) -> int:
-        return int(self.timestamps.size)
+        return int(self.code_counts.sum()) - self.skipped_records
+
+    @property
+    def counted(self) -> int:
+        return int(self.code_counts[self.lane])
 
     def classifier_stats(self) -> ClassifierStats:
         """The statistics a ``PacketClassifier`` fed every decoded
         packet would hold (the oracle the differential suite compares
         against)."""
-        return accumulate_stats(ClassifierStats(), self.codes, self.steps)
+        return accumulate_stats(ClassifierStats(), self.code_counts)
+
+    def fold(
+        self, timestamps: np.ndarray, codes: np.ndarray, clock: CountExchange
+    ) -> None:
+        """Fold the next records of the capture (float64 timestamps and
+        codes, in capture order) into the summary, on *clock*'s
+        periods."""
+        counts = np.bincount(codes, minlength=CODES)
+        self.code_counts += counts
+        if counts[CLASS_SKIP]:
+            decoded = codes != CLASS_SKIP
+            timestamps, codes = timestamps[decoded], codes[decoded]
+        if not timestamps.size:
+            return
+        carried = self.last
+        if (carried is None or timestamps[0] >= carried) and (
+            timestamps[1:] >= timestamps[:-1]
+        ).all():
+            running = timestamps  # sorted: its own running max
+        else:
+            running = np.maximum.accumulate(timestamps)
+            if carried is not None:
+                np.maximum(running, carried, out=running)
+        self.last = float(running[-1])
+        if not counts[self.lane]:
+            return
+        at = running[codes == self.lane]
+        # Periods lo .. hi cover the lane: a floor division may be one
+        # period off either way, and the exact boundaries decide.
+        t0 = clock.observation_period
+        lo = max(0, int((float(at[0]) - clock.origin) // t0) - 1)
+        hi = max(0, int((float(at[-1]) - clock.origin) // t0)) + 2
+        edges = np.searchsorted(at, clock.start_of(np.arange(lo + 1, hi + 1)))
+        if hi >= self.lane_counts.size:  # at least double
+            self.lane_counts = np.pad(
+                self.lane_counts, (0, hi + 1 + self.lane_counts.size)
+            )
+        # Period lo + i holds the lane records between edges i - 1 and i.
+        lanes = self.lane_counts
+        lanes[lo:hi] += edges
+        lanes[lo + 1:hi + 1] -= edges
+        lanes[hi] += at.size
+
+    def period_counts(self, periods: int) -> List[int]:
+        """The lane's count in each of the first *periods* periods."""
+        counts = self.lane_counts[:periods].tolist()
+        return counts + [0] * (periods - len(counts))
 
 
 def scan_capture(
     source: Source,
+    clock: CountExchange,
+    lane: int,
     strict: bool = False,
     obs: Optional[Any] = None,
     block_bytes: int = DEFAULT_BLOCK_BYTES,
-) -> DirectionColumns:
+) -> CaptureSummary:
     """Scan one capture (path, bytes image, or open binary stream) into
-    :class:`DirectionColumns`.  Tolerant by default, like the streaming
-    detection entry points; raw block buffers are dropped as soon as
-    each block is classified, so memory stays O(block)."""
+    a :class:`CaptureSummary` of its *lane* code counted on *clock*'s
+    periods.  Tolerant by default, like the streaming detection entry
+    points.  Each block is folded into the summary as soon as it is
+    classified and then dropped, so memory is one block plus one count
+    per period."""
     if isinstance(source, (str, Path)):
         reader = ColumnarPcapReader.open(source, obs=obs)
     elif isinstance(source, (bytes, bytearray, memoryview)):
@@ -107,139 +168,87 @@ def scan_capture(
         if obs is not None and obs.profiler.enabled
         else None
     )
-    ts_parts: List[np.ndarray] = []
-    code_parts: List[np.ndarray] = []
-    step_parts: List[np.ndarray] = []
-    skipped = 0
+    summary = CaptureSummary(lane=lane)
     try:
         for block in reader.iter_blocks(strict=strict, block_bytes=block_bytes):
             token = None if prof_classify is None else prof_classify.begin()
-            codes, steps = classify_block(block, ethernet)
-            keep = codes != CLASS_SKIP
-            kept = int(np.count_nonzero(keep))
-            skipped += codes.size - kept
-            if kept == codes.size:
-                ts_parts.append(block.timestamps)
-                code_parts.append(codes)
-                step_parts.append(steps)
-            elif kept:
-                ts_parts.append(block.timestamps[keep])
-                code_parts.append(codes[keep])
-                step_parts.append(steps[keep])
+            codes = classify_block(block, ethernet)
             if prof_classify is not None:
                 prof_classify.end(
                     token, packets=len(block), nbytes=int(block.caplens.sum())
                 )
+            summary.fold(block.timestamps, codes, clock)
     finally:
         reader.close()
-    if ts_parts:
-        timestamps = np.concatenate(ts_parts)
-        codes = np.concatenate(code_parts)
-        steps = np.concatenate(step_parts)
-    else:
-        timestamps, codes, steps = _EMPTY_F8, _EMPTY_U8, _EMPTY_U8
-    return DirectionColumns(
-        timestamps=timestamps,
-        codes=codes,
-        steps=steps,
-        records_read=reader.records_read,
-        skipped_records=skipped,
-        truncation=reader.truncation,
+    summary.records_read = reader.records_read
+    summary.truncation = reader.truncation
+    return summary
+
+
+def scan_pair(
+    outbound: Source,
+    inbound: Source,
+    period: float,
+    obs: Optional[Any] = None,
+    block_bytes: int = DEFAULT_BLOCK_BYTES,
+) -> Tuple[CaptureSummary, CaptureSummary]:
+    """Scan the outbound capture's SYN lane and the inbound capture's
+    SYN/ACK lane on the clock (origin 0, period *period*) a detector or
+    an aggregation builds once both scans are done."""
+    clock = CountExchange(observation_period=period, obs=NULL_INSTRUMENTATION)
+    return tuple(
+        scan_capture(source, clock, lane, obs=obs, block_bytes=block_bytes)
+        for source, lane in ((outbound, CLASS_SYN), (inbound, CLASS_SYN_ACK))
     )
 
 
 # ----------------------------------------------------------------------
 # Periodize
 # ----------------------------------------------------------------------
-def _boundaries(clock: CountExchange, last: Optional[float]) -> np.ndarray:
-    """``clock.start_of(1 .. m)``: every period boundary at or before the
-    latest timestamp *last* (None when there are no packets).  Each
-    closes a period, and the period after the last one is the trailing
-    period a flush closes."""
+def _periods(clock: CountExchange, *captures: CaptureSummary) -> int:
+    """Periods the exchange closes on *captures*: one per boundary
+    ``clock.start_of(1..)`` at or before the latest running max, plus
+    the trailing period a flush closes."""
+    last = max((c.last for c in captures if c.last is not None), default=None)
     if last is None:
-        return _EMPTY_F8
-    span = (last - clock.origin) // clock.observation_period
-    # start_of(1 .. n) reaches past the last timestamp's period.
-    n = max(0, int(span)) + 2
-    starts = clock.start_of(np.arange(1, n + 1))
-    return starts[: int(np.searchsorted(starts, last, side="right"))]
+        return 1
+    k = max(0, int((last - clock.origin) // clock.observation_period)) + 1
+    while k > 0 and clock.start_of(k) > last:
+        k -= 1
+    while clock.start_of(k + 1) <= last:
+        k += 1
+    return k + 1
 
 
-def _running_max(ts: np.ndarray) -> np.ndarray:
-    """Running max of *ts*: *ts* itself when it is time-sorted, which
-    one comparison pass shows for a fraction of the cost of
-    ``np.maximum.accumulate``."""
-    if bool(np.all(ts[1:] >= ts[:-1])):
-        return ts
-    return np.maximum.accumulate(ts)
-
-
-def _period_counts(
-    out: DirectionColumns, inb: DirectionColumns, clock: CountExchange
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-period (SYN, SYN/ACK) counts of two captures on *clock*'s
-    periods, for any capture order, without merging them.
-
-    The exchange counts a packet toward the last period that starts at
-    or before the running max of the ``heapq.merge`` of both captures
-    (ties outbound-first), how it treats timestamps that step
-    backwards.  With two streams the merge compares heads, and every
-    packet it takes from one stream is at most the other stream's head
-    then; so the merged running max at each packet is the running max
-    of its own capture, and the highest is the larger of the two
-    captures' maxima.  Each counted lane (outbound SYN, inbound
-    SYN/ACK) is then counted per period by one ``np.searchsorted`` of
-    the boundaries into its packets' running maxima.  The final entry is
-    the trailing period a flush closes.
-    """
-    running = [_running_max(cols.timestamps) for cols in (out, inb)]
-    last = max((float(r[-1]) for r in running if r.size), default=None)
-    bounds = _boundaries(clock, last)
-
-    def lane(running_max: np.ndarray, codes: np.ndarray, code: int) -> np.ndarray:
-        ts = running_max[codes == code]
-        return np.diff(np.searchsorted(ts, bounds), prepend=0, append=ts.size)
-
-    return (
-        lane(running[0], out.codes, CLASS_SYN),
-        lane(running[1], inb.codes, CLASS_SYN_ACK),
-    )
-
-
-def _account(
-    exchange: CountExchange,
-    out: DirectionColumns,
-    inb: DirectionColumns,
-    periods: int,
-) -> None:
-    """Leave the sniffer/exchange counters where a packet-at-a-time
-    object run would."""
+def _close_periods(
+    exchange: CountExchange, out: CaptureSummary, inb: CaptureSummary
+) -> Tuple[List[int], List[int]]:
+    """Per-period (SYN, SYN/ACK) counts of two scanned captures on
+    *exchange*'s clock, the trailing period a flush closes included.
+    The exchange's sniffer/exchange counters move to where a
+    packet-at-a-time object run would leave them."""
+    periods = _periods(exchange, out, inb)
     exchange.account(
-        out_seen=out.decoded,
-        out_counted=int(np.count_nonzero(out.codes == CLASS_SYN)),
-        in_seen=inb.decoded,
-        in_counted=int(np.count_nonzero(inb.codes == CLASS_SYN_ACK)),
-        periods=periods,
+        out_seen=out.decoded, out_counted=out.counted,
+        in_seen=inb.decoded, in_counted=inb.counted, periods=periods,
     )
+    return out.period_counts(periods), inb.period_counts(periods)
 
 
 def _drive_detector(
-    detector: SynDog, out: DirectionColumns, inb: DirectionColumns
+    detector: SynDog, out: CaptureSummary, inb: CaptureSummary
 ) -> None:
-    """Feed every period of the two captures, the trailing flush period
-    included, through ``SynDog.observe_period`` at the exchange's start
-    times, then move the exchange's clock and counters to where the
+    """Feed every period of the two scanned captures, the trailing flush
+    period included, through ``SynDog.observe_period`` at the exchange's
+    start times, and leave the exchange's clock and counters where the
     object pipeline leaves them."""
     exchange = detector.exchange
-    syn_counts, synack_counts = _period_counts(out, inb, exchange)
+    syn_counts, synack_counts = _close_periods(exchange, out, inb)
     observe = detector.observe_period
     start_of = exchange.start_of
-    for k, (syn, synack) in enumerate(
-        zip(syn_counts.tolist(), synack_counts.tolist())
-    ):
+    for k, (syn, synack) in enumerate(zip(syn_counts, synack_counts)):
         observe(syn, synack, start_time=start_of(k))
     exchange.period_index = len(syn_counts)
-    _account(exchange, out, inb, len(syn_counts))
 
 
 # ----------------------------------------------------------------------
@@ -255,14 +264,12 @@ def detect_from_sources(
     """Columnar twin of
     :func:`repro.experiments.streaming.detect_from_pcaps` over any
     capture sources (paths, byte images, open streams)."""
-    out_cols = scan_capture(
-        outbound, strict=False, obs=obs, block_bytes=block_bytes
-    )
-    in_cols = scan_capture(
-        inbound, strict=False, obs=obs, block_bytes=block_bytes
+    out, inb = scan_pair(
+        outbound, inbound, parameters.observation_period, obs=obs,
+        block_bytes=block_bytes,
     )
     detector = SynDog(parameters=parameters, obs=obs)
-    _drive_detector(detector, out_cols, in_cols)
+    _drive_detector(detector, out, inb)
     return detector.result(), detector
 
 
@@ -291,23 +298,17 @@ def counts_from_pcaps_fast(
     counts (including the trailing flush period)."""
     from ..trace.events import CountTrace, TraceMetadata
 
-    out_cols = scan_capture(outbound_path, strict=False)
-    in_cols = scan_capture(inbound_path, strict=False)
+    out, inb = scan_pair(outbound_path, inbound_path, period)
     # An ambient-instrumented exchange, like the one the object
-    # aggregation feeds packet by packet: its clock places the periods
-    # and its counters take the totals.
-    exchange = CountExchange(observation_period=period)
-    syn_counts, synack_counts = _period_counts(out_cols, in_cols, exchange)
-    reports = list(zip(syn_counts.tolist(), synack_counts.tolist()))
-    _account(exchange, out_cols, in_cols, len(reports))
+    # aggregation feeds packet by packet, places the periods and takes
+    # the totals.
+    reports = list(zip(*_close_periods(
+        CountExchange(observation_period=period), out, inb
+    )))
     metadata = TraceMetadata(
         name=name,
         duration=len(reports) * period,
         bidirectional=False,
         description=f"aggregated from {outbound_path} / {inbound_path}",
     )
-    return CountTrace(
-        metadata=metadata,
-        period=period,
-        counts=tuple(reports),
-    )
+    return CountTrace(metadata=metadata, period=period, counts=tuple(reports))

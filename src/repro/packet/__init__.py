@@ -21,11 +21,12 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "classify_packet",
     ),
     "ethernet": ("ETHERTYPE_ARP", "ETHERTYPE_IPV4", "EthernetFrame"),
+    "flags": ("TCP_PROTOCOL_NUMBER", "SegmentKind", "TCPFlags"),
     "ip": ("IP_FLAG_DF", "IP_FLAG_MF", "IPv4Header", "IPv4Packet"),
     "packet": (
         "Packet", "make_ack", "make_fin", "make_rst", "make_syn",
         "make_syn_ack",
     ),
-    "tcp": ("TCP_PROTOCOL_NUMBER", "SegmentKind", "TCPFlags", "TCPSegment"),
+    "tcp": ("TCPSegment",),
     "udp": ("UDP_PROTOCOL_NUMBER", "UDPDatagram"),
 })

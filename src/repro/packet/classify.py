@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
-from .tcp import TCP_PROTOCOL_NUMBER, SegmentKind, TCPFlags
+from .flags import TCP_PROTOCOL_NUMBER, SegmentKind, TCPFlags
 
 if TYPE_CHECKING:
     from .packet import Packet

@@ -10,46 +10,16 @@ through pcap.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 from .checksum import internet_checksum, tcp_pseudo_header
+from .flags import TCP_PROTOCOL_NUMBER, SegmentKind, TCPFlags
 
 __all__ = ["TCPFlags", "TCPSegment", "SegmentKind", "TCP_PROTOCOL_NUMBER"]
 
-TCP_PROTOCOL_NUMBER = 6
-
 _HEADER = struct.Struct("!HHIIBBHHH")
-
-
-class TCPFlags(enum.IntFlag):
-    """The six TCP flag bits, at their wire positions."""
-
-    FIN = 0x01
-    SYN = 0x02
-    RST = 0x04
-    PSH = 0x08
-    ACK = 0x10
-    URG = 0x20
-
-
-class SegmentKind(enum.Enum):
-    """Classification of a TCP segment by its control bits.
-
-    This is the output alphabet of the paper's packet classifier
-    (Section 2): the sniffers only care about SYN vs SYN/ACK, but the
-    full taxonomy is useful for the TCP simulator and the stateful
-    baseline defenses.
-    """
-
-    SYN = "syn"           # SYN=1, ACK=0: connection request
-    SYN_ACK = "syn-ack"   # SYN=1, ACK=1: connection accept
-    RST = "rst"           # RST=1: reset
-    FIN = "fin"           # FIN=1: teardown (possibly with ACK)
-    ACK = "ack"           # pure ACK / data segment with ACK
-    OTHER = "other"       # anything else
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple,
+)
 
-from ..packet.packet import Packet
+if TYPE_CHECKING:
+    from ..packet.packet import Packet
 
 __all__ = ["CountTrace", "PacketTrace", "TraceMetadata"]
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import List, Tuple, Union
+from typing import TYPE_CHECKING, List, Tuple, Union
 
-from ..packet.addresses import IPv4Address, MACAddress
-from ..packet.packet import Packet, make_syn, make_syn_ack
 from .events import CountTrace, PacketTrace, TraceMetadata
+
+if TYPE_CHECKING:
+    from ..packet.packet import Packet
 
 __all__ = [
     "save_count_trace",
@@ -163,9 +164,12 @@ def load_packet_trace_jsonl(path: Union[str, Path]) -> PacketTrace:
     """
     path = Path(path)
     header = None
+    from ..packet.addresses import MACAddress
+    from ..packet.packet import make_syn, make_syn_ack
+    from ..packet.tcp import TCPFlags
+
     outbound: List[Packet] = []
     inbound: List[Packet] = []
-    from ..packet.tcp import TCPFlags
 
     with path.open("r", encoding="utf-8") as handle:
         for line in handle:

@@ -10,22 +10,32 @@ from __future__ import annotations
 
 import io
 import re
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.parameters import DEFAULT_PARAMETERS, SynDogParameters
+from repro.core.sniffer import CountExchange
 from repro.core.syndog import SynDog
 from repro.experiments.streaming import stream_detection
+from repro.fastpath.classify import (
+    CLASS_SKIP,
+    CLASS_SYN,
+    CODE_OUTCOME,
+    classify_block,
+)
+from repro.fastpath.columns import ColumnarPcapReader
 from repro.fastpath.pipeline import (
-    DirectionColumns,
+    CaptureSummary,
     detect_from_sources,
     scan_capture,
 )
-from repro.packet.classify import PacketClassifier
-from repro.pcap.format import PcapFormatError
+from repro.packet.classify import PacketClassifier, explain_packet
+from repro.pcap.format import LINKTYPE_ETHERNET, PcapFormatError
 from repro.pcap.reader import PcapReader
 
 __all__ = [
     "oracle_scan",
+    "fast_scan",
+    "record_columns",
     "assert_capture_equivalent",
     "object_detect",
     "assert_detection_identical",
@@ -55,16 +65,48 @@ def _truncation_key(error) -> Optional[Tuple[str, int, int]]:
     return (str(error), error.byte_offset, error.records_read)
 
 
+def fast_scan(
+    image: bytes, block_bytes: Optional[int] = None, period: float = 20.0
+) -> CaptureSummary:
+    """The fastpath's tolerant scan of *image* (SYN lane, *period*
+    seconds), in *block_bytes* reads or the default."""
+    kwargs = {} if block_bytes is None else {"block_bytes": block_bytes}
+    clock = CountExchange(observation_period=period)
+    return scan_capture(image, clock, CLASS_SYN, **kwargs)
+
+
+def record_columns(
+    image: bytes, block_bytes: Optional[int] = None
+) -> Tuple[List[float], List[int], List]:
+    """Per-record columns of the fastpath's decoded records, in capture
+    order: timestamps, codes, and the rejection step each code names
+    (None for an accepted TCP class).  A scan keeps no per-record
+    state, so these come from the reader and the classifier directly,
+    one block at a time."""
+    reader = ColumnarPcapReader.from_bytes(image)
+    ethernet = reader.header.network == LINKTYPE_ETHERNET
+    kwargs = {} if block_bytes is None else {"block_bytes": block_bytes}
+    timestamps: List[float] = []
+    codes: List[int] = []
+    for block in reader.iter_blocks(strict=False, **kwargs):
+        block_codes = classify_block(block, ethernet)
+        decoded = block_codes != CLASS_SKIP
+        timestamps.extend(block.timestamps[decoded].tolist())
+        codes.extend(block_codes[decoded].tolist())
+    steps = [CODE_OUTCOME[code][1] for code in codes]
+    return timestamps, codes, steps
+
+
 def assert_capture_equivalent(
     image: bytes, block_bytes: Optional[int] = None
-) -> DirectionColumns:
+) -> CaptureSummary:
     """Columnar scan of *image* (in *block_bytes* reads, or the default)
     must agree with the object oracle on every observable: record
-    counters, truncation details, per-class counts, per-step rejections
-    and the quarantine total."""
+    counters, truncation details, per-class counts, per-step rejections,
+    the quarantine total, and each decoded record's timestamp, class
+    and rejection step."""
     reader, classifier, packets = oracle_scan(image)
-    kwargs = {} if block_bytes is None else {"block_bytes": block_bytes}
-    cols = scan_capture(image, **kwargs)
+    cols = fast_scan(image, block_bytes)
     assert cols.records_read == reader.records_read
     assert cols.skipped_records == reader.skipped_records
     assert cols.decoded == len(packets)
@@ -75,9 +117,14 @@ def assert_capture_equivalent(
     assert stats.counts == classifier.stats.counts
     assert stats.rejections == classifier.stats.rejections
     assert stats.quarantined == classifier.stats.quarantined
-    # Per-record timestamps (decoded set, capture order) must match too.
-    oracle_ts = [packet.timestamp for packet in packets]
-    assert cols.timestamps.tolist() == oracle_ts
+    # Per-record timestamps, classes and steps (decoded set, capture
+    # order) must match too.
+    timestamps, codes, steps = record_columns(image, block_bytes)
+    assert timestamps == [packet.timestamp for packet in packets]
+    assert [CODE_OUTCOME[code] for code in codes] == [
+        explain_packet(packet) for packet in packets
+    ]
+    assert steps == [explain_packet(packet)[1] for packet in packets]
     return cols
 
 

@@ -24,7 +24,7 @@ from repro.fastpath.columns import (
     ROW_BYTES,
     ColumnarPcapReader,
 )
-from repro.fastpath.pipeline import detect_from_sources, scan_capture
+from repro.fastpath.pipeline import detect_from_sources
 from repro.faults import BUILTIN_SCHEDULES, FaultInjector
 from repro.faults.models import (
     corrupt_header,
@@ -41,8 +41,10 @@ from repro.trace.synthetic import generate_packet_trace, make_syn, make_syn_ack
 from ._oracle import (
     assert_capture_equivalent,
     assert_detection_identical,
+    fast_scan,
     metric_totals,
     object_detect,
+    record_columns,
 )
 
 #: The block sizes the block-size suites sweep.  70 bytes is about one
@@ -268,11 +270,11 @@ class TestBoundarySplits:
 
     def test_block_size_invariance(self):
         outbound, inbound = self._images_with_quarantine()
-        reference = scan_capture(outbound)
+        reference = fast_scan(outbound)
         reference_stats = reference.classifier_stats()
         assert reference_stats.quarantined > 0
         for block_bytes in BLOCK_SIZES:
-            cols = scan_capture(outbound, block_bytes=block_bytes)
+            cols = fast_scan(outbound, block_bytes=block_bytes)
             stats = cols.classifier_stats()
             assert stats.counts == reference_stats.counts
             assert stats.rejections == reference_stats.rejections
@@ -286,12 +288,14 @@ class TestBoundarySplits:
     def test_matches_oracle_at_every_block_size(self):
         outbound, inbound = self._images_with_quarantine()
         assert_capture_equivalent(outbound)
+        oracle_ts, oracle_codes, oracle_steps = record_columns(outbound)
         for block_bytes in (70, 997):
-            cols = scan_capture(outbound, block_bytes=block_bytes)
-            oracle = scan_capture(outbound)
-            assert cols.timestamps.tolist() == oracle.timestamps.tolist()
-            assert cols.codes.tolist() == oracle.codes.tolist()
-            assert cols.steps.tolist() == oracle.steps.tolist()
+            timestamps, codes, steps = record_columns(
+                outbound, block_bytes=block_bytes
+            )
+            assert timestamps == oracle_ts
+            assert codes == oracle_codes
+            assert steps == oracle_steps
 
 
 class TestMetricsParity:
@@ -387,7 +391,7 @@ class TestHeaderRows:
             [(p.timestamp, p.encode_frame()) for p in syns] + [(end, arp)]
         )
         inbound = packets_to_pcap_bytes(synacks)
-        assert scan_capture(outbound).skipped_records == 1
+        assert fast_scan(outbound).skipped_records == 1
         _assert_identical_at_every_block_size(outbound, inbound)
         # LINKTYPE_RAW: a 20-byte record, a SYN cut after its IP header.
         outbound = _image(
@@ -396,7 +400,7 @@ class TestHeaderRows:
             linktype=LINKTYPE_RAW,
         )
         inbound = packets_to_pcap_bytes(synacks, linktype=LINKTYPE_RAW)
-        assert scan_capture(outbound).classifier_stats().quarantined == 1
+        assert fast_scan(outbound).classifier_stats().quarantined == 1
         _assert_identical_at_every_block_size(outbound, inbound)
 
     def test_one_run_block_ends_flush_with_buffer(self):
@@ -460,7 +464,7 @@ class TestMixedLengths:
             best = float("inf")
             for _ in range(repeats):
                 t0 = perf_counter()
-                cols = scan_capture(image, block_bytes=DEFAULT_BLOCK_BYTES)
+                cols = fast_scan(image, block_bytes=DEFAULT_BLOCK_BYTES)
                 best = min(best, perf_counter() - t0)
             assert cols.classifier_stats().counts[PacketClass.SYN] == count
             return best

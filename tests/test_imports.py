@@ -167,6 +167,43 @@ class TestDetectStartup:
         ) == seen
 
 
+#: The frame codecs, which nothing that reads count traces needs.
+PACKET_CODECS = [
+    "repro.packet.addresses", "repro.packet.checksum",
+    "repro.packet.ethernet", "repro.packet.ip", "repro.packet.packet",
+    "repro.packet.tcp", "repro.packet.udp",
+]
+
+RUN_CLI = """
+import contextlib, io, json, sys
+from repro.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+"""
+
+
+@pytest.fixture(scope="module")
+def count_trace(tmp_path_factory):
+    path = tmp_path_factory.mktemp("counts") / "bg.csv"
+    proc = run_repro(["generate", "--site", "auckland", "--seed", "7",
+                      "--duration", "600", "--out", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    return str(path)
+
+
+class TestCountStartup:
+    @pytest.mark.parametrize("argv", [
+        ["observe", "--trace", "{trace}", "--alerts"],
+        ["detect", "--counts", "{trace}", "--quiet"],
+    ])
+    def test_count_commands_load_no_packet_codec(self, count_trace, argv):
+        report = fresh(RUN_CLI, *(arg.format(trace=count_trace) for arg in argv))
+        assert report["code"] in (0, 2)
+        assert offenders(report["modules"], PACKET_CODECS) == []
+
+
 CONTRACT = """
 import importlib, json, pkgutil, sys
 
