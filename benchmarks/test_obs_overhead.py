@@ -96,11 +96,7 @@ class BareSynDog:
     def observe_outbound(self, packet):
         records = []
         for report in self.exchange.observe_outbound(packet):
-            x = self.normalizer.observe(
-                report.syn_count,
-                report.synack_count,
-                alarm_active=self.cusum.alarm,
-            )
+            x = self.normalizer.observe(report.syn_count, report.synack_count)
             state = self.cusum.update(x)
             self._records.append((report, x, state))
             records.append(state)

@@ -30,7 +30,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "sniffer": (
         "CountExchange", "Direction", "InboundSniffer", "OutboundSniffer",
-        "PeriodReport",
+        "PeriodReport", "merge_directional_streams",
     ),
     "syndog": ("DetectionRecord", "DetectionResult", "SynDog"),
 })

@@ -102,19 +102,11 @@ class LastMileSynDog:
         outbound: Iterable[Packet],
         end_time: Optional[float] = None,
     ) -> DetectionResult:
-        """Replay two time-sorted streams with the last-mile pairing."""
-        merged = sorted(
-            [(packet, True) for packet in inbound]
-            + [(packet, False) for packet in outbound],
-            key=lambda item: item[0].timestamp,
+        """Replay two time-sorted streams with the last-mile pairing
+        (ties inbound-first)."""
+        return self._inner.observe_streams(
+            inbound, outbound, end_time=end_time
         )
-        for packet, is_inbound in merged:
-            if is_inbound:
-                self.observe_inbound(packet)
-            else:
-                self.observe_outbound(packet)
-        self.flush(end_time=end_time)
-        return self.result()
 
     def flush(self, end_time: Optional[float] = None) -> List[DetectionRecord]:
         return self._inner.flush(end_time=end_time)

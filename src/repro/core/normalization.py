@@ -14,9 +14,8 @@ it gives no numeric value, we default to 0.95 ≈ a 20-period memory).
 
 A subtlety the paper leaves implicit: during a flooding attack the
 SYN/ACK count is *unchanged* (the spoofed SYNs leave the stub network
-and the victim's SYN/ACKs go elsewhere), so updating K̄ during an alarm
-is safe; but a defensive *freeze-on-alarm* mode is provided for
-deployments where attack traffic could contaminate the estimate.
+and the victim's SYN/ACKs go elsewhere), so K̄ keeps updating every
+period, alarm or not.
 """
 
 from __future__ import annotations
@@ -110,8 +109,7 @@ class NormalizedDifference:
     """Produces the normalized observation X_n = Δ_n / K̄.
 
     One instance sits between the sniffers and the CUSUM test inside the
-    SYN-dog agent.  ``freeze_on_alarm`` controls whether K̄ keeps
-    updating while an alarm is active.
+    SYN-dog agent; K̄ folds every period (Eq. 1).
     """
 
     def __init__(
@@ -119,14 +117,10 @@ class NormalizedDifference:
         alpha: float = 0.95,
         initial_k: Optional[float] = None,
         floor: float = 1.0,
-        freeze_on_alarm: bool = False,
     ) -> None:
         self.estimator = EwmaEstimator(alpha=alpha, initial=initial_k, floor=floor)
-        self.freeze_on_alarm = freeze_on_alarm
 
-    def observe(
-        self, syn_count: float, synack_count: float, alarm_active: bool = False
-    ) -> float:
+    def observe(self, syn_count: float, synack_count: float) -> float:
         """Fold one observation period and return X_n.
 
         The normalization uses the *pre-update* K̄ for the current
@@ -136,9 +130,7 @@ class NormalizedDifference:
         """
         if syn_count < 0 or synack_count < 0:
             raise ValueError("packet counts cannot be negative")
-        k_bar = self.estimator.step(
-            synack_count, fold=not (self.freeze_on_alarm and alarm_active)
-        )
+        k_bar = self.estimator.step(synack_count)
         return (syn_count - synack_count) / k_bar
 
     @property

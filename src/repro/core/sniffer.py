@@ -12,9 +12,10 @@ inside the router" the paper describes.
 from __future__ import annotations
 
 import gc
+import heapq
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple
 
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.classify import PacketClass, classify_packet
@@ -28,6 +29,7 @@ __all__ = [
     "InboundSniffer",
     "CountExchange",
     "PeriodReport",
+    "merge_directional_streams",
 ]
 
 
@@ -353,3 +355,19 @@ class CountExchange:
             reports.extend(self._advance_to(end_time))
         reports.append(self._close_period())
         return reports
+
+
+def merge_directional_streams(
+    outbound: Iterable[Packet],
+    inbound: Iterable[Packet],
+) -> Iterator[Tuple[Packet, bool]]:
+    """Lazily merge two time-sorted packet streams.
+
+    Yields ``(packet, is_outbound)`` in global timestamp order without
+    materializing either stream (heapq.merge pulls one element at a
+    time).  Ties break outbound-first, deterministically.
+    """
+    tagged_out = ((p.timestamp, 0, p) for p in outbound)
+    tagged_in = ((p.timestamp, 1, p) for p in inbound)
+    for _ts, tag, packet in heapq.merge(tagged_out, tagged_in):
+        yield packet, tag == 0

@@ -31,7 +31,7 @@ from ..obs.runtime import Instrumentation, resolve_instrumentation
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
-from .sniffer import CountExchange, PeriodReport
+from .sniffer import CountExchange, PeriodReport, merge_directional_streams
 
 if TYPE_CHECKING:
     from ..packet.packet import Packet
@@ -133,8 +133,6 @@ class SynDog:
     initial_k:
         Optional warm-start value for K̄; when omitted the first
         period's SYN/ACK count initializes the estimate.
-    freeze_k_on_alarm:
-        When True, K̄ stops updating while the alarm is active.
     staleness_cap:
         Degraded-mode bound: how many *consecutive* missing observation
         periods may be bridged by carrying the last observed counts
@@ -152,7 +150,6 @@ class SynDog:
         parameters: SynDogParameters = DEFAULT_PARAMETERS,
         start_time: float = 0.0,
         initial_k: Optional[float] = None,
-        freeze_k_on_alarm: bool = False,
         staleness_cap: int = 3,
         obs: Optional[Instrumentation] = None,
         name: Optional[str] = None,
@@ -169,16 +166,13 @@ class SynDog:
             obs=obs,
         )
         self.normalizer = NormalizedDifference(
-            alpha=parameters.ewma_alpha,
-            initial_k=initial_k,
-            freeze_on_alarm=freeze_k_on_alarm,
+            alpha=parameters.ewma_alpha, initial_k=initial_k
         )
         self.cusum = NonParametricCusum(
             drift=parameters.drift, threshold=parameters.threshold
         )
         self._records: List[DetectionRecord] = []
         self._prev_alarm = False
-        self._freeze_k_on_alarm = freeze_k_on_alarm
         # Degradation / restart bookkeeping: periods observed before a
         # restore, the last real counts (carry-forward source), and how
         # many periods in a row went missing.
@@ -330,17 +324,13 @@ class SynDog:
         if hold:
             x, statistic = 0.0, cusum.statistic
         elif prof is None:
-            x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=cusum.alarm
-            )
+            x = self.normalizer.observe(syn_count, synack_count)
             statistic = cusum.update(x)
         else:
             # One "cusum.step" = normalization (Δ_n → X_n) + CUSUM
             # update, attributed per period.
             token = prof.begin()
-            x = self.normalizer.observe(
-                syn_count, synack_count, alarm_active=cusum.alarm
-            )
+            x = self.normalizer.observe(syn_count, synack_count)
             statistic = cusum.update(x)
             prof.end(token, packets=1)
         record = DetectionRecord(
@@ -438,14 +428,12 @@ class SynDog:
     ) -> DetectionResult:
         """Replay two already-captured packet streams through the agent.
 
-        The streams must each be time-ordered; they are merged on
-        timestamps, as the router would interleave them in real time.
+        The streams must each be time-ordered; they are merged lazily on
+        timestamps (ties outbound-first), as the router would interleave
+        them in real time, so a stream of any length runs in constant
+        memory.
         """
-        merged = sorted(
-            [(packet, True) for packet in outbound]
-            + [(packet, False) for packet in inbound],
-            key=lambda item: item[0].timestamp,
-        )
+        merged = merge_directional_streams(outbound, inbound)
         for packet, is_outbound in merged:
             if is_outbound:
                 self.observe_outbound(packet)
@@ -536,7 +524,6 @@ class SynDog:
                 "normal_mean": self.parameters.normal_mean,
             },
             "staleness_cap": self.staleness_cap,
-            "freeze_k_on_alarm": self._freeze_k_on_alarm,
         }
 
     @classmethod
@@ -546,7 +533,6 @@ class SynDog:
         parameters: Optional[SynDogParameters] = None,
         obs: Optional[Instrumentation] = None,
         name: Optional[str] = None,
-        counted: bool = True,
     ) -> "SynDog":
         """Rebuild an agent from a :meth:`checkpoint` dict.
 
@@ -557,12 +543,6 @@ class SynDog:
         checkpointed values (parameters are always reconstructed from
         the checkpoint unless overridden, so a restart cannot silently
         change the test's configuration).
-
-        ``counted=False`` suppresses the
-        ``syndog_checkpoints_restored_total`` tick: the sharded
-        federation feed rebuilds healthy members from shipped
-        checkpoints as a transfer mechanism, and counting those would
-        make the continuity metric depend on ``--workers``.
         """
         version = state.get("version")
         if version != CHECKPOINT_VERSION:
@@ -570,13 +550,20 @@ class SynDog:
                 f"unsupported checkpoint version {version!r} "
                 f"(this build writes {CHECKPOINT_VERSION})"
             )
+        if state.get("freeze_k_on_alarm"):
+            # Earlier builds could hold K̄ while alarmed; this one always
+            # updates it (Eq. 1), so such a state would resume as a
+            # different detector.
+            raise ValueError(
+                "checkpoint holds K̄ while alarmed (freeze_k_on_alarm); "
+                "this build updates K̄ every period"
+            )
         if parameters is None:
             parameters = SynDogParameters(**state["parameters"])
         obs = resolve_instrumentation(obs)
         dog = cls(
             parameters=parameters,
             staleness_cap=int(state.get("staleness_cap", 3)),
-            freeze_k_on_alarm=bool(state.get("freeze_k_on_alarm", False)),
             obs=obs,
             name=name if name is not None else state.get("name"),
         )
@@ -590,7 +577,7 @@ class SynDog:
             None if last_counts is None else (int(last_counts[0]), int(last_counts[1]))
         )
         dog._consecutive_missing = int(state.get("consecutive_missing", 0))
-        if counted and obs.registry.enabled:
+        if obs.registry.enabled:
             # Continuity accounting for /healthz: every restart that
             # resumed from a checkpoint instead of starting cold.
             obs.registry.counter(

@@ -13,10 +13,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "sensitivity": (
         "SensitivityCell", "recommend_parameters", "sweep_parameters",
     ),
-    "streaming": (
-        "counts_from_pcaps", "detect_from_pcaps", "merge_directional_streams",
-        "stream_detection",
-    ),
+    "streaming": ("counts_from_pcaps", "detect_from_pcaps"),
     "export": (
         "attack_report_to_dict", "detection_result_to_dict", "figure_to_dict",
         "save_json", "table_rows_to_dict",

@@ -3,8 +3,9 @@
 A deployed SYN-dog never holds a trace in memory — it processes an
 unbounded packet stream with O(1) state.  This module gives the library
 the same property when reading capture files: the two interface pcaps
-are lazily merged on timestamps (heapq.merge over generators) and fed
-to the detector packet by packet, so arbitrarily large captures run in
+are lazily merged on timestamps
+(:func:`~repro.core.sniffer.merge_directional_streams`) and fed to the
+detector packet by packet, so arbitrarily large captures run in
 constant memory.
 
 ``detect_from_pcaps`` is the function behind the CLI's ``detect
@@ -13,58 +14,16 @@ constant memory.
 
 from __future__ import annotations
 
-import heapq
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import DetectionResult, SynDog
 from ..obs.runtime import Instrumentation
 
-if TYPE_CHECKING:
-    from ..packet.packet import Packet
-
-__all__ = [
-    "detect_from_pcaps",
-    "merge_directional_streams",
-    "stream_detection",
-    "counts_from_pcaps",
-]
+__all__ = ["detect_from_pcaps", "counts_from_pcaps"]
 
 PathLike = Union[str, Path]
-
-
-def merge_directional_streams(
-    outbound: Iterable[Packet],
-    inbound: Iterable[Packet],
-) -> Iterator[Tuple[Packet, bool]]:
-    """Lazily merge two time-sorted packet streams.
-
-    Yields ``(packet, is_outbound)`` in global timestamp order without
-    materializing either stream (heapq.merge pulls one element at a
-    time).  Ties break outbound-first, deterministically.
-    """
-    tagged_out = ((p.timestamp, 0, p) for p in outbound)
-    tagged_in = ((p.timestamp, 1, p) for p in inbound)
-    for _ts, tag, packet in heapq.merge(tagged_out, tagged_in):
-        yield packet, tag == 0
-
-
-def stream_detection(
-    detector: SynDog,
-    outbound: Iterable[Packet],
-    inbound: Iterable[Packet],
-    end_time: Optional[float] = None,
-) -> DetectionResult:
-    """Drive *detector* from two lazy packet streams, then close the
-    trailing period."""
-    for packet, is_outbound in merge_directional_streams(outbound, inbound):
-        if is_outbound:
-            detector.observe_outbound(packet)
-        else:
-            detector.observe_inbound(packet)
-    detector.flush(end_time=end_time)
-    return detector.result()
 
 
 def counts_from_pcaps(
@@ -92,7 +51,7 @@ def counts_from_pcaps(
         return counts_from_pcaps_fast(
             outbound_path, inbound_path, period=period, name=name
         )
-    from ..core.sniffer import CountExchange
+    from ..core.sniffer import CountExchange, merge_directional_streams
     from ..pcap.reader import PcapReader
     from ..trace.events import CountTrace, TraceMetadata
 
@@ -161,8 +120,7 @@ def detect_from_pcaps(
         # tcpdump, full disk, chaos injection) degrades to "stream ended
         # here" instead of aborting detection; the loss stays visible on
         # the readers' truncation/skipped_records counters.
-        result = stream_detection(
-            detector,
+        result = detector.observe_streams(
             outbound_reader.iter_packets(strict=False),
             inbound_reader.iter_packets(strict=False),
         )

@@ -84,8 +84,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
         "canonical_event", "canonical_events", "deterministic_families",
         "merge_event_groups", "merge_rollup_snapshots", "merge_snapshot",
         "merge_snapshots", "merge_tsdb_snapshots", "merged_registry",
-        "registry_snapshot", "render_deterministic", "rollup_snapshot",
-        "tsdb_snapshot",
+        "registry_snapshot", "render_deterministic", "tsdb_snapshot",
     ),
     "metrics": (
         "DEFAULT_LATENCY_BUCKETS", "Counter", "Gauge", "Histogram",
@@ -110,7 +109,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "server": ("ObsServer",),
     "tsdb": (
-        "NullTSDB", "QueryError", "TimeSeriesDB", "canonical_tsdb",
-        "merge_tsdb", "parse_query", "tsdb_from_events",
+        "NullTSDB", "QueryError", "TimeSeriesDB", "parse_query",
+        "tsdb_from_events",
     ),
 })

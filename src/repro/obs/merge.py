@@ -49,7 +49,6 @@ __all__ = [
     "merge_event_groups",
     "tsdb_snapshot",
     "merge_tsdb_snapshots",
-    "rollup_snapshot",
     "merge_rollup_snapshots",
     "NONDETERMINISTIC_EVENT_FIELDS",
 ]
@@ -299,12 +298,6 @@ def merge_tsdb_snapshots(
 # ----------------------------------------------------------------------
 # Fleet rollups
 # ----------------------------------------------------------------------
-def rollup_snapshot(rollup: Any) -> Dict[str, Any]:
-    """A shard's fleet rollup as a plain mergeable dict
-    (:meth:`repro.obs.rollup.FleetRollup.to_dict`)."""
-    return rollup.to_dict()
-
-
 def merge_rollup_snapshots(
     snapshots: Iterable[Dict[str, Any]], k: Optional[int] = None
 ) -> Any:

@@ -46,9 +46,9 @@ PromQL-lite (:func:`parse_query` / :meth:`TimeSeriesDB.query`)
 
 The deterministic-merge contract mirrors :mod:`repro.obs.merge`: feed
 samples carry logical time, shards ship :meth:`to_dict` snapshots, and
-:func:`merge_tsdb` folds them in shard merge-order with a stable
-per-series sort, so a ``--workers N`` run reconstructs byte-identical
-history for every N.
+:func:`~repro.obs.merge.merge_tsdb_snapshots` folds them in shard
+merge-order with a stable per-series sort, so a ``--workers N`` run
+reconstructs byte-identical history for every N.
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ __all__ = [
     "parse_duration",
     "parse_query",
     "tsdb_from_events",
-    "merge_tsdb",
-    "canonical_tsdb",
 ]
 
 LabelsKey = Tuple[Tuple[str, str], ...]
@@ -543,7 +541,8 @@ class TimeSeriesDB:
         }
 
     def merge_from(self, snapshot: Dict[str, Any]) -> None:
-        """Fold one :meth:`to_dict` snapshot in (see :func:`merge_tsdb`)."""
+        """Fold one :meth:`to_dict` snapshot in (see
+        :func:`~repro.obs.merge.merge_tsdb_snapshots`)."""
         for entry in snapshot.get("series", ()):
             key_labels: LabelsKey = tuple(
                 (str(k), str(v)) for k, v in entry.get("labels", ())
@@ -1007,24 +1006,3 @@ def tsdb_from_events(
             bool(event.get("degraded")),
         )
     return tsdb
-
-
-def merge_tsdb(
-    target: TimeSeriesDB, snapshots: Iterable[Dict[str, Any]]
-) -> TimeSeriesDB:
-    """Fold shard TSDB snapshots into *target*, **in the given order**
-    (the engine passes shard merge-order, making float-for-float output
-    deterministic for every worker count)."""
-    for snapshot in snapshots:
-        target.merge_from(snapshot)
-    return target
-
-
-def canonical_tsdb(tsdb: Any) -> Dict[str, Any]:
-    """The byte-comparable projection of a TSDB: feed samples only.
-
-    Registry-snapshot series (``source == "registry"``) describe the
-    recording bundle — a sharded run records them per worker or not at
-    all — so equivalence tests compare everything else.
-    """
-    return tsdb.to_dict(include_registry=False)

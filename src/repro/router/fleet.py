@@ -18,7 +18,7 @@ networks in complete detail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
@@ -36,107 +36,7 @@ __all__ = [
     "FederationFeedError",
     "FederationIncident",
     "MemberAlarm",
-    "MemberFeedTask",
-    "MemberFeedOutcome",
 ]
-
-
-@dataclass(frozen=True)
-class MemberFeedTask:
-    """One member's feed, self-contained and picklable: the member's
-    durable state (detector checkpoint, ingress filter, MAC inventory)
-    plus its traffic — a :mod:`repro.parallel` grid item."""
-
-    name: str
-    router_name: str
-    stub_network: IPv4Network
-    ingress_filter: object
-    inventory: object
-    detector_state: dict
-    responded: bool
-    parameters: SynDogParameters
-    outbound: Tuple[Packet, ...]
-    inbound: Tuple[Packet, ...]
-
-
-@dataclass(frozen=True)
-class MemberFeedOutcome:
-    """What one member's replay ships home."""
-
-    name: str
-    processed: int
-    #: ``(exception type name, message)`` when the member crashed
-    #: mid-replay, else None.  The worker catches its own failure so the
-    #: *federation's* crash semantics (mark down, optional restart)
-    #: apply — the engine's shard-retry must never see it.
-    error: Optional[Tuple[str, str]] = None
-    detector_state: Optional[dict] = None
-    ingress_filter: Optional[object] = None
-    inventory: Optional[object] = None
-    responded: bool = False
-    alarm_events: Tuple[AlarmEvent, ...] = ()
-    #: Detection records the feed produced (the checkpoint alone omits
-    #: them by design — O(n) evidence a *crash* restart must not need,
-    #: but a state *transfer* must keep for status()/result()).
-    records: Tuple = ()
-    #: The open period's partial SYN / SYN-ACK counts.  A checkpoint
-    #: deliberately drops these (a crash genuinely loses them); a
-    #: sharded feed did not crash, so they are carried across and
-    #: reinjected — the serial run's trailing flush() must see them.
-    pending_syn: int = 0
-    pending_synack: int = 0
-
-
-def feed_member_task(
-    task: MemberFeedTask,
-    obs: Optional[Instrumentation] = None,
-) -> MemberFeedOutcome:
-    """Replay one member's traffic on a reconstructed router + agent.
-
-    Shared by the worker processes and (structurally) the serial path:
-    the member is rebuilt from its shipped state exactly the way
-    :meth:`Federation.restart_member` rebuilds a crashed one, so a
-    sharded feed exercises the same restore machinery as supervision.
-    """
-    obs = resolve_instrumentation(obs)
-    router = LeafRouter(
-        stub_network=task.stub_network,
-        ingress_filter=task.ingress_filter,
-        inventory=task.inventory,
-        name=task.router_name,
-        obs=obs,
-    )
-    detector = SynDog.restore(
-        task.detector_state, obs=obs, name=task.router_name,
-        counted=False,
-    )
-    agent = SynDogAgent(
-        router,
-        parameters=task.parameters,
-        obs=obs,
-        detector=detector,
-    )
-    agent._responded = task.responded
-    try:
-        processed = router.replay(task.outbound, task.inbound)
-    except Exception as error:
-        return MemberFeedOutcome(
-            name=task.name,
-            processed=0,
-            error=(type(error).__name__, str(error)),
-        )
-    return MemberFeedOutcome(
-        name=task.name,
-        processed=processed,
-        detector_state=agent.detector.checkpoint(),
-        ingress_filter=router.ingress_filter,
-        inventory=router.inventory,
-        responded=agent._responded,
-        alarm_events=tuple(agent.alarm_events),
-        records=agent.detector.records,
-        pending_syn=agent.detector.exchange.outbound.count,
-        pending_synack=agent.detector.exchange.inbound.count,
-    )
 
 
 class FederationFeedError(RuntimeError):
@@ -395,157 +295,30 @@ class Federation:
     def feed_all(
         self,
         traffic: Dict[str, Tuple[Iterable[Packet], Iterable[Packet]]],
-        workers: Optional[int] = 1,
     ) -> Dict[str, int]:
-        """Feed every named member its ``(outbound, inbound)`` streams.
+        """Feed every named member its ``(outbound, inbound)`` streams,
+        in sorted-name order.
 
         One member's exception does not abort delivery to the rest:
         every member is fed first, then — if any failed and were not
         auto-restarted — a single :class:`FederationFeedError`
         aggregating the per-member errors is raised.  Returns packets
-        processed per member when all succeed.
-
-        ``workers`` > 1 shards the members across processes
-        (:mod:`repro.parallel`; members are independent leaf routers, so
-        this is the federation's natural parallel axis).  Each member
-        ships its durable state out, replays remotely, and is
-        reinstalled — through the same restore path supervision uses —
-        in sorted-name order, so alarms land on the bus exactly as a
-        serial feed would place them.  A member that crashes mid-replay
-        reports the failure itself (the engine's shard-retry is for
-        *worker* deaths, not member bugs) and the federation's normal
-        crash handling — mark down, optional ``auto_restart`` — applies.
+        processed per member when all succeed.  Either way the fleet
+        rollup is emitted over the fed state.
         """
-        from ..parallel import effective_workers
-
-        if effective_workers(workers) == 1:
-            errors: Dict[str, BaseException] = {}
-            processed: Dict[str, int] = {}
-            for name in sorted(traffic):
-                outbound, inbound = traffic[name]
-                try:
-                    processed[name] = self.feed(name, outbound, inbound)
-                except Exception as error:
-                    errors[name] = error
-                    processed[name] = 0
-            self._emit_fleet_rollup()
-            if errors:
-                raise FederationFeedError(errors, processed)
-            return processed
-        return self._feed_all_sharded(traffic, workers)
-
-    def _feed_all_sharded(
-        self,
-        traffic: Dict[str, Tuple[Iterable[Packet], Iterable[Packet]]],
-        workers: Optional[int],
-    ) -> Dict[str, int]:
-        from ..parallel import WorkPlan, run_plan
-
-        tasks: List[MemberFeedTask] = []
-        stream_errors: Dict[str, BaseException] = {}
-        for name in sorted(traffic):
-            router, agent = self.member(name)
-            outbound, inbound = traffic[name]
-            try:
-                # Materialize the streams up front: a live packet source
-                # cannot cross a process boundary, and a source that
-                # dies mid-read is this member's crash (the serial
-                # path's mid-replay failure), not the feed's.
-                outbound_packets = tuple(outbound)
-                inbound_packets = tuple(inbound)
-            except Exception as error:
-                stream_errors[name] = error
-                continue
-            tasks.append(
-                MemberFeedTask(
-                    name=name,
-                    router_name=router.name,
-                    stub_network=router.stub_network,
-                    ingress_filter=router.ingress_filter,
-                    inventory=router.inventory,
-                    detector_state=agent.detector.checkpoint(),
-                    responded=agent._responded,
-                    parameters=self.parameters,
-                    outbound=outbound_packets,
-                    inbound=inbound_packets,
-                )
-            )
-        outcomes = run_plan(
-            WorkPlan.partition(tasks), feed_member_task,
-            workers=workers, obs=self._obs,
-        )
-        by_name = {outcome.name: outcome for outcome in outcomes}
         errors: Dict[str, BaseException] = {}
         processed: Dict[str, int] = {}
-        for name in sorted(traffic):  # the serial feed's member order
-            if name in stream_errors:
-                error: BaseException = stream_errors[name]
-            elif by_name[name].error is not None:
-                # Reconstruct an exception whose type *name* matches the
-                # member's original failure, so down/feed-error records
-                # read the same as a serial feed's.
-                error_type, message = by_name[name].error
-                error = type(error_type, (RuntimeError,), {})(message)
-            else:
-                outcome = by_name[name]
-                self._reinstall_fed_member(name, outcome)
-                processed[name] = outcome.processed
-                if self._m_fed_packets is not None:
-                    self._m_fed_packets.labels(name).inc(outcome.processed)
-                continue
-            self._note_crash(name, error)
-            processed[name] = 0
-            if self.auto_restart:
-                self.restart_member(name)
-            else:
+        for name in sorted(traffic):
+            outbound, inbound = traffic[name]
+            try:
+                processed[name] = self.feed(name, outbound, inbound)
+            except Exception as error:
                 errors[name] = error
-        # The rollup is computed by the parent over the reinstalled
-        # member state — identical to the serial path's, so the emitted
-        # fleet_* samples are byte-identical at any worker count.
+                processed[name] = 0
         self._emit_fleet_rollup()
         if errors:
             raise FederationFeedError(errors, processed)
         return processed
-
-    def _reinstall_fed_member(
-        self, name: str, outcome: MemberFeedOutcome
-    ) -> None:
-        """Adopt a remotely-fed member's state: rebuild its router and
-        agent (the restart_member pattern), replay its alarms onto the
-        federation bus, retain its checkpoint."""
-        old_router, old_agent = self.member(name)
-        router = LeafRouter(
-            stub_network=old_router.stub_network,
-            ingress_filter=outcome.ingress_filter,
-            inventory=outcome.inventory,
-            name=old_router.name,
-            obs=self._obs,
-        )
-        detector = SynDog.restore(
-            outcome.detector_state, obs=self._obs, name=old_router.name,
-            counted=False,
-        )
-        # Restore resumes at next_period_index with an empty history and
-        # empty in-period counters (correct for a crash, where both are
-        # genuinely lost).  This member did not crash — splice its full
-        # record history back in and reinject the open period's partial
-        # counts so a later finish()/status() is indistinguishable from
-        # a serially-fed member's.
-        prior = list(old_agent.detector._records)
-        detector._records = prior + list(outcome.records)
-        detector._period_offset = (
-            int(outcome.detector_state["next_period_index"])
-            - len(detector._records)
-        )
-        detector.exchange.outbound._count = outcome.pending_syn
-        detector.exchange.inbound._count = outcome.pending_synack
-        _router, agent = self._install_member(name, router, detector)
-        agent._responded = outcome.responded
-        agent.alarm_events = list(outcome.alarm_events)
-        relay = self._alarm_relay(name)
-        for event in outcome.alarm_events:
-            relay(event)
-        self._checkpoints[name] = outcome.detector_state
 
     def finish(self, end_time: Optional[float] = None) -> None:
         """Close trailing observation periods on every member still up
@@ -687,13 +460,6 @@ class Federation:
                 restarts=self._restarts[name],
             )
         return member
-
-    def checkpoint_member(self, name: str) -> dict:
-        """Take (and retain) a checkpoint of one member's detector."""
-        _router, agent = self.member(name)
-        state = agent.detector.checkpoint()
-        self._checkpoints[name] = state
-        return state
 
     @property
     def members_down(self) -> Tuple[str, ...]:

@@ -18,13 +18,15 @@ from __future__ import annotations
 
 import math
 import random
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from ..packet.addresses import IPv4Address, IPv4Network, MACAddress
-from ..packet.packet import Packet, make_syn, make_syn_ack
 from .events import CountTrace, PacketTrace, TraceMetadata
 from .handshake import HandshakeModel
 from .profiles import SiteProfile
+
+if TYPE_CHECKING:
+    from ..packet.addresses import IPv4Address, IPv4Network, MACAddress
+    from ..packet.packet import Packet
 
 __all__ = [
     "generate_count_trace",
@@ -43,20 +45,27 @@ _PORT_CHOICES: Tuple[int, ...] = (80, 80, 80, 80, 80, 443, 25, 21, 110, 23)
 class AddressPlan:
     """Deterministic address assignment for packet-level generation.
 
-    Local clients live inside ``stub_network`` and carry stable MAC
-    addresses (needed later by the MAC-based source localization);
-    remote servers are scattered over the public address space.
+    Local clients live inside ``stub_network`` (default
+    ``152.2.0.0/16``) and carry stable MAC addresses (needed later by
+    the MAC-based source localization); remote servers are scattered
+    over the public address space.
     """
 
     def __init__(
         self,
         rng: random.Random,
-        stub_network: IPv4Network = IPv4Network.parse("152.2.0.0/16"),
+        stub_network: Optional[IPv4Network] = None,
         num_clients: int = 200,
         num_servers: int = 400,
     ) -> None:
+        # The packet codecs load here, not with the module: count-trace
+        # synthesis needs none of them.
+        from ..packet.addresses import IPv4Address, IPv4Network, MACAddress
+
         if num_clients <= 0 or num_servers <= 0:
             raise ValueError("need at least one client and one server")
+        if stub_network is None:
+            stub_network = IPv4Network.parse("152.2.0.0/16")
         self.stub_network = stub_network
         self.clients: List[Tuple[IPv4Address, MACAddress]] = []
         seen = set()
@@ -133,6 +142,8 @@ def generate_packet_trace(
     assigned so the downstream classifier, router, and localization
     machinery all see realistic headers.
     """
+    from ..packet.packet import make_syn, make_syn_ack
+
     total = profile.duration if duration is None else duration
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"duration must be finite and positive: {total}")

@@ -56,6 +56,19 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="checkpoint version"):
             SynDog.restore(state)
 
+    def test_restore_accepts_and_refuses_the_dropped_freeze_flag(self):
+        # Version-3 checkpoints of earlier builds carry the flag, as
+        # false: they resume as before.  One that froze K̄ on alarm
+        # would resume as a different detector, so it is refused.
+        dog = SynDog()
+        dog.observe_period(100, 95)
+        state = dog.checkpoint()
+        assert "freeze_k_on_alarm" not in state
+        resumed = SynDog.restore({**state, "freeze_k_on_alarm": False})
+        assert resumed.observe_period(100, 95) == dog.observe_period(100, 95)
+        with pytest.raises(ValueError, match="freeze_k_on_alarm"):
+            SynDog.restore({**state, "freeze_k_on_alarm": True})
+
     def test_restore_reconstructs_parameters(self):
         from repro.core import SynDogParameters
 

@@ -81,14 +81,6 @@ class TestNormalizedDifference:
         x = normalizer.observe(syn_count=100 + 200, synack_count=100)
         assert x == pytest.approx(2.0)
 
-    def test_freeze_on_alarm(self):
-        frozen = NormalizedDifference(alpha=0.5, initial_k=100.0, freeze_on_alarm=True)
-        frozen.observe(100, 0, alarm_active=True)
-        assert frozen.k_bar == pytest.approx(100.0)  # unchanged
-        live = NormalizedDifference(alpha=0.5, initial_k=100.0, freeze_on_alarm=False)
-        live.observe(100, 0, alarm_active=True)
-        assert live.k_bar == pytest.approx(50.0)
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             NormalizedDifference().observe(-1, 0)

@@ -3,14 +3,9 @@ early stopping."""
 
 import random
 
-import pytest
-
 from repro.core import SynDog
-from repro.experiments.streaming import (
-    detect_from_pcaps,
-    merge_directional_streams,
-    stream_detection,
-)
+from repro.core.sniffer import merge_directional_streams
+from repro.experiments.streaming import detect_from_pcaps
 from repro.packet.packet import make_syn, make_syn_ack
 from repro.pcap.writer import write_pcap
 from repro.trace.mixer import AttackWindow, mix_flood_into_packets
@@ -55,15 +50,24 @@ class TestStreamDetection:
         mixed = mix_flood_into_packets(
             trace, FloodSource(pattern=10.0), AttackWindow(240.0, 600.0), rng
         )
-        batch = SynDog().observe_streams(
-            mixed.outbound, mixed.inbound, end_time=1200.0
+        # The batch path: both streams materialized and sorted together
+        # (stable, so ties stay outbound-first).
+        batch = SynDog()
+        for packet, is_outbound in sorted(
+            [(packet, True) for packet in mixed.outbound]
+            + [(packet, False) for packet in mixed.inbound],
+            key=lambda item: item[0].timestamp,
+        ):
+            if is_outbound:
+                batch.observe_outbound(packet)
+            else:
+                batch.observe_inbound(packet)
+        batch.flush(end_time=1200.0)
+        streamed = SynDog().observe_streams(
+            iter(mixed.outbound), iter(mixed.inbound), end_time=1200.0
         )
-        streamed = stream_detection(
-            SynDog(), iter(mixed.outbound), iter(mixed.inbound),
-            end_time=1200.0,
-        )
-        assert streamed.alarmed == batch.alarmed
-        assert streamed.statistics == pytest.approx(batch.statistics)
+        assert streamed.alarmed
+        assert streamed == batch.result()
 
 
 class TestPcapPath:

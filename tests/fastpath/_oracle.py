@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 from repro.core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from repro.core.sniffer import CountExchange
 from repro.core.syndog import SynDog
-from repro.experiments.streaming import stream_detection
 from repro.fastpath.classify import (
     CLASS_SKIP,
     CLASS_SYN,
@@ -137,8 +136,7 @@ def object_detect(
     """The oracle detection run over two in-memory captures (tolerant
     reads, like detect_from_pcaps with fastpath=False)."""
     detector = SynDog(parameters=parameters, obs=obs)
-    result = stream_detection(
-        detector,
+    result = detector.observe_streams(
         PcapReader(io.BytesIO(outbound_image)).iter_packets(strict=False),
         PcapReader(io.BytesIO(inbound_image)).iter_packets(strict=False),
     )

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro.fastpath.columns import ColumnarPcapReader
+from repro.packet.packet import make_syn, make_syn_ack
 from repro.pcap.writer import PcapWriter
-from repro.trace.synthetic import make_syn, make_syn_ack
 
 from ._oracle import assert_capture_equivalent, assert_detection_identical
 

@@ -33,10 +33,11 @@ from repro.faults.models import (
 )
 from repro.obs.runtime import enabled_instrumentation
 from repro.packet.classify import PacketClass
+from repro.packet.packet import make_syn, make_syn_ack
 from repro.pcap.format import LINKTYPE_ETHERNET, LINKTYPE_RAW
 from repro.pcap.writer import PcapWriter, packets_to_pcap_bytes
 from repro.trace.profiles import SITE_PROFILES
-from repro.trace.synthetic import generate_packet_trace, make_syn, make_syn_ack
+from repro.trace.synthetic import generate_packet_trace
 
 from ._oracle import (
     assert_capture_equivalent,

@@ -19,9 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.packet.addresses import IPv4Address, MACAddress
+from repro.packet.packet import make_syn, make_syn_ack
 from repro.pcap.format import LINKTYPE_ETHERNET, LINKTYPE_RAW, PcapFormatError
 from repro.pcap.writer import packets_to_pcap_bytes
-from repro.trace.synthetic import make_syn, make_syn_ack
 
 from ._oracle import oracle_scan, raises_equivalently
 

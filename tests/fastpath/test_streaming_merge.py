@@ -1,8 +1,8 @@
 """Two-interface timestamp-merge equivalence.
 
-``experiments.streaming`` merges the interface captures lazily with
-``heapq.merge`` (ties outbound-first) and feeds the merge to a
-``CountExchange``.  The fastpath never merges: block by block, it
+The object pipeline merges the interface captures lazily with
+``heapq.merge`` (``core.sniffer.merge_directional_streams``, ties
+outbound-first) and feeds the merge to a ``CountExchange``.  The fastpath never merges: block by block, it
 counts each lane against the period boundaries at its packets'
 per-capture running maxima.  These tests pin its per-period counts to
 the exchange's — on identical captures, clock-skewed captures, jittered
@@ -20,8 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sniffer import CountExchange
-from repro.experiments.streaming import merge_directional_streams
+from repro.core.sniffer import CountExchange, merge_directional_streams
 from repro.fastpath.classify import (
     CLASS_NON_TCP_PROTOCOL,
     CLASS_SKIP,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.merge import merge_rollup_snapshots, rollup_snapshot
+from repro.obs.merge import merge_rollup_snapshots
 from repro.obs.rollup import (
     DEFAULT_TOP_K,
     ROLLUP_BUCKETS,
@@ -309,7 +309,7 @@ class TestFleetRollup:
         for shard in shards:
             direct.merge_from(shard)
         via_snapshots = merge_rollup_snapshots(
-            [rollup_snapshot(shard) for shard in shards]
+            [shard.to_dict() for shard in shards]
         )
         assert via_snapshots.to_dict() == direct.to_dict()
 

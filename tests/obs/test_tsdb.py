@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from repro.core.syndog import SynDog
 from repro.obs.alerts import builtin_rules
 from repro.obs.events import EventLog, MemorySink
+from repro.obs.merge import merge_tsdb_snapshots, tsdb_snapshot
 from repro.obs.runtime import enabled_instrumentation
 from repro.obs.tsdb import (
     NullTSDB,
     QueryError,
     TimeSeriesDB,
-    canonical_tsdb,
-    merge_tsdb,
     parse_duration,
     parse_query,
     tsdb_from_events,
@@ -123,7 +122,7 @@ class TestTicks:
         obs.registry.counter("widgets_total", "help").inc()
         obs.events.emit("ping")
         obs.tsdb.tick(20.0)
-        names = {entry["name"] for entry in canonical_tsdb(obs.tsdb)["series"]}
+        names = {entry["name"] for entry in tsdb_snapshot(obs.tsdb)["series"]}
         assert "widgets_total" not in names
         assert "obs_events_emitted_total" in names
 
@@ -275,12 +274,12 @@ class TestOfflineReconstruction:
         assert rebuilt_emitted.samples == live_emitted.samples
         # The whole canonical store round-trips, except drop counts: what
         # was dropped is exactly what the JSONL file does not hold.
-        live = canonical_tsdb(obs.tsdb)
+        live = tsdb_snapshot(obs.tsdb)
         live["series"] = [
             series for series in live["series"]
             if series["name"] != "obs_events_dropped_total"
         ]
-        assert canonical_tsdb(rebuilt) == live
+        assert tsdb_snapshot(rebuilt) == live
 
     def test_non_period_events_are_ignored(self):
         rebuilt = tsdb_from_events([{"event": "alarm", "time": 20.0}])
@@ -295,10 +294,10 @@ class TestMerge:
         shard_a, shard_b = TimeSeriesDB(), TimeSeriesDB()
         feed(shard_a, "y", [(20.0 * i, float(i)) for i in range(1, 9, 2)])
         feed(shard_b, "y", [(20.0 * i, float(i)) for i in range(2, 9, 2)])
-        merged = merge_tsdb(
+        merged = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_a.to_dict(), shard_b.to_dict()]
         )
-        assert canonical_tsdb(merged) == canonical_tsdb(whole)
+        assert tsdb_snapshot(merged) == tsdb_snapshot(whole)
 
     def test_merge_disjoint_agent_label_sets_unions_series(self):
         # Two shards that each own different agents: the merge is the
@@ -310,7 +309,7 @@ class TestMerge:
         feed(shard_a, "syndog_cusum", [(20.0, 0.3)], labels={"agent": "a2"})
         feed(shard_b, "syndog_cusum", [(20.0, 0.7), (40.0, 1.1)],
              labels={"agent": "b1"})
-        merged = merge_tsdb(
+        merged = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_a.to_dict(), shard_b.to_dict()]
         )
         by_agent = {
@@ -338,25 +337,25 @@ class TestMerge:
         feed(shard_a, "syndog_cusum", [(20.0, 0.9)], labels={"agent": "only-a"})
         feed(shard_b, "syndog_cusum", [(60.0, 0.5)], labels={"agent": "shared"})
         feed(shard_b, "syndog_cusum", [(40.0, 1.3)], labels={"agent": "only-b"})
-        merged = merge_tsdb(
+        merged = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_a.to_dict(), shard_b.to_dict()]
         )
-        assert canonical_tsdb(merged) == canonical_tsdb(whole)
+        assert tsdb_snapshot(merged) == tsdb_snapshot(whole)
         # And merge order across shards does not change the outcome
         # when sample times are distinct.
-        flipped = merge_tsdb(
+        flipped = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_b.to_dict(), shard_a.to_dict()]
         )
-        assert canonical_tsdb(flipped) == canonical_tsdb(whole)
+        assert tsdb_snapshot(flipped) == tsdb_snapshot(whole)
 
     def test_merge_order_breaks_ties_deterministically(self):
         shard_a, shard_b = TimeSeriesDB(), TimeSeriesDB()
         shard_a.append("y", None, 20.0, 1.0)
         shard_b.append("y", None, 20.0, 2.0)
-        first = merge_tsdb(
+        first = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_a.to_dict(), shard_b.to_dict()]
         )
-        second = merge_tsdb(
+        second = merge_tsdb_snapshots(
             TimeSeriesDB(), [shard_a.to_dict(), shard_b.to_dict()]
         )
         assert first.to_dict() == second.to_dict()
@@ -420,7 +419,7 @@ def build_series(kind, samples, shards):
         parts = [TimeSeriesDB() for _ in range(shards)]
         for index, (t, value) in enumerate(samples):
             parts[index % shards].append("y", None, t, value)
-        merge_tsdb(tsdb, [part.to_dict() for part in parts])
+        merge_tsdb_snapshots(tsdb, [part.to_dict() for part in parts])
     found = tsdb.series("y")
     return tsdb, (found[0] if found else None)
 
@@ -503,7 +502,7 @@ class TestBisectedWindowDifferential:
         (series,) = tsdb.series("y")
         assert not series.ordered
         assert series.window(60.0, 30.0) == ([60.0, 40.0], [3.0, 2.0])
-        merged = merge_tsdb(TimeSeriesDB(), [tsdb.to_dict()])
+        merged = merge_tsdb_snapshots(TimeSeriesDB(), [tsdb.to_dict()])
         (restored,) = merged.series("y")
         assert restored.ordered
         assert restored.window(60.0, 30.0) == ([40.0, 60.0], [2.0, 3.0])
@@ -523,7 +522,7 @@ class TestBisectedWindowDifferential:
             source.append(name, {"agent": agent} if agent else None, 1.0, 1.0)
         tsdb = source
         if via_merge:
-            tsdb = merge_tsdb(TimeSeriesDB(), [source.to_dict()])
+            tsdb = merge_tsdb_snapshots(TimeSeriesDB(), [source.to_dict()])
         keys = sorted({
             (name, (("agent", agent),) if agent else ())
             for name, agent in creations

@@ -26,9 +26,10 @@ from repro.experiments.export import campaign_result_to_dict, sensitivity_cells_
 from repro.experiments.runner import run_detection_sweep
 from repro.experiments.sensitivity import sweep_parameters
 from repro.faults.schedule import get_schedule
-from repro.obs.merge import canonical_events, render_deterministic
+from repro.obs.merge import (
+    canonical_events, render_deterministic, tsdb_snapshot,
+)
 from repro.obs.runtime import enabled_instrumentation
-from repro.obs.tsdb import canonical_tsdb
 from repro.packet.addresses import IPv4Address
 from repro.trace.profiles import get_profile
 
@@ -52,7 +53,7 @@ def observable_state(obs):
         "metrics": render_deterministic(obs.registry),
         "events": memory_events(obs),
         "contexts": list(obs.recorder.contexts),
-        "tsdb": canonical_tsdb(obs.tsdb),
+        "tsdb": tsdb_snapshot(obs.tsdb),
     }
 
 

@@ -105,7 +105,7 @@ class TestFederation:
 
 
 class TestFleetRollup:
-    def build_and_feed(self, obs=None, workers=1):
+    def build_and_feed(self, obs=None):
         from repro.obs.runtime import enabled_instrumentation
 
         federation = Federation(
@@ -121,13 +121,10 @@ class TestFleetRollup:
             )
             for index, (name, stub) in enumerate(sorted(NETWORKS.items()))
         }
-        federation.feed_all(
-            {
-                name: (trace.outbound, trace.inbound)
-                for name, trace in traffic.items()
-            },
-            workers=workers,
-        )
+        federation.feed_all({
+            name: (trace.outbound, trace.inbound)
+            for name, trace in traffic.items()
+        })
         return federation
 
     def test_rollup_reflects_member_detector_state(self):
@@ -166,14 +163,3 @@ class TestFleetRollup:
         rollup = federation.rollup()
         assert rollup.counts["down"] == 1
         assert rollup.quorum == pytest.approx(2.0 / 3.0)
-
-    def test_sharded_feed_all_emits_identical_rollup(self):
-        from repro.obs.merge import rollup_snapshot
-
-        serial = self.build_and_feed(workers=1)
-        sharded = self.build_and_feed(workers=2)
-        assert serial.last_rollup is not None
-        assert sharded.last_rollup is not None
-        assert rollup_snapshot(serial.last_rollup) == rollup_snapshot(
-            sharded.last_rollup
-        )

@@ -77,8 +77,37 @@ class TestFeedIsolation:
         assert federation.members_down == ()
         assert federation.quorum == 1.0
 
+    def test_feed_all_auto_restarts_without_raising(self):
+        federation = enrolled_federation(auto_restart=True)
+        eng = member_traffic(NETWORKS["eng"], seed=1)
+        dorms = member_traffic(NETWORKS["dorms"], seed=2)
+        processed = federation.feed_all({
+            "eng": (crashing_stream(eng.outbound, 50), eng.inbound),
+            "dorms": (dorms.outbound, dorms.inbound),
+        })
+        assert processed == {"eng": 0, "dorms": dorms.num_packets}
+        assert federation.members_down == ()
+        assert federation.restarts == {"eng": 1}
+
 
 class TestRestartFromCheckpoint:
+    def test_feed_all_crash_restarts_from_its_checkpoint(self):
+        federation = enrolled_federation()
+        eng = member_traffic(NETWORKS["eng"], seed=3)
+        federation.feed_all({"eng": (eng.outbound, eng.inbound)})
+        _router, agent = federation.member("eng")
+        checkpoint = agent.detector.checkpoint()
+
+        more = member_traffic(NETWORKS["eng"], seed=4)
+        with pytest.raises(FederationFeedError):
+            federation.feed_all({
+                "eng": (crashing_stream(more.outbound, 10), more.inbound),
+            })
+        assert federation.members_down == ("eng",)
+        _router, agent = federation.restart_member("eng")
+        assert federation.members_down == ()
+        assert agent.detector.checkpoint() == checkpoint
+
     def test_restart_resumes_detector_state(self):
         federation = enrolled_federation()
         trace = member_traffic(NETWORKS["eng"], seed=3)

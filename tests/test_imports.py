@@ -203,6 +203,14 @@ class TestCountStartup:
         assert report["code"] in (0, 2)
         assert offenders(report["modules"], PACKET_CODECS) == []
 
+    def test_count_trace_synthesis_loads_no_packet_codec(self):
+        # `repro generate` for counts and every soak epoch synthesize
+        # count traces; the codecs serve the packet-trace generator only.
+        modules = loaded_after(
+            "from repro.trace.synthetic import generate_count_trace"
+        )
+        assert offenders(modules, PACKET_CODECS) == []
+
 
 CONTRACT = """
 import importlib, json, pkgutil, sys
