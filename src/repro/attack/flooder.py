@@ -17,16 +17,37 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, List, Union
 
-from ..packet.addresses import IPv4Address, MACAddress
-from ..packet.packet import Packet, make_syn
 from .patterns import ConstantRate, RatePattern
-from .spoofing import RandomBogonSpoofer, Spoofer
+
+if TYPE_CHECKING:
+    from ..packet.addresses import IPv4Address, MACAddress
+    from ..packet.packet import Packet
+    from .spoofing import Spoofer
 
 __all__ = ["FloodSource"]
 
-_DEFAULT_VICTIM = IPv4Address.parse("198.51.100.80")
+
+# The address types, the spoofers and the frame codecs load on first
+# use, not with this module: a count-level flood (every soak epoch,
+# ``repro attack --counts``) builds no packet.
+def _default_victim() -> IPv4Address:
+    from ..packet.addresses import IPv4Address
+
+    return IPv4Address.parse("198.51.100.80")
+
+
+def _default_spoofer() -> Spoofer:
+    from .spoofing import RandomBogonSpoofer
+
+    return RandomBogonSpoofer()
+
+
+def _default_mac() -> MACAddress:
+    from ..packet.addresses import MACAddress
+
+    return MACAddress.parse("02:bd:00:00:00:01")
 
 
 @dataclass
@@ -48,10 +69,10 @@ class FloodSource:
     """
 
     pattern: Union[RatePattern, float]
-    victim: IPv4Address = _DEFAULT_VICTIM
+    victim: IPv4Address = field(default_factory=_default_victim)
     victim_port: int = 80
-    spoofer: Spoofer = field(default_factory=RandomBogonSpoofer)
-    mac: MACAddress = MACAddress.parse("02:bd:00:00:00:01")
+    spoofer: Spoofer = field(default_factory=_default_spoofer)
+    mac: MACAddress = field(default_factory=_default_mac)
 
     def __post_init__(self) -> None:
         if isinstance(self.pattern, (int, float)):
@@ -84,6 +105,8 @@ class FloodSource:
         """
         if duration <= 0:
             raise ValueError(f"duration must be positive: {duration}")
+        from ..packet.packet import make_syn
+
         packets: List[Packet] = []
         slot = 0.0
         while slot < duration:
@@ -94,18 +117,15 @@ class FloodSource:
                 count += 1
             for _ in range(count):
                 timestamp = slot + rng.random() * (slot_end - slot)
-                packets.append(self._spoofed_syn(rng, timestamp))
+                packets.append(make_syn(
+                    timestamp=timestamp,
+                    src=self.spoofer.next_address(rng),
+                    dst=self.victim,
+                    src_port=rng.randrange(1024, 65536),
+                    dst_port=self.victim_port,
+                    seq=rng.getrandbits(32),
+                    src_mac=self.mac,
+                ))
             slot = slot_end
         packets.sort(key=lambda packet: packet.timestamp)
         return packets
-
-    def _spoofed_syn(self, rng: random.Random, timestamp: float) -> Packet:
-        return make_syn(
-            timestamp=timestamp,
-            src=self.spoofer.next_address(rng),
-            dst=self.victim,
-            src_port=rng.randrange(1024, 65536),
-            dst_port=self.victim_port,
-            seq=rng.getrandbits(32),
-            src_mac=self.mac,
-        )

@@ -134,36 +134,20 @@ class CountExchange:
         self.origin = float(start_time)
         self._period_index = 0
         self._next_boundary = self.start_of(1)
-        # Hot-path contract (see repro.obs): bind instruments once here;
-        # when the registry is disabled (even if events or the flight
-        # recorder are live) every per-packet guard is a single None
-        # check — null-instrument method calls are not free at 100k pps.
+        # Hot-path contract (see repro.obs): the instruments are bound
+        # once, by the first packet, fastpath fold or flush, so a
+        # count-driven detector, which never feeds this exchange,
+        # registers none of them.  Unbound or disabled (even if events
+        # or the flight recorder are live), every per-packet guard is a
+        # single None check — null-instrument method calls are not free
+        # at 100k pps.
         obs = resolve_instrumentation(obs)
-        if obs.registry.enabled:
-            seen = obs.registry.counter(
-                "sniffer_packets_total",
-                "Packets inspected at the sniffers, by direction",
-                ("direction",),
-            )
-            counted = obs.registry.counter(
-                "sniffer_packets_counted_total",
-                "Packets matching the sniffer's target class, by direction",
-                ("direction",),
-            )
-            self._m_out_seen = seen.labels(Direction.OUTBOUND)
-            self._m_in_seen = seen.labels(Direction.INBOUND)
-            self._m_out_counted = counted.labels(Direction.OUTBOUND)
-            self._m_in_counted = counted.labels(Direction.INBOUND)
-            self._m_periods = obs.registry.counter(
-                "exchange_periods_total",
-                "Observation periods closed by the count exchange",
-            )
-        else:
-            self._m_out_seen = None
-            self._m_in_seen = None
-            self._m_out_counted = None
-            self._m_in_counted = None
-            self._m_periods = None
+        self._registry = obs.registry if obs.registry.enabled else None
+        self._m_out_seen = None
+        self._m_in_seen = None
+        self._m_out_counted = None
+        self._m_in_counted = None
+        self._m_periods = None
         # Profiler stage handles follow the same bind-once contract:
         # when disabled, observe_* pays exactly one extra None check.
         if obs.profiler.enabled:
@@ -172,6 +156,29 @@ class CountExchange:
         else:
             self._prof_classify = None
             self._prof_sniff = None
+
+    def _bind_counters(self) -> None:
+        """Register and bind the sniffer and exchange counters; called
+        once, while ``_registry`` still holds the live registry."""
+        registry, self._registry = self._registry, None
+        seen = registry.counter(
+            "sniffer_packets_total",
+            "Packets inspected at the sniffers, by direction",
+            ("direction",),
+        )
+        counted = registry.counter(
+            "sniffer_packets_counted_total",
+            "Packets matching the sniffer's target class, by direction",
+            ("direction",),
+        )
+        self._m_out_seen = seen.labels(Direction.OUTBOUND)
+        self._m_in_seen = seen.labels(Direction.INBOUND)
+        self._m_out_counted = counted.labels(Direction.OUTBOUND)
+        self._m_in_counted = counted.labels(Direction.INBOUND)
+        self._m_periods = registry.counter(
+            "exchange_periods_total",
+            "Observation periods closed by the count exchange",
+        )
 
     def start_of(self, k):
         """Start time of period *k*: ``origin + k * t0``, the clock's
@@ -222,6 +229,8 @@ class CountExchange:
         elsewhere (the columnar fastpath), to the values a
         packet-at-a-time run would leave.  A no-op when the registry is
         off."""
+        if self._registry is not None:
+            self._bind_counters()
         if self._m_periods is None:
             return
         self._m_out_seen.inc(out_seen)
@@ -265,6 +274,8 @@ class CountExchange:
         method calls per packet here were a measured 40% slowdown,
         inline integer adds keep the enabled profiler within its 1.15x
         budget (``benchmarks/test_profiler_overhead.py``)."""
+        if self._registry is not None:
+            self._bind_counters()
         reports = self._advance_to(packet.timestamp)
         prof_classify = self._prof_classify
         if prof_classify is not None:
@@ -292,6 +303,8 @@ class CountExchange:
     def observe_inbound(self, packet: Packet) -> List[PeriodReport]:
         """Feed one packet seen at the inbound interface.  Mirrors
         :meth:`observe_outbound`, including its inlined profiled path."""
+        if self._registry is not None:
+            self._bind_counters()
         reports = self._advance_to(packet.timestamp)
         prof_classify = self._prof_classify
         if prof_classify is not None:
@@ -350,6 +363,8 @@ class CountExchange:
     def flush(self, end_time: Optional[float] = None) -> List[PeriodReport]:
         """Close the current period (and any idle periods up to
         *end_time*) at end of stream."""
+        if self._registry is not None:
+            self._bind_counters()
         reports: List[PeriodReport] = []
         if end_time is not None:
             reports.extend(self._advance_to(end_time))

@@ -181,7 +181,9 @@ class SynDog:
         self._consecutive_missing = 0
         # Per-period instruments; bound once (see repro.obs hot-path
         # contract).  Period cadence is t0 = 20 s, so the enabled cost
-        # is negligible even on heavy traffic.
+        # is negligible even on heavy traffic.  The detector-state
+        # gauges are this agent's children of agent-labeled families,
+        # so agents sharing one bundle each export their own value.
         if obs.registry.enabled:
             registry = obs.registry
             self._m_periods = registry.counter(
@@ -200,17 +202,23 @@ class SynDog:
                 ("state",),
             )
             self._g_statistic = registry.gauge(
-                "syndog_statistic", "Current CUSUM statistic y_n"
-            )
+                "syndog_statistic", "Current CUSUM statistic y_n, by agent",
+                ("agent",),
+            ).labels(self.name)
             self._g_x = registry.gauge(
-                "syndog_x", "Latest normalized difference X_n"
-            )
+                "syndog_x", "Latest normalized difference X_n, by agent",
+                ("agent",),
+            ).labels(self.name)
             self._g_k_bar = registry.gauge(
-                "syndog_k_bar", "Current EWMA estimate of SYN/ACKs per period"
-            )
+                "syndog_k_bar",
+                "Current EWMA estimate of SYN/ACKs per period, by agent",
+                ("agent",),
+            ).labels(self.name)
             self._g_alarm = registry.gauge(
-                "syndog_alarm", "Current decision d_N (1 = flooding source)"
-            )
+                "syndog_alarm",
+                "Current decision d_N (1 = flooding source), by agent",
+                ("agent",),
+            ).labels(self.name)
             self._m_degraded = registry.counter(
                 "degraded_periods_total",
                 "Observation periods handled in degraded mode "
@@ -371,9 +379,11 @@ class SynDog:
                     "raised" if alarm else "cleared"
                 ).inc()
         if self._events is not None or self._recorder is not None:
+            # One dict: the period event's payload and the recorder's
+            # tape entry.
             snapshot = record.snapshot(self.parameters.threshold)
         if self._events is not None:
-            self._events.emit("period", agent=self.name, **snapshot)
+            self._events.emit("period", snapshot, agent=self.name)
             if alarm != self._prev_alarm:
                 self._events.emit(
                     "alarm_raised" if alarm else "alarm_cleared",

@@ -39,7 +39,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from .tsdb import TimeSeriesDB, parse_query
 from .null import NullAlertManager
@@ -62,8 +64,27 @@ _CONTEXT_WINDOW_TAIL = 8
 #: Firing contexts the manager retains for the live server.
 _CONTEXT_RETENTION = 64
 
-_STATES = ("inactive", "pending", "firing")
-_TRANSITIONS = ("pending", "firing", "resolved", "cancelled")
+
+class _RuleState:
+    """One rule's lifecycle state: ``state`` is ``inactive``,
+    ``pending`` or ``firing`` (the alerts document's ``states`` entry,
+    built by :meth:`to_dict`)."""
+
+    __slots__ = (
+        "state", "since", "consecutive", "last_value", "fired_count",
+        "resolved_count",
+    )
+
+    def __init__(self) -> None:
+        self.state = "inactive"
+        self.since: Optional[float] = None
+        self.consecutive = 0
+        self.last_value: Optional[float] = None
+        self.fired_count = 0
+        self.resolved_count = 0
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 class AlertRule:
@@ -148,6 +169,13 @@ class AlertManager:
     wall time.  Transitions are recorded as plain dicts
     ``{"rule", "to", "t", "value"}`` — the full auditable history the
     ``/alerts`` endpoint and ``repro alerts`` serve.
+
+    :meth:`evaluate` reads only *live* rules: those whose selector
+    matches a series in the store, plus any not inactive.  An inactive
+    rule over no series would evaluate to an empty vector and stay
+    inactive, so skipping it changes nothing.  The live list is rebuilt
+    whenever the store has gained a series since the last pass, so a
+    rule goes live in the period its first series appears.
     """
 
     enabled = True
@@ -160,7 +188,11 @@ class AlertManager:
         recorder: Optional[Any] = None,
     ) -> None:
         self._rules: List[AlertRule] = []
-        self._states: Dict[str, Dict[str, Any]] = {}
+        self._states: Dict[str, _RuleState] = {}
+        #: ``(rule, state)`` per live rule, valid while the store holds
+        #: ``_live_series`` series.
+        self._live: List[Tuple[AlertRule, _RuleState]] = []
+        self._live_series = -1
         self._tsdb = tsdb
         self._events = events
         self._recorder = recorder
@@ -183,6 +215,7 @@ class AlertManager:
         """Late wiring by :class:`~repro.obs.runtime.Instrumentation`."""
         if tsdb is not None:
             self._tsdb = tsdb
+            self._live_series = -1
         if events is not None:
             self._events = events
         if recorder is not None:
@@ -202,14 +235,8 @@ class AlertManager:
         if rule.name in self._states:
             raise ValueError(f"duplicate alert rule name: {rule.name!r}")
         self._rules.append(rule)
-        self._states[rule.name] = {
-            "state": "inactive",
-            "since": None,
-            "consecutive": 0,
-            "last_value": None,
-            "fired_count": 0,
-            "resolved_count": 0,
-        }
+        self._states[rule.name] = _RuleState()
+        self._live_series = -1
 
     @property
     def rules(self) -> List[AlertRule]:
@@ -220,14 +247,14 @@ class AlertManager:
         return sorted(
             name
             for name, state in self._states.items()
-            if state["state"] == "firing"
+            if state.state == "firing"
         )
 
     def pending(self) -> List[str]:
         return sorted(
             name
             for name, state in self._states.items()
-            if state["state"] == "pending"
+            if state.state == "pending"
         )
 
     # ------------------------------------------------------------------
@@ -246,33 +273,45 @@ class AlertManager:
         self.evaluations += 1
 
         produced: List[Dict[str, Any]] = []
-        query, states = self._tsdb.query, self._states
-        for rule in self._rules:
-            vector = query(rule.query, t)
-            state = states[rule.name]
-            if vector:
-                value = max(entry["value"] for entry in vector)
-                state["consecutive"] += 1
-                state["last_value"] = value
-                if state["state"] == "inactive":
-                    state["since"] = t
-                    if state["consecutive"] >= rule.for_periods:
+        tsdb = self._tsdb
+        if len(tsdb) != self._live_series:
+            self._bind_live(tsdb)
+        query = tsdb.query
+        for rule, state in self._live:
+            value = query(rule.query, t, True)
+            if value is not None:
+                state.consecutive += 1
+                state.last_value = value
+                if state.state == "inactive":
+                    state.since = t
+                    if state.consecutive >= rule.for_periods:
                         produced.append(self._transition(rule, "firing", t, value))
                     else:
-                        state["state"] = "pending"
+                        state.state = "pending"
                         produced.append(self._transition(rule, "pending", t, value))
                 elif (
-                    state["state"] == "pending"
-                    and state["consecutive"] >= rule.for_periods
+                    state.state == "pending"
+                    and state.consecutive >= rule.for_periods
                 ):
                     produced.append(self._transition(rule, "firing", t, value))
             else:
-                state["consecutive"] = 0
-                if state["state"] == "pending":
+                state.consecutive = 0
+                if state.state == "pending":
                     produced.append(self._transition(rule, "cancelled", t, None))
-                elif state["state"] == "firing":
+                elif state.state == "firing":
                     produced.append(self._transition(rule, "resolved", t, None))
         return produced
+
+    def _bind_live(self, tsdb: TimeSeriesDB) -> None:
+        """Rebuild the live-rule list against the store's current
+        series (rule order kept, so transitions keep their order)."""
+        self._live_series = len(tsdb)
+        self._live = [
+            (rule, self._states[rule.name])
+            for rule in self._rules
+            if tsdb.select(rule.query)
+            or self._states[rule.name].state != "inactive"
+        ]
 
     def close(self, t: Optional[float] = None) -> List[Dict[str, Any]]:
         """End of stream: resolve firing alerts, cancel pending ones.
@@ -290,9 +329,9 @@ class AlertManager:
         produced: List[Dict[str, Any]] = []
         for rule in self._rules:
             state = self._states[rule.name]
-            if state["state"] == "firing":
+            if state.state == "firing":
                 produced.append(self._transition(rule, "resolved", t, None))
-            elif state["state"] == "pending":
+            elif state.state == "pending":
                 produced.append(self._transition(rule, "cancelled", t, None))
         return produced
 
@@ -301,16 +340,16 @@ class AlertManager:
         self, rule: AlertRule, to: str, t: float, value: Optional[float]
     ) -> Dict[str, Any]:
         state = self._states[rule.name]
-        state["state"] = "firing" if to == "firing" else (
+        state.state = "firing" if to == "firing" else (
             "pending" if to == "pending" else "inactive"
         )
         if to == "firing":
-            state["fired_count"] += 1
+            state.fired_count += 1
         elif to == "resolved":
-            state["resolved_count"] += 1
+            state.resolved_count += 1
         if to in ("resolved", "cancelled"):
-            state["since"] = None
-            state["consecutive"] = 0
+            state.since = None
+            state.consecutive = 0
         record = {
             "rule": rule.name,
             "severity": rule.severity,
@@ -371,7 +410,8 @@ class AlertManager:
             "evaluations": self.evaluations,
             "rules": [rule.to_dict() for rule in self._rules],
             "states": {
-                name: dict(self._states[name]) for name in sorted(self._states)
+                name: self._states[name].to_dict()
+                for name in sorted(self._states)
             },
             "firing": self.firing(),
             "pending": self.pending(),

@@ -42,11 +42,13 @@ class MemorySink:
         self.max_events = max_events
         self.dropped = 0
 
-    def write(self, event: Event) -> None:
+    def write(self, event: Event) -> bool:
+        """Retain *event*; True when the bound dropped it instead."""
         if self.max_events is not None and len(self.events) >= self.max_events:
             self.dropped += 1
-            return
+            return True
         self.events.append(event)
+        return False
 
     def close(self) -> None:
         pass
@@ -98,37 +100,47 @@ class JsonlSink:
 class EventLog:
     """The emitting side: stamps ``event`` and ``seq``, fans out to
     every sink.  With no sinks it still counts emissions (cheap), so a
-    summary can report how chatty a run was."""
+    summary can report how chatty a run was.
+
+    ``events_emitted`` (the next ``seq``) and ``dropped`` are plain
+    attributes kept current by :meth:`emit`, so the TSDB's per-period
+    tick reads both without asking each sink.  A sink's ``write``
+    returns True when a bound made it drop the event."""
 
     enabled = True
 
     def __init__(self, *sinks: Any) -> None:
-        self._sinks: List[Any] = list(sinks)
-        self._seq = 0
+        self._sinks: List[Any] = []
+        self.events_emitted = 0
+        #: Events silently dropped by bounded sinks, summed over sinks —
+        #: must be surfaced (``obs_events_dropped_total``), or event
+        #: loss is invisible.
+        self.dropped = 0
+        for sink in sinks:
+            self.add_sink(sink)
 
     def add_sink(self, sink: Any) -> None:
         self._sinks.append(sink)
+        self.dropped += getattr(sink, "dropped", 0)
 
     def sinks(self) -> List[Any]:
         """The attached sinks (read-only view for exporters/servers)."""
         return list(self._sinks)
 
-    @property
-    def dropped(self) -> int:
-        """Events silently dropped by bounded sinks — must be surfaced
-        (``obs_events_dropped_total``), or event loss is invisible."""
-        return sum(getattr(sink, "dropped", 0) for sink in self._sinks)
-
-    def emit(self, kind: str, **fields: Any) -> Event:
-        event: Event = {"event": kind, "seq": self._seq, **fields}
-        self._seq += 1
+    def emit(
+        self, kind: str, payload: Optional[Event] = None, /, **fields: Any
+    ) -> Event:
+        """Stamp and fan out one event: ``event``, ``seq``, *fields*,
+        then the prebuilt *payload* dict, if any (the detector's period
+        snapshot, also handed to the flight recorder)."""
+        event: Event = {"event": kind, "seq": self.events_emitted, **fields}
+        if payload is not None:
+            event.update(payload)
+        self.events_emitted += 1
         for sink in self._sinks:
-            sink.write(event)
+            if sink.write(event):
+                self.dropped += 1
         return event
-
-    @property
-    def events_emitted(self) -> int:
-        return self._seq
 
     def close(self) -> None:
         for sink in self._sinks:

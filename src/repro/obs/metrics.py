@@ -112,6 +112,8 @@ class _Family:
         raise NotImplementedError
 
     def _require_unlabeled(self) -> None:
+        # ``inc``/``set`` test ``labelnames`` before calling this, so an
+        # unlabeled child's per-period update makes no extra call.
         if self.labelnames:
             raise ValueError(
                 f"{self.name} is labeled {self.labelnames}; call .labels() first"
@@ -149,7 +151,8 @@ class Counter(_Family):
         return Counter(self.name, self.help)
 
     def inc(self, amount: float = 1.0) -> None:
-        self._require_unlabeled()
+        if self.labelnames:
+            self._require_unlabeled()
         if amount < 0:
             raise ValueError(f"counters only go up: {amount}")
         self._value += amount
@@ -178,11 +181,13 @@ class Gauge(_Family):
         return Gauge(self.name, self.help)
 
     def set(self, value: float) -> None:
-        self._require_unlabeled()
+        if self.labelnames:
+            self._require_unlabeled()
         self._value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
-        self._require_unlabeled()
+        if self.labelnames:
+            self._require_unlabeled()
         self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:

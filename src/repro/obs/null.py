@@ -88,7 +88,10 @@ class NullEventLog:
     events_emitted = 0
     dropped = 0
 
-    def emit(self, kind: str, **fields: Any) -> None:
+    def emit(
+        self, kind: str, payload: Optional[Dict[str, Any]] = None, /,
+        **fields: Any,
+    ) -> None:
         return None
 
     def sinks(self) -> List[Any]:
@@ -180,8 +183,10 @@ class NullTSDB:
     def merge_from(self, snapshot: Dict[str, Any]) -> None:
         pass
 
-    def query(self, expr: Any, at: Optional[float] = None) -> List[Dict[str, Any]]:
-        return []
+    def query(
+        self, expr: Any, at: Optional[float] = None, peak: bool = False
+    ) -> Optional[List[Dict[str, Any]]]:
+        return None if peak else []
 
     def __len__(self) -> int:
         return 0

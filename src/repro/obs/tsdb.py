@@ -95,10 +95,23 @@ DETECTOR_SERIES = (
     "syndog_degraded",
 )
 
+#: Registry families the per-period snapshot skips: the event stats
+#: (fed first-class by the tick) and the detector gauges whose values
+#: the trajectory already writes as ``syndog_cusum``, ``syndog_x_n``
+#: and ``syndog_alarm_active`` — a snapshot copy would be the same
+#: fact again, one period late.
+_SNAPSHOT_SKIPPED = _EVENT_STAT_SERIES + (
+    "syndog_statistic", "syndog_x", "syndog_alarm",
+)
+
 #: Instant selectors only look back this far for their latest sample —
 #: a series that stopped reporting goes stale instead of answering
 #: forever (Prometheus's lookback delta, scaled to 20 s periods).
 DEFAULT_STALENESS_SECONDS = 600.0
+
+
+def _if_enabled(component: Any) -> Optional[Any]:
+    return component if getattr(component, "enabled", False) else None
 
 
 def _labels_key(labels: Optional[Dict[str, Any]]) -> LabelsKey:
@@ -195,7 +208,9 @@ class Series:
         ``at - duration < t <= at``, oldest first."""
         times, values = self.columns
         if self.ordered:
-            end = bisect_right(times, at)
+            end = len(times)
+            if end and times[end - 1] > at:  # not the live case
+                end = bisect_right(times, at)
             start = bisect_right(times, at - duration, 0, end)
             return times[start:end], values[start:end]
         keep = [i for i, t in enumerate(times) if at - duration < t <= at]
@@ -285,14 +300,16 @@ class TimeSeriesDB:
         profiler: Optional[Any] = None,
     ) -> None:
         """Attach the registry/event log/profiler :meth:`tick` snapshots
-        read (done once by :class:`~repro.obs.runtime.Instrumentation`)."""
+        read (done once by :class:`~repro.obs.runtime.Instrumentation`).
+        A disabled component binds as absent, so a tick skips it
+        without a call."""
         if registry is not None:
-            self._registry = registry
+            self._registry = _if_enabled(registry)
             self._snapshot_generation = None
         if events is not None:
-            self._events = events
+            self._events = _if_enabled(events)
         if profiler is not None:
-            self._profiler = profiler
+            self._profiler = _if_enabled(profiler)
 
     def append(
         self,
@@ -366,9 +383,12 @@ class TimeSeriesDB:
         if not self.record_snapshots or t <= self._last_tick:
             return
         self._last_tick = t
-        self._tick_events(t)
-        self._tick_registry(t)
-        self._tick_profiler(t)
+        if self._events is not None:
+            self._tick_events(t)
+        if self._registry is not None:
+            self._tick_registry(t)
+        if self._profiler is not None:
+            self._tick_profiler(t)
 
     def tick_events(self, t: float) -> None:
         """Event-stats-only tick — what
@@ -380,13 +400,12 @@ class TimeSeriesDB:
         if not self.record_snapshots or t <= self._last_tick:
             return
         self._last_tick = t
-        self._tick_events(t)
+        if self._events is not None:
+            self._tick_events(t)
 
     def _tick_events(self, t: float) -> None:
         events = self._events
-        if events is None or not getattr(events, "enabled", False):
-            return
-        values = (events.events_emitted, getattr(events, "dropped", 0))
+        values = (events.events_emitted, events.dropped)
         if self._event_series:
             self.append_at(t, zip(self._event_series, values))
         else:
@@ -397,14 +416,12 @@ class TimeSeriesDB:
 
     def _tick_registry(self, t: float) -> None:
         """Copy every counter/gauge child of the bound registry (except
-        span timings and the event stats :meth:`_tick_events` records)
-        into a ``source="registry"`` series.  The bindings are rebuilt
+        the families in :data:`_SNAPSHOT_SKIPPED`) into a
+        ``source="registry"`` series.  The bindings are rebuilt
         only when the registry gained a family or child since the last
         tick; until then each tick reads the bound instruments straight
         into their series."""
         registry = self._registry
-        if registry is None or not getattr(registry, "enabled", False):
-            return
         generation = registry.generation
         if generation == self._snapshot_generation:
             self.append_at(
@@ -425,7 +442,7 @@ class TimeSeriesDB:
             name = family.name
             if (
                 family.kind not in ("counter", "gauge")
-                or name in _EVENT_STAT_SERIES
+                or name in _SNAPSHOT_SKIPPED
             ):
                 continue
             bound = [] if family.labelnames else [(None, family)]
@@ -448,10 +465,7 @@ class TimeSeriesDB:
         rules (:func:`repro.obs.alerts.profiler_rules`) evaluate.
         ``source="profile"`` series are, like registry snapshots,
         excluded from the deterministic shard-shipping projection."""
-        profiler = self._profiler
-        if profiler is None or not getattr(profiler, "enabled", False):
-            return
-        for row in profiler.stage_documents():
+        for row in self._profiler.stage_documents():
             labels = {"stage": row["stage"]}
             self.append(
                 "stage_ns_total", labels, t,
@@ -568,8 +582,11 @@ class TimeSeriesDB:
     # Queries
     # ------------------------------------------------------------------
     def query(
-        self, expr: Union[str, Query], at: Optional[float] = None
-    ) -> List[Dict[str, Any]]:
+        self,
+        expr: Union[str, Query],
+        at: Optional[float] = None,
+        peak: bool = False,
+    ) -> Union[List[Dict[str, Any]], Optional[float]]:
         """Evaluate a PromQL-lite expression as an instant vector.
 
         *expr* is either text, parsed and selected on every call (the
@@ -579,25 +596,33 @@ class TimeSeriesDB:
         Returns ``[{"labels": {...}, "value": v}, ...]`` sorted by
         labels.  ``at`` defaults to the newest sample time in the
         store (an empty store evaluates to an empty vector).
+
+        With *peak*, returns only the largest value of that vector, or
+        None when it is empty (:meth:`Query.peak`): all an alert rule
+        reads, so no vector is built.
         """
-        compiled = isinstance(expr, Query)
-        parsed = expr if compiled else parse_query(expr)
-        selector = parsed.selector
-        if not compiled:
-            selected = selector.select(self)
+        if isinstance(expr, Query):
+            parsed, selected = expr, self.select(expr)
         else:
-            # Taken before selecting: see _add_series.
-            selections = self._selections
-            selected = selections.get(selector)
-            if selected is None:
-                selected = selections[selector] = selector.select(self)
-        if not selected:
-            return []
-        if at is None:
+            parsed = parse_query(expr)
+            selected = parsed.selector.select(self)
+        if selected and at is None:
             at = self.last_time()
-            if at is None:
-                return []
+        if not selected or at is None:
+            return None if peak else []
+        if peak:
+            return parsed.peak(selected, float(at), self.staleness)
         return parsed.over(selected, float(at), self.staleness)
+
+    def select(self, query: Query) -> List[Series]:
+        """The series compiled *query*'s selector picks, cached until a
+        series is added (the list is shared: do not mutate it)."""
+        # Taken before selecting: see _add_series.
+        selections = self._selections
+        selected = selections.get(query.selector)
+        if selected is None:
+            selected = selections[query.selector] = query.selector.select(self)
+        return selected
 
 
 class TrajectoryWriter:
@@ -820,26 +845,47 @@ class Query:
             self.threshold,
         )
 
+    def _value_of(
+        self, series: Series, at: float, staleness: float
+    ) -> Optional[float]:
+        """This query's value on one series at *at*: None when the
+        series has no sample for it or the comparison filters it out."""
+        if self._range_fn is not None:
+            value = self._range_fn(*series.window(at, self.duration))
+        else:
+            sample = series.latest(at, staleness)
+            value = None if sample is None else sample[1]
+        if value is None or (
+            self._compare is not None and not self._compare(value, self.threshold)
+        ):
+            return None
+        return value
+
     def over(
         self, selected: Sequence[Series], at: float, staleness: float
     ) -> List[Dict[str, Any]]:
         """The instant vector at *at* over the series the selector
         picked (:meth:`TimeSeriesDB.query` selects, caching compiled
         queries' selections)."""
-        range_fn, compare, duration = self._range_fn, self._compare, self.duration
         results: List[Dict[str, Any]] = []
         for series in selected:
-            if range_fn is not None:
-                value = range_fn(*series.window(at, duration))
-            else:
-                sample = series.latest(at, staleness)
-                value = None if sample is None else sample[1]
-            if value is None:
-                continue
-            if compare is not None and not compare(value, self.threshold):
-                continue
-            results.append({"labels": dict(series.labels), "value": value})
+            value = self._value_of(series, at, staleness)
+            if value is not None:
+                results.append({"labels": dict(series.labels), "value": value})
         return results
+
+    def peak(
+        self, selected: Sequence[Series], at: float, staleness: float
+    ) -> Optional[float]:
+        """The largest value of the instant vector :meth:`over` would
+        return, or None when it is empty — all an alert rule reads, so
+        no vector is built."""
+        peak = None
+        for series in selected:
+            value = self._value_of(series, at, staleness)
+            if value is not None and (peak is None or value > peak):
+                peak = value
+        return peak
 
 
 class _Parser:

@@ -38,8 +38,8 @@ class TestSynDogCountLevel:
         assert registry.get("syndog_periods_total").value == 5.0
         assert registry.get("syndog_syn_total").value == 500.0
         assert registry.get("syndog_synack_total").value == 500.0
-        assert registry.get("syndog_alarm").value == 0.0
-        assert registry.get("syndog_k_bar").value == dog.k_bar
+        assert registry.get("syndog_alarm").labels(dog.name).value == 0.0
+        assert registry.get("syndog_k_bar").labels(dog.name).value == dog.k_bar
         periods = memory_sink(obs).of_kind("period")
         assert len(periods) == 5
         # The acceptance contract: every period event carries the full
@@ -59,7 +59,7 @@ class TestSynDogCountLevel:
         transitions = obs.registry.get("syndog_alarm_transitions_total")
         assert transitions.labels("raised").value == 1.0
         assert transitions.labels("cleared").value == 0.0
-        assert obs.registry.get("syndog_alarm").value == 1.0
+        assert obs.registry.get("syndog_alarm").labels(dog.name).value == 1.0
         sink = memory_sink(obs)
         [raised] = sink.of_kind("alarm_raised")
         assert raised["period_index"] == 5

@@ -160,8 +160,9 @@ class TestTheNullBundleStandsAlone:
         exchange.flush(end_time=45.0)
         registry = obs.registry
         assert registry.get("syndog_periods_total").value == 1
-        # One period through the dog's own exchange, two through this one.
-        assert registry.get("exchange_periods_total").value == 1 + 2
+        # The dog is count-driven, so only this exchange closes periods:
+        # two boundaries up to 45 s, then the trailing one.
+        assert registry.get("exchange_periods_total").value == 2 + 1
         events = obs.memory_events().events
         assert [e["event"] for e in events] == ["period"]
         assert events[0]["agent"] == "scoped"

@@ -211,6 +211,12 @@ class TestCountStartup:
         )
         assert offenders(modules, PACKET_CODECS) == []
 
+    def test_soak_loads_no_packet_codec(self):
+        # A soak floods at count level; the flooder loads the address
+        # types and frame codecs only when it builds packets.
+        modules = loaded_after("import repro.experiments.soak")
+        assert offenders(modules, PACKET_CODECS) == []
+
 
 CONTRACT = """
 import importlib, json, pkgutil, sys
