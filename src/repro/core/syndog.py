@@ -27,7 +27,11 @@ from typing import (
     Tuple,
 )
 
-from ..obs.runtime import Instrumentation, resolve_instrumentation
+from ..obs.runtime import (
+    AgentSummary,
+    Instrumentation,
+    resolve_instrumentation,
+)
 from .cusum import NonParametricCusum
 from .normalization import NormalizedDifference
 from .parameters import DEFAULT_PARAMETERS, SynDogParameters
@@ -172,11 +176,11 @@ class SynDog:
             drift=parameters.drift, threshold=parameters.threshold
         )
         self._records: List[DetectionRecord] = []
-        self._prev_alarm = False
-        # Degradation / restart bookkeeping: periods observed before a
-        # restore, the last real counts (carry-forward source), and how
-        # many periods in a row went missing.
-        self._period_offset = 0
+        #: The running state every status view reads; unlike the records
+        #: it survives a checkpoint.
+        self.summary = AgentSummary()
+        # Degradation bookkeeping: the last real counts (carry-forward
+        # source), and how many periods in a row went missing.
         self._last_counts: Optional[Tuple[int, int]] = None
         self._consecutive_missing = 0
         # Per-period instruments; bound once (see repro.obs hot-path
@@ -323,7 +327,7 @@ class SynDog:
         t0 = self.parameters.observation_period
         origin = self.exchange.origin
         if start_time is None:
-            period_index = self._period_offset + len(self._records)
+            period_index = self.summary.periods
             start_time = origin + period_index * t0
         else:
             period_index = int(round((start_time - origin) / t0))
@@ -351,6 +355,9 @@ class SynDog:
 
     def _emit_record(self, record: DetectionRecord) -> None:
         self._records.append(record)
+        summary = self.summary
+        prev_alarm = summary.alarm
+        summary.fold(record)
         # The fields, read once: this runs once per period.
         (period_index, _start, end_time, syn_count, synack_count, k_bar,
          x, statistic, alarm, degraded) = record
@@ -374,7 +381,7 @@ class SynDog:
             self._g_alarm.set(1.0 if alarm else 0.0)
             if degraded:
                 self._m_degraded.inc()
-            if alarm != self._prev_alarm:
+            if alarm != prev_alarm:
                 self._m_transitions.labels(
                     "raised" if alarm else "cleared"
                 ).inc()
@@ -384,7 +391,7 @@ class SynDog:
             snapshot = record.snapshot(self.parameters.threshold)
         if self._events is not None:
             self._events.emit("period", snapshot, agent=self.name)
-            if alarm != self._prev_alarm:
+            if alarm != prev_alarm:
                 self._events.emit(
                     "alarm_raised" if alarm else "alarm_cleared",
                     agent=self.name,
@@ -395,7 +402,6 @@ class SynDog:
                 )
         if self._recorder is not None:
             self._recorder.record(self.name, snapshot)
-        self._prev_alarm = alarm
         if self._alerts is not None:
             # Rules see this period's samples: evaluate after the feed.
             self._alerts.evaluate(end_time)
@@ -480,9 +486,7 @@ class SynDog:
         return tuple(self._records)
 
     def result(self) -> DetectionResult:
-        first_alarm = next(
-            (record for record in self._records if record.alarm), None
-        )
+        first_alarm = self.summary.first_alarm
         return DetectionResult(
             records=tuple(self._records),
             first_alarm_period=None if first_alarm is None else first_alarm.period_index,
@@ -491,9 +495,9 @@ class SynDog:
 
     @property
     def degraded_periods(self) -> int:
-        """How many of this agent's records were produced in degraded
-        mode (carried forward or held)."""
-        return sum(1 for record in self._records if record.degraded)
+        """How many of this agent's periods were produced in degraded
+        mode (carried forward or held), restarts included."""
+        return self.summary.degraded
 
     def min_detectable_rate(self) -> float:
         """The agent's *current* detection floor (Eq. 8) given its live
@@ -509,15 +513,18 @@ class SynDog:
 
         Everything a restarted process needs to continue the run as if
         never interrupted: the EWMA K̄ estimate, the CUSUM state, the
-        period clock, and the degraded-mode bookkeeping.  The per-period
-        record history is *not* included — it is O(n) evidence, already
-        exported through events/metrics, and a restart must not need it.
+        period clock, the degraded-mode bookkeeping, and the running
+        summary.  The per-period record history is *not* included — it
+        is O(n) evidence, already exported through events/metrics, and
+        a restart must not need it.
         """
+        summary = self.summary
         return {
             "version": CHECKPOINT_VERSION,
             "name": self.name,
-            "next_period_index": self._period_offset + len(self._records),
-            "prev_alarm": self._prev_alarm,
+            "next_period_index": summary.periods,
+            "prev_alarm": summary.alarm,
+            **summary.state_dict(),
             "k_estimate": self.normalizer.estimator.raw_estimate,
             "cusum": self.cusum.state_dict(),
             "exchange": self.exchange.state_dict(),
@@ -577,8 +584,9 @@ class SynDog:
             obs=obs,
             name=name if name is not None else state.get("name"),
         )
-        dog._period_offset = int(state["next_period_index"])
-        dog._prev_alarm = bool(state["prev_alarm"])
+        dog.summary.load_state(
+            state["next_period_index"], state["prev_alarm"], state
+        )
         dog.normalizer.estimator.load(state["k_estimate"])
         dog.cusum.load_state(state["cusum"])
         dog.exchange.load_state(state["exchange"])
@@ -610,6 +618,6 @@ class SynDog:
 
     def __repr__(self) -> str:
         return (
-            f"SynDog(periods={len(self._records)}, y={self.statistic:.4f}, "
+            f"SynDog(periods={self.summary.periods}, y={self.statistic:.4f}, "
             f"K={self.k_bar:.1f}, alarm={self.alarm})"
         )

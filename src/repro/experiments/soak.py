@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..attack.flooder import FloodSource
+from ..attack.patterns import ConstantRate
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import SynDog
 from ..obs import ledger
@@ -178,7 +178,7 @@ def run_soak_epoch(
     if task.attack:
         trace = mix_flood_into_counts(
             background,
-            FloodSource(pattern=task.rate),
+            ConstantRate(task.rate),
             AttackWindow(
                 task.attack_start_period * t0,
                 task.attack_duration_periods * t0,
@@ -194,11 +194,9 @@ def run_soak_epoch(
         syn, synack = counts[i]
         return dog.observe_period(syn, synack, start_time=start_time)
 
-    # Reference arm: same inputs, never interrupted, never instrumented
-    # (explicitly null so an installed process default cannot leak in).
+    # Reference arm: same inputs, never interrupted, never instrumented.
     reference = SynDog(
-        parameters=params, staleness_cap=task.staleness_cap,
-        obs=NULL_INSTRUMENTATION, name=_AGENT,
+        parameters=params, staleness_cap=task.staleness_cap, name=_AGENT,
     )
     reference_records = [
         feed(reference, i) for i in range(task.periods_per_epoch)

@@ -299,9 +299,8 @@ def counts_from_pcaps_fast(
     from ..trace.events import CountTrace, TraceMetadata
 
     out, inb = scan_pair(outbound_path, inbound_path, period)
-    # An ambient-instrumented exchange, like the one the object
-    # aggregation feeds packet by packet, places the periods and takes
-    # the totals.
+    # An uninstrumented exchange, like the one the object aggregation
+    # feeds packet by packet, places the periods and takes the totals.
     reports = list(zip(*_close_periods(
         CountExchange(observation_period=period), out, inb
     )))

@@ -22,8 +22,8 @@ Modules
     Prometheus text rendering + parsing, JSONL views, profile and
     event-loss folding.
 ``runtime``
-    The :class:`Instrumentation` bundle, the process-wide default, and
-    the ``instrumented(...)`` scope manager.
+    The :class:`Instrumentation` bundle and :class:`AgentSummary`, the
+    running per-agent state every status view reads.
 ``null``
     The six disabled components the default bundle holds, in
     standard-library code: with obs off, this and ``runtime`` are all
@@ -99,13 +99,11 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "recorder": ("FlightRecorder", "NullFlightRecorder"),
     "rollup": (
         "DEFAULT_TOP_K", "AgentState", "FleetRollup", "QuantileDigest",
-        "SpaceSavingTopK", "rollup_from_events", "states_from_events",
-        "states_from_recorder", "synthetic_fleet_states",
+        "SpaceSavingTopK", "rollup_from_events", "synthetic_fleet_states",
     ),
     "runtime": (
-        "NULL_INSTRUMENTATION", "Instrumentation", "enabled_instrumentation",
-        "get_instrumentation", "instrumented", "resolve_instrumentation",
-        "set_instrumentation",
+        "AgentSummary", "NULL_INSTRUMENTATION", "Instrumentation",
+        "enabled_instrumentation", "resolve_instrumentation",
     ),
     "server": ("ObsServer",),
     "tsdb": (

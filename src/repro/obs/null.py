@@ -124,7 +124,7 @@ class NullFlightRecorder:
     def window(self, agent: str) -> List[Dict[str, Any]]:
         return []
 
-    def last_snapshots(self) -> Dict[str, Dict[str, Any]]:
+    def summaries(self) -> Dict[str, Any]:
         return {}
 
     def status(self) -> Dict[str, Dict[str, Any]]:

@@ -14,8 +14,10 @@ needs, attached to the alarm instead of buried in a 100k-line JSONL.
 
 Snapshots are plain dicts so they serialize straight into the event
 log.  The recorder is also the live *who-is-alarming* source for the
-``/healthz`` endpoint (:mod:`repro.obs.server`): :meth:`status` reports
-every agent's period count, current alarm state and latest statistic.
+``/healthz`` and ``/fleet`` endpoints (:mod:`repro.obs.server`): each
+tape folds its snapshots into an
+:class:`~repro.obs.runtime.AgentSummary`, the same fold the detector
+and an event-log replay keep, and :meth:`status` reports its rows.
 
 Cost model: one ``dict`` copy per observation period (t0 = 20 s per
 agent), nothing per packet — well inside the obs layer's overhead
@@ -29,6 +31,7 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional
 
 from .null import NullFlightRecorder
+from .runtime import AgentSummary, period_of
 
 __all__ = ["FlightRecorder", "NullFlightRecorder"]
 
@@ -40,21 +43,15 @@ _CONTEXT_RETENTION = 64
 
 
 class _Tape:
-    """One agent's ring buffer plus its pending alarm context."""
+    """One agent's ring buffer, its pending alarm context and its
+    running summary."""
 
-    __slots__ = (
-        "ring", "prev_alarm", "pending", "periods", "alarms", "degraded",
-        "last",
-    )
+    __slots__ = ("ring", "pending", "summary")
 
     def __init__(self, capacity: int) -> None:
         self.ring: Deque[Snapshot] = deque(maxlen=capacity)
-        self.prev_alarm = False
         self.pending: Optional[Dict[str, Any]] = None
-        self.periods = 0
-        self.alarms = 0
-        self.degraded = 0
-        self.last: Optional[Snapshot] = None
+        self.summary = AgentSummary()
 
 
 class FlightRecorder:
@@ -112,22 +109,20 @@ class FlightRecorder:
         tape = self._tapes.get(agent)
         if tape is None:
             tape = self._tapes[agent] = _Tape(self.capacity)
-        tape.periods += 1
-        tape.last = snapshot
-        if snapshot.get("degraded"):
-            tape.degraded += 1
-        alarm = bool(snapshot.get("alarm"))
+        summary = tape.summary
+        prev_alarm = summary.alarm
+        summary.fold(period_of(snapshot))
+        alarm = summary.alarm
 
         emitted: Optional[Dict[str, Any]] = None
-        if alarm and not tape.prev_alarm:
+        if alarm and not prev_alarm:
             # A new alarm while a previous context is still collecting
             # post-alarm periods: close the old one out first so every
             # transition yields exactly one context.
             if tape.pending is not None:
                 self._emit(agent, tape)
-            tape.alarms += 1
             tape.pending = {
-                "alarm_index": tape.alarms,
+                "alarm_index": summary.alarms,
                 "alarm_snapshot": snapshot,
                 "pre_periods": list(tape.ring),
                 "post_periods": [],
@@ -142,7 +137,6 @@ class FlightRecorder:
             emitted = self._emit(agent, tape)
 
         tape.ring.append(snapshot)
-        tape.prev_alarm = alarm
         return emitted
 
     def _emit(self, agent: str, tape: _Tape) -> Dict[str, Any]:
@@ -187,30 +181,19 @@ class FlightRecorder:
         tape = self._tapes.get(agent)
         return list(tape.ring) if tape is not None else []
 
-    def last_snapshots(self) -> Dict[str, Snapshot]:
-        """Each agent's most recent trajectory point (full snapshot),
-        the fleet-rollup builder's source for delta and X_n."""
+    def summaries(self) -> Dict[str, AgentSummary]:
+        """Each agent's running summary, by name — the ``/fleet``
+        rollup's source."""
         return {
-            agent: tape.last
-            for agent, tape in sorted(self._tapes.items())
-            if tape.last is not None
+            agent: tape.summary for agent, tape in sorted(self._tapes.items())
         }
 
     def status(self) -> Dict[str, Dict[str, Any]]:
         """Live per-agent state for health endpoints and summaries."""
-        report: Dict[str, Dict[str, Any]] = {}
-        for agent, tape in sorted(self._tapes.items()):
-            last = tape.last or {}
-            report[agent] = {
-                "periods": tape.periods,
-                "alarm": tape.prev_alarm,
-                "alarms_seen": tape.alarms,
-                "degraded_periods": tape.degraded,
-                "statistic": last.get("statistic"),
-                "k_bar": last.get("k_bar"),
-                "last_period_index": last.get("period_index"),
-            }
-        return report
+        return {
+            agent: tape.summary.status_row()
+            for agent, tape in sorted(self._tapes.items())
+        }
 
     @property
     def agents(self) -> List[str]:

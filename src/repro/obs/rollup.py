@@ -64,6 +64,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Any,
     Dict,
     Iterable,
@@ -74,6 +75,8 @@ from typing import (
     Tuple,
 )
 
+from .runtime import NO_PERIOD, AgentSummary, period_of
+
 __all__ = [
     "AgentState",
     "DEFAULT_TOP_K",
@@ -82,8 +85,6 @@ __all__ = [
     "ROLLUP_BUCKETS",
     "SpaceSavingTopK",
     "rollup_from_events",
-    "states_from_events",
-    "states_from_recorder",
     "synthetic_fleet_states",
     "synthetic_shard_rollup",
 ]
@@ -145,6 +146,23 @@ class AgentState:
     alarms: int = 0
     alarm: bool = False
     down: bool = False
+
+    @classmethod
+    def from_summary(
+        cls, name: str, summary: AgentSummary, down: bool = False
+    ) -> "AgentState":
+        """The rollup row of one agent's running summary."""
+        last = summary.last or NO_PERIOD
+        return cls(
+            name=name,
+            delta=float(last[3] - last[4]),
+            x=float(last[6]),
+            cusum=float(last[7] or 0.0),
+            degraded_periods=summary.degraded,
+            alarms=summary.alarms,
+            alarm=summary.alarm,
+            down=down,
+        )
 
     @property
     def status(self) -> str:
@@ -436,6 +454,30 @@ class FleetRollup:
         rollup.watermark = watermark
         return rollup
 
+    @classmethod
+    def from_summaries(
+        cls,
+        summaries: Mapping[str, AgentSummary],
+        k: int = DEFAULT_TOP_K,
+        down: AbstractSet[str] = frozenset(),
+    ) -> "FleetRollup":
+        """The rollup of running summaries by agent name, stamped with
+        the latest period end-time among them.  *down* names the agents
+        known to be down: a flight recorder has no liveness, a
+        federation and an event log do."""
+        ends = [
+            summary.last[2] for summary in summaries.values()
+            if summary.last is not None and summary.last[2] is not None
+        ]
+        return cls.from_states(
+            (
+                AgentState.from_summary(name, summaries[name], name in down)
+                for name in sorted(summaries)
+            ),
+            k=k,
+            watermark=float(max(ends)) if ends else None,
+        )
+
     # ------------------------------------------------------------------
     @property
     def quorum(self) -> float:
@@ -578,103 +620,34 @@ class FleetRollup:
 
 
 # ----------------------------------------------------------------------
-# Builders: recorder tapes, event logs, synthetic fleets
+# Builders: event logs
 # ----------------------------------------------------------------------
-def states_from_recorder(recorder: Any) -> List[AgentState]:
-    """Per-agent states from a live flight recorder (the ``/fleet``
-    endpoint's source).  Recorder tapes have no liveness concept, so
-    ``down`` is always False here; the federation builder owns it."""
-    status = recorder.status()
-    snapshots = (
-        recorder.last_snapshots()
-        if hasattr(recorder, "last_snapshots")
-        else {}
-    )
-    states = []
-    for agent in sorted(status):
-        row = status[agent]
-        last = snapshots.get(agent) or {}
-        syn = last.get("syn", 0) or 0
-        synack = last.get("synack", 0) or 0
-        states.append(
-            AgentState(
-                name=agent,
-                delta=float(syn - synack),
-                x=float(last.get("x", 0.0) or 0.0),
-                cusum=float(row.get("statistic") or 0.0),
-                degraded_periods=int(row.get("degraded_periods", 0)),
-                alarms=int(row.get("alarms_seen", 0)),
-                alarm=bool(row.get("alarm")),
-            )
-        )
-    return states
-
-
-def states_from_events(events: Iterable[Mapping[str, Any]]) -> List[AgentState]:
-    """Replay an event log into final per-agent states (offline
-    ``repro fleet --events``).  ``period`` events carry the detector
-    trajectory; ``federation_member_crashed``/``_restarted`` events
-    toggle liveness."""
-    latest: Dict[str, Dict[str, Any]] = {}
-    degraded: Dict[str, int] = {}
-    alarms: Dict[str, int] = {}
-    down: Dict[str, bool] = {}
-    for event in events:
-        kind = event.get("event")
-        agent = event.get("agent") or event.get("member")
-        if agent is None:
-            continue
-        agent = str(agent)
-        if kind == "period":
-            latest[agent] = dict(event)
-            if event.get("degraded"):
-                degraded[agent] = degraded.get(agent, 0) + 1
-        elif kind == "alarm_raised":
-            alarms[agent] = alarms.get(agent, 0) + 1
-        elif kind == "federation_member_crashed":
-            down[agent] = True
-        elif kind == "federation_member_restarted":
-            down[agent] = False
-    states = []
-    # Union, not just period emitters: a member that crashed before its
-    # first period still exists — dropping it would overstate quorum.
-    known = set(latest) | set(down) | set(alarms) | set(degraded)
-    for agent in sorted(known):
-        last = latest.get(agent, {})
-        syn = last.get("syn", 0) or 0
-        synack = last.get("synack", 0) or 0
-        states.append(
-            AgentState(
-                name=agent,
-                delta=float(syn - synack),
-                x=float(last.get("x", 0.0) or 0.0),
-                cusum=float(last.get("statistic", 0.0) or 0.0),
-                degraded_periods=degraded.get(agent, 0),
-                alarms=alarms.get(agent, 0),
-                alarm=bool(last.get("alarm")),
-                down=down.get(agent, False),
-            )
-        )
-    return states
-
-
 def rollup_from_events(
     events: Iterable[Mapping[str, Any]], k: int = DEFAULT_TOP_K
 ) -> FleetRollup:
-    """Offline rollup: replay the log, fold the final states.  The
-    watermark is the latest period end-time seen in the log."""
-    materialized = list(events)
-    watermark: Optional[float] = None
-    for event in materialized:
-        if event.get("event") == "period":
-            end_time = event.get("end_time")
-            if end_time is not None and (
-                watermark is None or float(end_time) > watermark
-            ):
-                watermark = float(end_time)
-    return FleetRollup.from_states(
-        states_from_events(materialized), k=k, watermark=watermark
-    )
+    """Offline rollup (``repro fleet --events``): replay the log into
+    per-agent running summaries, folding ``period`` events as the
+    detector folded them, with ``federation_member_crashed`` /
+    ``_restarted`` events toggling liveness.  A member that crashed
+    before its first period still counts, or quorum would be
+    overstated."""
+    summaries: Dict[str, AgentSummary] = {}
+    down = set()
+    for event in events:
+        kind, agent = event.get("event"), event.get("agent")
+        if agent is None:
+            continue
+        if kind == "period":
+            summary = summaries.get(agent)
+            if summary is None:
+                summary = summaries[agent] = AgentSummary()
+            summary.fold(period_of(event))
+        elif kind == "federation_member_crashed":
+            summaries.setdefault(agent, AgentSummary())
+            down.add(agent)
+        elif kind == "federation_member_restarted":
+            down.discard(agent)
+    return FleetRollup.from_summaries(summaries, k=k, down=down)
 
 
 # ----------------------------------------------------------------------

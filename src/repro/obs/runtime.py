@@ -1,15 +1,20 @@
-"""The instrumentation bundle and its process-wide default.
+"""The instrumentation bundle and the per-agent summary.
 
 Every instrumented component in the pipeline takes an optional
 ``obs: Instrumentation`` argument.  Passing one wires that component to
 an explicit registry, event log, recorder and so on; passing ``None`` (the
-universal default) resolves the *current* process-wide instrumentation,
-which is :data:`NULL_INSTRUMENTATION` unless the operator installed a
-live one.  Components check ``obs.enabled`` **once, at construction**,
-and bind their instruments to ``None`` when disabled — the hot-path
-contract that keeps the default pipeline indistinguishable from an
-uninstrumented build (``benchmarks/test_obs_overhead.py`` holds the
+universal default) resolves to :data:`NULL_INSTRUMENTATION`, where every
+component is a no-op.  Components check ``obs.enabled`` **once, at
+construction**, and bind their instruments to ``None`` when disabled — the
+hot-path contract that keeps the default pipeline indistinguishable from
+an uninstrumented build (``benchmarks/test_obs_overhead.py`` holds the
 line at ≤10%).
+
+:class:`AgentSummary` is one agent's running state, folded one period at
+a time: the detector keeps one, each flight-recorder tape keeps one, and
+an event-log replay keeps one per agent, so ``/healthz``, ``/fleet``,
+``Federation.status()`` and ``repro fleet --events`` all read the same
+fold.
 
 This module and :mod:`repro.obs.null` are all a process with obs off
 loads: the live components are imported by :func:`enabled_instrumentation`
@@ -17,19 +22,17 @@ loads: the live components are imported by :func:`enabled_instrumentation`
 
 Typical operator setup::
 
-    from repro.obs import enabled_instrumentation, instrumented
+    from repro.obs import enabled_instrumentation
 
     obs = enabled_instrumentation(events_path="events.jsonl")
-    with instrumented(obs):
-        dog = SynDog()            # picks up obs automatically
-        ...
+    dog = SynDog(obs=obs)
+    ...
     obs.finalize("metrics.prom")  # folds profile + event loss in, writes
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
 
 from .null import (
     NullAlertManager,
@@ -44,14 +47,109 @@ if TYPE_CHECKING:
     from .events import MemorySink
 
 __all__ = [
+    "AgentSummary",
     "Instrumentation",
     "NULL_INSTRUMENTATION",
     "enabled_instrumentation",
-    "get_instrumentation",
-    "set_instrumentation",
-    "instrumented",
     "resolve_instrumentation",
 ]
+
+#: The per-period fields an :class:`AgentSummary` folds, in
+#: ``DetectionRecord`` order, under their ``period`` event keys.
+PERIOD_FIELDS = (
+    "period_index", "start_time", "end_time", "syn", "synack", "k_bar",
+    "x", "statistic", "alarm", "degraded",
+)
+
+
+def period_of(snapshot: Mapping[str, Any]) -> tuple:
+    """A period snapshot or ``period`` event as a tuple in
+    :data:`PERIOD_FIELDS` order; a missing count reads 0, a missing
+    flag False."""
+    get = snapshot.get
+    return (
+        get("period_index"), get("start_time"), get("end_time"),
+        get("syn") or 0, get("synack") or 0, get("k_bar"), get("x") or 0.0,
+        get("statistic"), bool(get("alarm")), bool(get("degraded")),
+    )
+
+
+#: What an agent that has closed no period reads as its last period.
+NO_PERIOD = period_of({})
+
+
+class AgentSummary:
+    """One agent's running state, folded one period at a time.
+
+    Each period is a tuple in :data:`PERIOD_FIELDS` order: a
+    ``DetectionRecord``, or :func:`period_of` a snapshot.  The fold
+    keeps the period count, the current alarm, how many times the alarm
+    was raised (off→on transitions), the degraded-period count, the
+    last period and the first alarmed one.  All but the first alarmed
+    period survive a restart (:meth:`state_dict`); that one pairs with
+    the records, which a checkpoint leaves out.
+    """
+
+    __slots__ = (
+        "periods", "alarm", "alarms", "degraded", "last", "first_alarm",
+    )
+
+    def __init__(self) -> None:
+        self.periods = self.alarms = self.degraded = 0
+        self.alarm = False
+        self.last: Optional[Sequence[Any]] = None
+        self.first_alarm: Optional[Sequence[Any]] = None
+
+    def fold(self, period: Sequence[Any]) -> None:
+        self.periods += 1
+        self.last = period
+        if period[8]:
+            if not self.alarm:
+                self.alarms += 1
+                self.alarm = True
+            if self.first_alarm is None:
+                self.first_alarm = period
+        else:
+            self.alarm = False
+        if period[9]:
+            self.degraded += 1
+
+    def status_row(self) -> Dict[str, Any]:
+        """The agent's ``/healthz`` and ``Federation.status()`` row."""
+        last = self.last or NO_PERIOD
+        return {
+            "periods": self.periods,
+            "alarm": self.alarm,
+            "alarms_seen": self.alarms,
+            "degraded_periods": self.degraded,
+            "statistic": last[7],
+            "k_bar": last[5],
+            "last_period_index": last[0],
+        }
+
+    def state_dict(self) -> Dict[str, Any]:
+        """The checkpoint keys beside ``next_period_index`` and
+        ``prev_alarm``, which carry ``periods`` and ``alarm``."""
+        last = self.last
+        return {
+            "alarms_raised": self.alarms,
+            "degraded_periods": self.degraded,
+            "last_period": (
+                None if last is None else dict(zip(PERIOD_FIELDS, last))
+            ),
+        }
+
+    def load_state(
+        self, periods: int, alarm: bool, state: Mapping[str, Any]
+    ) -> None:
+        """Resume from a checkpoint.  The :meth:`state_dict` keys are
+        optional: without them the counts read 0 and there is no last
+        period."""
+        self.periods, self.alarm = int(periods), bool(alarm)
+        self.alarms = int(state.get("alarms_raised", 0))
+        self.degraded = int(state.get("degraded_periods", 0))
+        last = state.get("last_period")
+        self.last = None if last is None else period_of(last)
 
 
 class Instrumentation:
@@ -177,8 +275,6 @@ class Instrumentation:
 #: The disabled default: every component is a no-op.
 NULL_INSTRUMENTATION = Instrumentation()
 
-_current: Instrumentation = NULL_INSTRUMENTATION
-
 
 def enabled_instrumentation(
     events_path: Optional[Any] = None,
@@ -241,32 +337,8 @@ def enabled_instrumentation(
     )
 
 
-def get_instrumentation() -> Instrumentation:
-    """The current process-wide instrumentation."""
-    return _current
-
-
-def set_instrumentation(obs: Optional[Instrumentation]) -> Instrumentation:
-    """Install *obs* (None restores the null default); returns the
-    previous one so callers can restore it."""
-    global _current
-    previous = _current
-    _current = obs if obs is not None else NULL_INSTRUMENTATION
-    return previous
-
-
-@contextmanager
-def instrumented(obs: Instrumentation) -> Iterator[Instrumentation]:
-    """Scope *obs* as the process default for the ``with`` block."""
-    previous = set_instrumentation(obs)
-    try:
-        yield obs
-    finally:
-        set_instrumentation(previous)
-
-
 def resolve_instrumentation(
     obs: Optional[Instrumentation],
 ) -> Instrumentation:
     """What instrumented components call on their ``obs=None`` default."""
-    return obs if obs is not None else _current
+    return obs if obs is not None else NULL_INSTRUMENTATION

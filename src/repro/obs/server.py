@@ -97,7 +97,7 @@ from .exporters import (
     export_profiler,
     render_prometheus,
 )
-from .rollup import DEFAULT_TOP_K, FleetRollup, states_from_recorder
+from .rollup import DEFAULT_TOP_K, FleetRollup
 from .slo import SLOEngine
 from .tsdb import QueryError
 
@@ -342,29 +342,21 @@ class ObsServer:
         the flight recorder's live per-agent state — or None when the
         recorder is disabled (the handler maps it to a 503).
 
-        Building the rollup reads every tape once (O(agents) work per
-        scrape, like ``status()``), but the *document* stays O(K): four
-        fixed-bucket digests, three ≤K-entry suspect rankings, one
-        counter block.  The fold happens under ``_registry_lock`` per
-        the documented order: the recorder is shared obs state and a
-        scrape must not interleave with another handler's fold.
+        Building the rollup reads every tape's running summary once
+        (O(agents) work per scrape, like ``status()``), but the
+        *document* stays O(K): four fixed-bucket digests, three
+        ≤K-entry suspect rankings, one counter block.  The fold happens
+        under ``_registry_lock`` per the documented order: the recorder
+        is shared obs state and a scrape must not interleave with
+        another handler's fold.
         """
         recorder = getattr(self.obs, "recorder", None)
         if recorder is None or not getattr(recorder, "enabled", False):
             return None
         with self._registry_lock:
-            states = states_from_recorder(recorder)
-            snapshots = recorder.last_snapshots()
-        watermark = None
-        for snapshot in snapshots.values():
-            end_time = snapshot.get("end_time")
-            if end_time is not None and (
-                watermark is None or float(end_time) > watermark
-            ):
-                watermark = float(end_time)
-        rollup = FleetRollup.from_states(
-            states, k=self.fleet_top_k, watermark=watermark
-        )
+            rollup = FleetRollup.from_summaries(
+                recorder.summaries(), k=self.fleet_top_k
+            )
         return rollup.to_dict()
 
     def events_tail(

@@ -54,12 +54,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.profiler import Profiler
 from ..obs.recorder import FlightRecorder
 from ..obs.tsdb import TimeSeriesDB
-from ..obs.runtime import (
-    NULL_INSTRUMENTATION,
-    Instrumentation,
-    resolve_instrumentation,
-    set_instrumentation,
-)
+from ..obs.runtime import Instrumentation, resolve_instrumentation
 from .workplan import WorkPlan, effective_workers
 
 __all__ = [
@@ -321,12 +316,6 @@ def _shard_entry(
 ) -> None:
     """Worker-process entry point: execute, report, flush, exit."""
     try:
-        # A forked child inherits the parent's process-default
-        # instrumentation — including any open JSONL sink fds.  Null it
-        # out so code that resolves the default (instead of using the
-        # shard bundle it was passed) cannot interleave writes into the
-        # parent's files; shard observability flows home via capture.
-        set_instrumentation(NULL_INSTRUMENTATION)
         result = _execute_shard(
             plan, worker_fn, shard_index, attempt, capture, crash_points
         )

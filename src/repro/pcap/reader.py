@@ -71,8 +71,7 @@ class PcapReader:
         self.truncation: Optional[PcapTruncatedError] = None
         # Profiler stage handle, bound once (repro.obs hot-path
         # contract): None unless an Instrumentation bundle with a live
-        # profiler is passed explicitly — pcap parsing has no implicit
-        # process-wide obs lookup, matching the reader's stateless feel.
+        # profiler is passed.
         self._prof_parse = (
             obs.profiler.stage("pcap.parse")
             if obs is not None and obs.profiler.enabled

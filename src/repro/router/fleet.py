@@ -23,8 +23,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import SynDog
-from ..obs.rollup import DEFAULT_TOP_K, AgentState, FleetRollup
-from ..obs.runtime import Instrumentation, resolve_instrumentation
+from ..obs.rollup import DEFAULT_TOP_K, FleetRollup
+from ..obs.runtime import (
+    AgentSummary,
+    Instrumentation,
+    resolve_instrumentation,
+)
 from ..packet.addresses import IPv4Network
 from ..packet.packet import Packet
 from ..traceback.locator import LocatedHost
@@ -332,48 +336,22 @@ class Federation:
     # ------------------------------------------------------------------
     # Fleet rollup (repro.obs.rollup)
     # ------------------------------------------------------------------
-    def agent_states(self) -> List[AgentState]:
-        """Every member's current detector state as rollup input rows,
-        in sorted-name order.  A down member contributes its last known
-        state (stale by definition) flagged ``down``."""
-        states: List[AgentState] = []
-        for name, (_router, agent) in sorted(self._members.items()):
-            detector = agent.detector
-            record = detector.records[-1] if detector.records else None
-            states.append(
-                AgentState(
-                    name=name,
-                    delta=(
-                        float(record.syn_count - record.synack_count)
-                        if record is not None
-                        else 0.0
-                    ),
-                    x=record.x if record is not None else 0.0,
-                    cusum=detector.statistic,
-                    degraded_periods=sum(
-                        1 for r in detector.records if r.degraded
-                    ),
-                    alarms=len(agent.alarm_events),
-                    alarm=detector.alarm,
-                    down=name in self._down,
-                )
-            )
-        return states
+    def summaries(self) -> Dict[str, AgentSummary]:
+        """Every member detector's running summary, by the detector's
+        name — the name its events and flight-recorder tape carry."""
+        return {
+            agent.detector.name: agent.detector.summary
+            for _router, agent in self._members.values()
+        }
 
     def rollup(self, k: Optional[int] = None) -> FleetRollup:
         """The fleet's current telemetry rollup — O(K·buckets) however
-        many members are enrolled."""
-        watermark = None
-        for _name, (_router, agent) in self._members.items():
-            records = agent.detector.records
-            if records:
-                end_time = records[-1].end_time
-                if watermark is None or end_time > watermark:
-                    watermark = end_time
-        return FleetRollup.from_states(
-            self.agent_states(),
+        many members are enrolled.  A down member contributes its last
+        known state (stale by definition) flagged ``down``."""
+        return FleetRollup.from_summaries(
+            self.summaries(),
             k=self.fleet_top_k if k is None else k,
-            watermark=watermark,
+            down={self._members[name][1].detector.name for name in self._down},
         )
 
     @property
@@ -416,6 +394,7 @@ class Federation:
             self._events.emit(
                 "federation_member_crashed",
                 network=name,
+                agent=self._members[name][1].detector.name,
                 error=self._down[name],
                 has_checkpoint=name in self._checkpoints,
             )
@@ -456,6 +435,7 @@ class Federation:
             self._events.emit(
                 "federation_member_restarted",
                 network=name,
+                agent=member[1].detector.name,
                 from_checkpoint=state is not None,
                 restarts=self._restarts[name],
             )
@@ -482,19 +462,16 @@ class Federation:
     # Incident view
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Dict[str, object]]:
-        """Live per-member state, in the same shape the telemetry
-        server's ``/healthz`` reports agents: periods observed, current
-        alarm decision, latest statistic and K̄."""
+        """Per-member state by network name: the ``/healthz`` row of
+        the member detector's running summary, plus the router name,
+        liveness and restart count.  Like every view of the summary it
+        reads the last period, not the live CUSUM an acknowledgement
+        re-arms."""
         report: Dict[str, Dict[str, object]] = {}
         for name, (router, agent) in sorted(self._members.items()):
-            detector = agent.detector
             report[name] = {
                 "router": router.name,
-                "periods": len(detector.records),
-                "alarm": detector.alarm,
-                "statistic": detector.statistic,
-                "k_bar": detector.k_bar,
-                "alarms_seen": len(agent.alarm_events),
+                **agent.detector.summary.status_row(),
                 "down": name in self._down,
                 "restarts": self._restarts.get(name, 0),
             }

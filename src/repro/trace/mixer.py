@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..attack.flooder import FloodSource
+from ..attack.patterns import RatePattern
 from .events import CountTrace, PacketTrace
 
 __all__ = ["mix_flood_into_counts", "mix_flood_into_packets", "AttackWindow"]
@@ -53,7 +54,7 @@ class AttackWindow:
 
 def mix_flood_into_counts(
     background: CountTrace,
-    flood: FloodSource,
+    flood: Union[FloodSource, RatePattern],
     window: AttackWindow,
     rng: Optional[random.Random] = None,
     jitter: bool = False,
@@ -61,10 +62,13 @@ def mix_flood_into_counts(
     """Superpose *flood* onto a count-level background trace.
 
     Only the SYN column changes; SYN/ACK counts pass through untouched
-    (see module docstring).  The flood's per-period volume comes from
-    :meth:`FloodSource.expected_packets`, so non-constant patterns
-    (bursty, ramp, on/off) integrate correctly over partial periods.
+    (see module docstring).  The flood's per-period volume is its rate
+    pattern's integral, so non-constant patterns (bursty, ramp, on/off)
+    integrate correctly over partial periods.  That is all count mixing
+    reads, so *flood* may be the bare pattern, which builds no victim,
+    MAC or spoofer.
     """
+    pattern = flood if isinstance(flood, RatePattern) else flood.pattern
     local_rng = rng or random.Random(0)
     mixed: List[Tuple[int, int]] = []
     for index, (syn, synack) in enumerate(background.counts):
@@ -76,7 +80,7 @@ def mix_flood_into_counts(
             # Map the overlapping wall-clock span into attack-local time.
             attack_t0 = max(0.0, period_start - window.start)
             attack_t1 = min(window.duration, period_end - window.start)
-            extra = flood.expected_packets(attack_t0, attack_t1)
+            extra = pattern.integral(attack_t0, attack_t1)
         if jitter and extra > 0:
             extra = _poissonize(local_rng, extra)
         mixed.append((syn + int(round(extra)), synack))

@@ -69,6 +69,39 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match="freeze_k_on_alarm"):
             SynDog.restore({**state, "freeze_k_on_alarm": True})
 
+    def test_summary_survives_restore(self):
+        import json
+
+        counts = flooded_counts()
+        dog = SynDog()
+        dog.observe_period(*counts[0])
+        dog.observe_missing_period()
+        for syn, synack in counts[2:40]:
+            dog.observe_period(syn, synack)
+        assert dog.summary.alarms == 1
+        state = json.loads(json.dumps(dog.checkpoint()))
+        resumed = SynDog.restore(state)
+        assert resumed.summary.status_row() == dog.summary.status_row()
+        assert resumed.degraded_periods == dog.degraded_periods == 1
+        # The first alarmed record is the records' business: a restored
+        # agent's result() describes what it produced itself.
+        assert resumed.result().first_alarm_period is None
+        for syn, synack in counts[40:]:
+            dog.observe_period(syn, synack)
+            resumed.observe_period(syn, synack)
+        assert resumed.summary.status_row() == dog.summary.status_row()
+
+    def test_checkpoint_without_summary_keys_restores(self):
+        dog = SynDog()
+        dog.observe_period(100, 95)
+        state = dog.checkpoint()
+        for key in ("alarms_raised", "degraded_periods", "last_period"):
+            del state[key]
+        resumed = SynDog.restore(state)
+        assert resumed.summary.periods == 1
+        assert resumed.summary.last is None
+        assert resumed.observe_period(100, 95) == dog.observe_period(100, 95)
+
     def test_restore_reconstructs_parameters(self):
         from repro.core import SynDogParameters
 

@@ -11,7 +11,6 @@ from repro.experiments.runner import DetectionTrialConfig, run_detection_trial
 from repro.obs import (
     MemorySink,
     enabled_instrumentation,
-    instrumented,
     parse_prometheus_text,
     render_prometheus,
 )
@@ -127,9 +126,11 @@ class TestSynDogPacketLevel:
 
 class TestProcessDefaultWiring:
     def test_components_pick_up_scoped_instrumentation(self):
+        # There is no process-wide bundle: a component is live only
+        # when it is handed one.
         obs = enabled_instrumentation()
-        with instrumented(obs):
-            dog = SynDog()  # no explicit obs: resolves the scoped one
+        dog = SynDog(obs=obs)
+        SynDog().observe_period(100, 100)
         dog.observe_period(100, 100)
         assert obs.registry.get("syndog_periods_total").value == 1.0
 

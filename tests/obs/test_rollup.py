@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import enabled_instrumentation
 from repro.obs.merge import merge_rollup_snapshots
 from repro.obs.rollup import (
     DEFAULT_TOP_K,
@@ -27,7 +28,6 @@ from repro.obs.rollup import (
     QuantileDigest,
     SpaceSavingTopK,
     rollup_from_events,
-    states_from_events,
     synthetic_fleet_states,
     synthetic_shard_rollup,
 )
@@ -402,6 +402,26 @@ class TestMergeAlgebra:
 # ----------------------------------------------------------------------
 # Builders
 # ----------------------------------------------------------------------
+def crash_event(network):
+    """The ``federation_member_crashed`` event a Federation emits when
+    member *network* crashes mid-feed."""
+    from repro.packet import IPv4Network
+    from repro.router import Federation
+
+    obs = enabled_instrumentation()
+    federation = Federation(obs=obs)
+    federation.add_network(network, IPv4Network.parse("10.1.0.0/16"))
+
+    def dead_sniffer():
+        raise RuntimeError("sniffer segfault")
+        yield
+
+    with pytest.raises(RuntimeError):
+        federation.feed(network, dead_sniffer(), [])
+    [event] = obs.memory_events().of_kind("federation_member_crashed")
+    return event
+
+
 class TestBuilders:
     def test_states_from_events_replays_final_state(self):
         events = [
@@ -412,13 +432,22 @@ class TestBuilders:
              "end_time": 40.0, "syn": 150, "synack": 100, "x": 0.5,
              "statistic": 1.2, "alarm": True, "degraded": False},
             {"event": "alarm_raised", "agent": "a", "t": 40.0},
-            {"event": "federation_member_crashed", "agent": "b"},
+            crash_event("b"),
         ]
-        states = {state.name: state for state in states_from_events(events)}
-        assert states["a"].cusum == 1.2
-        assert states["a"].delta == 50.0
-        assert states["a"].alarm is True
-        assert states["b"].down is True
+        doc = rollup_from_events(events).to_dict()
+        assert doc["digests"]["cusum"]["max"] == 1.2
+        assert doc["digests"]["delta"]["max"] == 50.0
+        assert doc["top"]["alarms"]["entries"] == [
+            {"agent": "a", "weight": 1.0, "error": 0.0}
+        ]
+        # The crashed member is named as its detector is, on every view.
+        assert doc["agents"] == {
+            "total": 2, "ok": 0, "degraded": 0, "alarming": 1, "down": 1,
+            "quorum": 0.5, "alarm_fraction": 0.5,
+        }
+        assert {e["agent"] for e in doc["top"]["cusum"]["entries"]} == {
+            "a", "router-b",
+        }
 
     def test_rollup_from_events_watermark_is_latest_period(self):
         events = [

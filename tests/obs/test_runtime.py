@@ -1,4 +1,4 @@
-"""The Instrumentation bundle and the process-wide default."""
+"""The Instrumentation bundle and the null default."""
 
 import pytest
 
@@ -8,10 +8,7 @@ from repro.obs.runtime import (
     NULL_INSTRUMENTATION,
     Instrumentation,
     enabled_instrumentation,
-    get_instrumentation,
-    instrumented,
     resolve_instrumentation,
-    set_instrumentation,
 )
 
 
@@ -81,43 +78,16 @@ class TestFinalize:
 
 class TestProcessDefault:
     def test_default_is_the_null_bundle(self):
-        assert get_instrumentation() is NULL_INSTRUMENTATION
         assert resolve_instrumentation(None) is NULL_INSTRUMENTATION
 
     def test_explicit_obs_wins_over_default(self):
         obs = enabled_instrumentation()
         assert resolve_instrumentation(obs) is obs
 
-    def test_instrumented_scopes_and_restores(self):
-        obs = enabled_instrumentation()
-        with instrumented(obs) as scoped:
-            assert scoped is obs
-            assert get_instrumentation() is obs
-            assert resolve_instrumentation(None) is obs
-        assert get_instrumentation() is NULL_INSTRUMENTATION
-
-    def test_instrumented_restores_on_exception(self):
-        obs = enabled_instrumentation()
-        with pytest.raises(RuntimeError):
-            with instrumented(obs):
-                raise RuntimeError("boom")
-        assert get_instrumentation() is NULL_INSTRUMENTATION
-
-    def test_set_returns_previous_and_none_resets(self):
-        obs = enabled_instrumentation()
-        previous = set_instrumentation(obs)
-        try:
-            assert previous is NULL_INSTRUMENTATION
-            assert set_instrumentation(None) is obs
-            assert get_instrumentation() is NULL_INSTRUMENTATION
-        finally:
-            set_instrumentation(None)
-
 
 class TestTheNullBundleStandsAlone:
     """The disabled components live in standard-library code
-    (:mod:`repro.obs.null`); the live modules re-export them, and a
-    scoped live bundle still reaches components built with ``obs=None``."""
+    (:mod:`repro.obs.null`); the live modules re-export them."""
 
     @pytest.mark.parametrize("module, name, slot", [
         ("metrics", "NullRegistry", "registry"),
@@ -146,24 +116,3 @@ class TestTheNullBundleStandsAlone:
         assert from_package is NULL_INSTRUMENTATION
         assert repro.obs.NULL_INSTRUMENTATION is NULL_INSTRUMENTATION
         assert runtime.NULL_INSTRUMENTATION is NULL_INSTRUMENTATION
-        assert get_instrumentation() is NULL_INSTRUMENTATION
-
-    def test_obs_none_components_bind_a_scoped_live_bundle(self):
-        from repro.core.sniffer import CountExchange
-        from repro.core.syndog import SynDog
-
-        obs = enabled_instrumentation()
-        with instrumented(obs):
-            dog = SynDog(name="scoped")
-            exchange = CountExchange(observation_period=20.0)
-        dog.observe_period(100, 98)
-        exchange.flush(end_time=45.0)
-        registry = obs.registry
-        assert registry.get("syndog_periods_total").value == 1
-        # The dog is count-driven, so only this exchange closes periods:
-        # two boundaries up to 45 s, then the trailing one.
-        assert registry.get("exchange_periods_total").value == 2 + 1
-        events = obs.memory_events().events
-        assert [e["event"] for e in events] == ["period"]
-        assert events[0]["agent"] == "scoped"
-        assert obs.tsdb.names()  # the trajectory writer was built

@@ -136,8 +136,9 @@ class TestFleetRollup:
         assert rollup.counts["down"] == 0
         assert rollup.quorum == 1.0
         assert rollup.watermark is not None
+        # Agents are named as their detectors (and events) name them.
         top = {e["agent"] for e in rollup.top["cusum"].top()}
-        assert "dorms" in top
+        assert "router-dorms" in top
 
     def test_feed_all_emits_fleet_series_and_event(self):
         from repro.obs.runtime import enabled_instrumentation

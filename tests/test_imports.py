@@ -217,6 +217,16 @@ class TestCountStartup:
         modules = loaded_after("import repro.experiments.soak")
         assert offenders(modules, PACKET_CODECS) == []
 
+    def test_soak_run_builds_no_packet_flooder(self):
+        # Count mixing reads only the flood's rate, so a soak run builds
+        # no victim address, MAC or spoofer.
+        modules = loaded_after(
+            "from repro.experiments.soak import run_soak_campaign\n"
+            "run_soak_campaign(sim_days=1, workers=1)"
+        )
+        assert "repro.packet.addresses" not in modules
+        assert "repro.attack.spoofing" not in modules
+
 
 CONTRACT = """
 import importlib, json, pkgutil, sys
