@@ -362,15 +362,14 @@ class SynDog:
         (period_index, _start, end_time, syn_count, synack_count, k_bar,
          x, statistic, alarm, degraded) = record
         if self._tsdb is not None:
-            # Snapshot the pipeline *before* this period's emissions
-            # (the parallel merge re-creates exactly this watermark by
-            # ticking before re-emitting each period event), then
-            # retain the full per-period trajectory point.
-            self._tsdb.tick(end_time)
-            self._trajectory.write(
+            # One append: the pipeline snapshot *before* this period's
+            # emissions (the parallel merge re-creates exactly this
+            # watermark by ticking before re-emitting each period
+            # event), then the full per-period trajectory point.
+            self._tsdb.tick(end_time, self._trajectory.points(
                 end_time, float(syn_count - synack_count), x, statistic,
                 alarm, degraded,
-            )
+            ))
         if self._m_periods is not None:
             self._m_periods.inc()
             self._m_syn.inc(syn_count)
@@ -401,7 +400,7 @@ class SynDog:
                     k_bar=k_bar,
                 )
         if self._recorder is not None:
-            self._recorder.record(self.name, snapshot)
+            self._recorder.record(self.name, snapshot, record)
         if self._alerts is not None:
             # Rules see this period's samples: evaluate after the feed.
             self._alerts.evaluate(end_time)

@@ -12,7 +12,7 @@ always had (``repro.obs.metrics.NullRegistry`` and so on).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import AbstractSet, Any, Deque, Dict, List, Optional
 
 __all__ = [
     "NullAlertManager",
@@ -111,12 +111,18 @@ class NullFlightRecorder:
     enabled = False
     contexts_emitted = 0
     contexts: Deque[Dict[str, Any]] = deque()
+    down: AbstractSet[str] = frozenset()
 
     def bind_events(self, events: Any) -> None:
         pass
 
-    def record(self, agent: str, snapshot: Dict[str, Any]) -> None:
+    def record(
+        self, agent: str, snapshot: Dict[str, Any], period: Any = None
+    ) -> None:
         return None
+
+    def set_down(self, agent: str, down: bool = True) -> None:
+        pass
 
     def flush(self) -> int:
         return 0
@@ -156,7 +162,7 @@ class NullTSDB:
     def append(self, name, labels, t, value, source="feed") -> None:
         pass
 
-    def tick(self, t: float) -> None:
+    def tick(self, t: float, points: Any = ()) -> None:
         pass
 
     def tick_events(self, t: float) -> None:

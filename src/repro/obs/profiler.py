@@ -143,6 +143,12 @@ _SNAPSHOT_FIELDS = (
 )
 
 
+def _ns_per(ns_total: int, count: int) -> float:
+    """Nanoseconds per call or packet, as the profile document rounds
+    them (0.0 for a stage with none)."""
+    return round(ns_total / count, 1) if count else 0.0
+
+
 class StageHandle:
     """Accumulator for one named stage; bind once, call on the hot path.
 
@@ -292,7 +298,9 @@ class Profiler:
     # ------------------------------------------------------------------
     # Derived documents
     # ------------------------------------------------------------------
-    def _derive(self, handle: StageHandle) -> Dict[str, Any]:
+    def _costs(self, handle: StageHandle) -> Tuple[int, int, int, int]:
+        """A stage's derived ``(ns_total, cpu_ns_total, allocs,
+        timed_calls)``."""
         calls = handle.calls
         if self.mode == "cost-model":
             cost = COST_MODEL.get(handle.name, DEFAULT_COST)
@@ -301,19 +309,27 @@ class Profiler:
                 + cost.per_packet_ns * handle.packets
                 + cost.per_byte_ns * handle.bytes
             )
-            cpu_ns = ns_total
-            allocs = cost.allocs_per_call * calls
-            timed = 0
-        elif handle.timed_calls == 0:
-            ns_total = cpu_ns = allocs = 0
-            timed = 0
-        else:
-            # Extrapolate sampled clocks to the full call count.
-            scale = calls / handle.timed_calls
-            ns_total = int(handle.wall_ns * scale)
-            cpu_ns = int(handle.cpu_ns * scale)
-            allocs = int(handle.allocs * scale)
-            timed = handle.timed_calls
+            return ns_total, ns_total, cost.allocs_per_call * calls, 0
+        if handle.timed_calls == 0:
+            return 0, 0, 0, 0
+        # Extrapolate sampled clocks to the full call count.
+        scale = calls / handle.timed_calls
+        return (
+            int(handle.wall_ns * scale),
+            int(handle.cpu_ns * scale),
+            int(handle.allocs * scale),
+            handle.timed_calls,
+        )
+
+    def stage_sample(self, handle: StageHandle) -> Tuple[int, int, float]:
+        """A stage's ``(ns_total, calls, ns_per_packet)`` — the row
+        fields the TSDB's per-period profiler snapshot records."""
+        ns_total = self._costs(handle)[0]
+        return ns_total, handle.calls, _ns_per(ns_total, handle.packets)
+
+    def _derive(self, handle: StageHandle) -> Dict[str, Any]:
+        calls = handle.calls
+        ns_total, cpu_ns, allocs, timed = self._costs(handle)
         return {
             "stage": handle.name,
             "calls": calls,
@@ -323,10 +339,8 @@ class Profiler:
             "cpu_ns_total": cpu_ns,
             "allocs": allocs,
             "timed_calls": timed,
-            "ns_per_call": round(ns_total / calls, 1) if calls else 0.0,
-            "ns_per_packet": (
-                round(ns_total / handle.packets, 1) if handle.packets else 0.0
-            ),
+            "ns_per_call": _ns_per(ns_total, calls),
+            "ns_per_packet": _ns_per(ns_total, handle.packets),
         }
 
     def stage_documents(self) -> List[Dict[str, Any]]:

@@ -17,7 +17,8 @@ log.  The recorder is also the live *who-is-alarming* source for the
 ``/healthz`` and ``/fleet`` endpoints (:mod:`repro.obs.server`): each
 tape folds its snapshots into an
 :class:`~repro.obs.runtime.AgentSummary`, the same fold the detector
-and an event-log replay keep, and :meth:`status` reports its rows.
+and an event-log replay keep, and :meth:`status` reports its rows;
+:attr:`down` names the agents a supervisor marked crashed.
 
 Cost model: one ``dict`` copy per observation period (t0 = 20 s per
 agent), nothing per packet — well inside the obs layer's overhead
@@ -28,7 +29,7 @@ recorder alongside the null-instrumentation gate).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import AbstractSet, Any, Deque, Dict, List, Optional, Sequence
 
 from .null import NullFlightRecorder
 from .runtime import AgentSummary, period_of
@@ -90,6 +91,10 @@ class FlightRecorder:
         self.post_alarm_periods = post_alarm_periods
         self._events = events
         self._tapes: Dict[str, _Tape] = {}
+        #: Agents known to be down (:meth:`set_down`): their tapes hold
+        #: their last period, but no period is coming.  Replaced whole,
+        #: so a server thread reads a consistent set.
+        self.down: AbstractSet[str] = frozenset()
         self.contexts: Deque[Dict[str, Any]] = deque(maxlen=_CONTEXT_RETENTION)
         self.contexts_emitted = 0
 
@@ -98,20 +103,29 @@ class FlightRecorder:
         """Late wiring: attach the event log alarm contexts emit to."""
         self._events = events
 
-    def record(self, agent: str, snapshot: Snapshot) -> Optional[Dict[str, Any]]:
+    def record(
+        self,
+        agent: str,
+        snapshot: Snapshot,
+        period: Optional[Sequence[Any]] = None,
+    ) -> Optional[Dict[str, Any]]:
         """Record one observation period's detector state for *agent*.
 
         *snapshot* must carry at least ``alarm`` (bool) and
         ``period_index``; the detector passes its full trajectory point
-        (counts, K̄, X_n, y_n, threshold).  Returns the ``alarm_context``
-        payload when this period completed one, else None.
+        (counts, K̄, X_n, y_n, threshold) and, as *period*, the
+        ``DetectionRecord`` that point was taken from, which the tape's
+        summary folds as it is.  Without *period* the summary folds
+        :func:`~repro.obs.runtime.period_of` the snapshot.  Returns the
+        ``alarm_context`` payload when this period completed one, else
+        None.
         """
         tape = self._tapes.get(agent)
         if tape is None:
             tape = self._tapes[agent] = _Tape(self.capacity)
         summary = tape.summary
         prev_alarm = summary.alarm
-        summary.fold(period_of(snapshot))
+        summary.fold(period if period is not None else period_of(snapshot))
         alarm = summary.alarm
 
         emitted: Optional[Dict[str, Any]] = None
@@ -163,6 +177,12 @@ class FlightRecorder:
         if self._events is not None and getattr(self._events, "enabled", False):
             self._events.emit("alarm_context", **context)
         return context
+
+    def set_down(self, agent: str, down: bool = True) -> None:
+        """Mark *agent* down (its process crashed) or, with
+        ``down=False``, back up — the liveness the ``/healthz`` quorum
+        and the ``/fleet`` rollup read beside the tapes."""
+        self.down = self.down | {agent} if down else self.down - {agent}
 
     # ------------------------------------------------------------------
     def flush(self) -> int:

@@ -386,6 +386,7 @@ class Federation:
     # ------------------------------------------------------------------
     def _note_crash(self, name: str, error: BaseException) -> None:
         self._down[name] = f"{type(error).__name__}: {error}"
+        self._obs.recorder.set_down(self._members[name][1].detector.name)
         if self._m_fed_failures is not None:
             self._m_fed_failures.labels(name).inc()
         if self._g_fed_down is not None:
@@ -410,7 +411,7 @@ class Federation:
         localization evidence an operator would not want wiped by a
         process bounce.
         """
-        old_router, _old_agent = self.member(name)
+        old_router, old_agent = self.member(name)
         state = self._checkpoints.get(name)
         router = LeafRouter(
             stub_network=old_router.stub_network,
@@ -426,6 +427,7 @@ class Federation:
         )
         member = self._install_member(name, router, detector)
         self._down.pop(name, None)
+        self._obs.recorder.set_down(old_agent.detector.name, down=False)
         self._restarts[name] = self._restarts.get(name, 0) + 1
         if self._m_fed_restarts is not None:
             self._m_fed_restarts.labels(name).inc()
