@@ -613,13 +613,14 @@ def _deliver(args: argparse.Namespace, obs: Any, outcome: Outcome) -> None:
         print(f"metrics          : {samples} metric samples -> {metrics_out}")
     if getattr(args, "events_out", None):
         print(f"events           : JSONL -> {args.events_out}")
-    if obs.events.dropped:
-        print(f"events DROPPED   : {obs.events.dropped} "
+    events, recorder = obs.events, obs.recorder
+    if events is not None and events.dropped:
+        print(f"events DROPPED   : {events.dropped} "
               f"(bounded memory sink overflowed)")
-    if obs.recorder.contexts_emitted:
-        print(f"alarm contexts   : {obs.recorder.contexts_emitted} "
+    if recorder is not None and recorder.contexts_emitted:
+        print(f"alarm contexts   : {recorder.contexts_emitted} "
               f"(flight recorder)")
-    if obs.alerts.enabled:
+    if obs.alerts is not None:
         doc = obs.alerts.to_dict()
         print(f"alerts           : {len(doc['rules'])} rules, "
               f"{doc['evaluations']} evaluations, "

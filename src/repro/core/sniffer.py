@@ -139,10 +139,10 @@ class CountExchange:
         # count-driven detector, which never feeds this exchange,
         # registers none of them.  Unbound or disabled (even if events
         # or the flight recorder are live), every per-packet guard is a
-        # single None check — null-instrument method calls are not free
-        # at 100k pps.
+        # single None check — a method call per packet is not free at
+        # 100k pps.
         obs = resolve_instrumentation(obs)
-        self._registry = obs.registry if obs.registry.enabled else None
+        self._registry = obs.registry
         self._m_out_seen = None
         self._m_in_seen = None
         self._m_out_counted = None
@@ -150,7 +150,7 @@ class CountExchange:
         self._m_periods = None
         # Profiler stage handles follow the same bind-once contract:
         # when disabled, observe_* pays exactly one extra None check.
-        if obs.profiler.enabled:
+        if obs.profiler is not None:
             self._prof_classify = obs.profiler.stage("classify")
             self._prof_sniff = obs.profiler.stage("sniff.update")
         else:

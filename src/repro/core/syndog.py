@@ -188,8 +188,8 @@ class SynDog:
         # is negligible even on heavy traffic.  The detector-state
         # gauges are this agent's children of agent-labeled families,
         # so agents sharing one bundle each export their own value.
-        if obs.registry.enabled:
-            registry = obs.registry
+        registry = obs.registry
+        if registry is not None:
             self._m_periods = registry.counter(
                 "syndog_periods_total", "Observation periods processed"
             )
@@ -239,20 +239,20 @@ class SynDog:
             self._g_k_bar = None
             self._g_alarm = None
             self._m_degraded = None
-        self._events = obs.events if obs.events.enabled else None
-        self._recorder = obs.recorder if obs.recorder.enabled else None
-        self._tsdb = obs.tsdb if obs.tsdb.enabled else None
+        self._events = obs.events
+        self._recorder = obs.recorder
+        self._tsdb = obs.tsdb
         self._trajectory = None
-        if obs.tsdb.enabled:  # with obs off, no obs implementation loads
+        if obs.tsdb is not None:  # with obs off, no obs implementation loads
             from ..obs.tsdb import TrajectoryWriter
 
             self._trajectory = TrajectoryWriter(obs.tsdb, self.name)
-        self._alerts = obs.alerts if obs.alerts.enabled else None
+        self._alerts = obs.alerts
         # Per-period stage: always timed in timers mode (sample_every=1)
         # — period cadence is t0 = 20 s, clocks here are cheap.
         self._prof_cusum = (
             obs.profiler.stage("cusum.step", sample_every=1)
-            if obs.profiler.enabled
+            if obs.profiler is not None
             else None
         )
 
@@ -594,7 +594,7 @@ class SynDog:
             None if last_counts is None else (int(last_counts[0]), int(last_counts[1]))
         )
         dog._consecutive_missing = int(state.get("consecutive_missing", 0))
-        if obs.registry.enabled:
+        if obs.registry is not None:
             # Continuity accounting for /healthz: every restart that
             # resumed from a checkpoint instead of starting cold.
             obs.registry.counter(

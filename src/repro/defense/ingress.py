@@ -60,7 +60,7 @@ class IngressFilter:
                 "Spoofed-source packets dropped by ingress filtering "
                 "(enforce mode only)",
             )
-            if obs.registry.enabled
+            if obs.registry is not None
             else None
         )
 

@@ -85,7 +85,7 @@ class SynProxy:
                 "Client handshakes the SYN proxy verified and "
                 "re-originated toward the server",
             )
-            if obs.registry.enabled
+            if obs.registry is not None
             else None
         )
 

@@ -91,7 +91,7 @@ class EgressSynLimiter:
                 "defense_limiter_drops_total",
                 "Outbound SYNs clipped by the egress token bucket",
             )
-            if obs.registry.enabled
+            if obs.registry is not None
             else None
         )
 

@@ -511,7 +511,7 @@ class ResponseEngine:
                 "Response-engine action transitions by kind and outcome",
                 ("kind", "outcome"),
             )
-            if obs.registry.enabled
+            if obs.registry is not None
             else None
         )
 
@@ -596,10 +596,11 @@ class ResponseEngine:
         for active in self._active.values():
             worst = max(worst, self.actuator.collateral(active.spec))
         self.peak_collateral = max(self.peak_collateral, worst)
-        self._tsdb.append(
-            "response_active_actions", None, t, float(len(self._active))
-        )
-        self._tsdb.append("response_collateral_fraction", None, t, worst)
+        if self._tsdb is not None:
+            self._tsdb.append(
+                "response_active_actions", None, t, float(len(self._active))
+            )
+            self._tsdb.append("response_collateral_fraction", None, t, worst)
 
     def finish(self, t: float) -> None:
         """End of campaign: drain queued transitions, abandon pending
@@ -716,6 +717,8 @@ class ResponseEngine:
         self.timeline.append(entry)
         if self._m_actions is not None:
             self._m_actions.labels(kind, outcome).inc()
+        if self._events is None:
+            return
         event_kind = (
             "response_aborted" if outcome == "aborted" else "response_action"
         )

@@ -109,7 +109,7 @@ class SynCookieServer:
         self.acks_rejected = 0
         self.frames_rejected = 0
         obs = resolve_instrumentation(obs)
-        if obs.registry.enabled:
+        if obs.registry is not None:
             validations = obs.registry.counter(
                 "defense_cookie_validations_total",
                 "Handshake-ACK cookie checks by outcome",

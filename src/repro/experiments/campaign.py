@@ -147,7 +147,7 @@ def simulate_network(
         delay_periods=delay if detected else None,
         max_statistic=result.max_statistic,
     )
-    if obs.enabled:
+    if obs.registry is not None:
         obs.registry.histogram(
             "campaign_network_seconds",
             "Wall-clock to simulate one stub network",
@@ -157,15 +157,15 @@ def simulate_network(
             "Stub networks simulated, by verdict",
             ("detected",),
         ).labels(str(detected).lower()).inc()
-        if obs.events.enabled:
-            obs.events.emit(
-                "campaign_network",
-                network_id=task.network_id,
-                flood_rate=task.flood_rate,
-                detected=detected,
-                delay_periods=delay if detected else None,
-                max_statistic=result.max_statistic,
-            )
+    if obs.events is not None:
+        obs.events.emit(
+            "campaign_network",
+            network_id=task.network_id,
+            flood_rate=task.flood_rate,
+            detected=detected,
+            delay_periods=delay if detected else None,
+            max_statistic=result.max_statistic,
+        )
     return outcome
 
 
@@ -250,7 +250,7 @@ def simulate_campaign(
     outcomes = run_plan(
         WorkPlan.partition(tasks), simulate_network, workers=workers, obs=obs
     )
-    if obs.enabled:
+    if obs.registry is not None:
         obs.registry.gauge(
             "campaign_detection_fraction",
             "Fraction of simulated networks whose SYN-dog alarmed",

@@ -136,8 +136,8 @@ def run_detection_trial(
         delay_periods=delay if detected else None,
         max_statistic=result.max_statistic,
     )
-    if obs.enabled:
-        elapsed = time.perf_counter() - trial_start
+    elapsed = time.perf_counter() - trial_start
+    if obs.registry is not None:
         obs.registry.histogram(
             "trial_seconds",
             "Wall-clock per detection trial",
@@ -148,18 +148,18 @@ def run_detection_trial(
             "Detection trials run, by site and verdict",
             ("site", "detected"),
         ).labels(profile.name, str(detected).lower()).inc()
-        if obs.events.enabled:
-            obs.events.emit(
-                "trial",
-                site=profile.name,
-                flood_rate=config.flood_rate,
-                seed=config.seed,
-                attack_start=window.start,
-                detected=detected,
-                delay_periods=outcome.delay_periods,
-                max_statistic=result.max_statistic,
-                wall_seconds=elapsed,
-            )
+    if obs.events is not None:
+        obs.events.emit(
+            "trial",
+            site=profile.name,
+            flood_rate=config.flood_rate,
+            seed=config.seed,
+            attack_start=window.start,
+            detected=detected,
+            delay_periods=outcome.delay_periods,
+            max_statistic=result.max_statistic,
+            wall_seconds=elapsed,
+        )
     return outcome
 
 

@@ -204,9 +204,8 @@ def run_soak_epoch(
 
     # Subject arm: instrumented, checkpointed mid-epoch and rebuilt
     # from the checkpoint — the supervisor's restart path, every epoch.
-    events = getattr(obs, "events", None)
-    events_live = events is not None and getattr(events, "enabled", False)
-    emitted_before = events.events_emitted if events_live else 0
+    events = obs.events
+    emitted_before = events.events_emitted if events is not None else 0
     subject = SynDog(
         parameters=params, staleness_cap=task.staleness_cap,
         obs=obs, name=_AGENT,
@@ -257,7 +256,7 @@ def run_soak_epoch(
     # values are pure functions of the scenario, so the merged store is
     # worker-invariant.
     tsdb = obs.tsdb
-    if getattr(tsdb, "enabled", False):
+    if tsdb is not None:
         for i, flag in enumerate(false_alarm_flags):
             tsdb.append(
                 "soak_false_alarm", {}, offset + (i + 1) * t0, flag
@@ -295,7 +294,7 @@ def run_soak_epoch(
         "spans": spans,
         "events_emitted": None,
     }
-    if events_live:
+    if events is not None:
         events.emit(
             "soak_epoch",
             epoch=task.epoch_index,
@@ -488,7 +487,8 @@ def run_soak_campaign(
     epoch's midpoint.  Epochs always execute through
     :func:`repro.parallel.run_plan` — at any ``workers`` value the
     shard layout, merge order, and therefore the report bytes are
-    identical.
+    identical.  The soak judges itself against *obs*'s telemetry
+    store, so a bundle without one is refused (ValueError).
     """
     from ..parallel import WorkPlan, run_plan
 
@@ -498,6 +498,8 @@ def run_soak_campaign(
         # A soak without an operator-supplied bundle still needs a
         # store to judge itself against — memory-only, no file sinks.
         obs = enabled_instrumentation(memory_events=True)
+    elif obs.tsdb is None:
+        raise ValueError("a soak needs a bundle with a telemetry store")
     attack_duration = max(1, min(15, periods_per_epoch // 4))
     attack_start = max(0, min(periods_per_epoch // 6, periods_per_epoch - attack_duration))
     tasks = [
@@ -538,13 +540,13 @@ def run_soak_campaign(
     # epoch boundary — into the *parent* store (a self-sample would add
     # points to the structure under test).
     # ------------------------------------------------------------------
-    retention = obs.tsdb.retention if obs.tsdb.enabled else 4096
-    recorder_capacity = obs.recorder.capacity if obs.recorder.enabled else 120
-    recorder_post = (
-        obs.recorder.post_alarm_periods if obs.recorder.enabled else 5
-    )
+    recorder = obs.recorder
+    recorder_capacity = recorder.capacity if recorder is not None else 120
+    recorder_post = recorder.post_alarm_periods if recorder is not None else 5
     replay_bundle = Instrumentation(
-        tsdb=TimeSeriesDB(retention=retention, record_snapshots=False),
+        tsdb=TimeSeriesDB(
+            retention=obs.tsdb.retention, record_snapshots=False
+        ),
         recorder=FlightRecorder(
             capacity=recorder_capacity, post_alarm_periods=recorder_post
         ),
@@ -581,24 +583,22 @@ def run_soak_campaign(
     # ------------------------------------------------------------------
     engine = SLOEngine(builtin_slos())
     burn_timeline: List[Dict[str, Any]] = []
-    slo_doc: Dict[str, Any] = engine.evaluate(obs.tsdb, at=None)
-    if obs.tsdb.enabled:
-        for t in boundaries:
-            doc = engine.record(obs.tsdb, at=t)
-            burn_timeline.append(
-                {
-                    "t": t,
-                    "verdict": doc["verdict"],
-                    "slos": {
-                        entry["name"]: {
-                            "verdict": entry["verdict"],
-                            "budget_consumed": entry["budget_consumed"],
-                        }
-                        for entry in doc["slos"]
-                    },
-                }
-            )
-        slo_doc = engine.evaluate(obs.tsdb, at=boundaries[-1])
+    for t in boundaries:
+        doc = engine.record(obs.tsdb, at=t)
+        burn_timeline.append(
+            {
+                "t": t,
+                "verdict": doc["verdict"],
+                "slos": {
+                    entry["name"]: {
+                        "verdict": entry["verdict"],
+                        "budget_consumed": entry["budget_consumed"],
+                    }
+                    for entry in doc["slos"]
+                },
+            }
+        )
+    slo_doc = engine.evaluate(obs.tsdb, at=boundaries[-1])
 
     # Deterministic alerts document: builtin + SLO budget rules walked
     # over the epoch boundaries (the soak's reporting cadence).
@@ -665,9 +665,7 @@ def run_soak_campaign(
         span_counts=span_counts,
         span_seconds=span_seconds,
         events_emitted=(
-            obs.events.events_emitted
-            if getattr(obs.events, "enabled", False)
-            else 0
+            obs.events.events_emitted if obs.events is not None else 0
         ),
     )
 

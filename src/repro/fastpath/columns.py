@@ -140,7 +140,7 @@ class ColumnarPcapReader:
         # begin/end pair per *block*, not per record.
         self._prof_parse = (
             obs.profiler.stage("fastpath.parse", sample_every=1)
-            if obs is not None and obs.profiler.enabled
+            if obs is not None and obs.profiler is not None
             else None
         )
 

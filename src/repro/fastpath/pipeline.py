@@ -165,7 +165,7 @@ def scan_capture(
     ethernet = reader.header.network == LINKTYPE_ETHERNET
     prof_classify = (
         obs.profiler.stage("fastpath.classify", sample_every=1)
-        if obs is not None and obs.profiler.enabled
+        if obs is not None and obs.profiler is not None
         else None
     )
     summary = CaptureSummary(lane=lane)

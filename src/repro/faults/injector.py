@@ -116,7 +116,7 @@ class FaultInjector:
             for index, spec in enumerate(schedule.specs)
         }
         obs = resolve_instrumentation(obs)
-        if obs.registry.enabled:
+        if obs.registry is not None:
             self._m_faults = obs.registry.counter(
                 "faults_injected_total",
                 "Faults injected into the detection path, by fault kind",

@@ -6,16 +6,15 @@ observability layer threaded through the whole pipeline —
 classification, sniffing, CUSUM, routers, experiments — with two
 export formats (Prometheus text exposition and JSONL event streams)
 and a hard rule: **zero cost when disabled**.  The default everywhere
-is :data:`~repro.obs.runtime.NULL_INSTRUMENTATION`; components bind
-no-op instruments to ``None`` at construction so the hot path pays a
-single pointer check.
+is :data:`~repro.obs.runtime.NULL_INSTRUMENTATION`, whose component
+slots all hold ``None``; components bind their instruments to ``None``
+at construction so the hot path pays a single pointer check.
 
 Modules
 -------
 ``metrics``
     Counter / Gauge / Histogram families with labeled children and a
-    get-or-create :class:`MetricsRegistry` (plus the no-op
-    :class:`NullRegistry`).
+    get-or-create :class:`MetricsRegistry`.
 ``events``
     Structured events fanned out to JSONL / in-memory sinks.
 ``exporters``
@@ -23,11 +22,8 @@ Modules
     event-loss folding.
 ``runtime``
     The :class:`Instrumentation` bundle and :class:`AgentSummary`, the
-    running per-agent state every status view reads.
-``null``
-    The six disabled components the default bundle holds, in
-    standard-library code: with obs off, this and ``runtime`` are all
-    of the package a process loads.
+    running per-agent state every status view reads.  With obs off,
+    this is all of the package a process loads.
 ``recorder``
     The per-agent flight recorder: detector-state ring buffers and
     self-describing ``alarm_context`` events.
@@ -64,16 +60,15 @@ from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "alerts": (
-        "AlertManager", "AlertRule", "NullAlertManager", "builtin_rules",
-        "profiler_rules", "replay_rules", "rules_from_dicts",
-        "rules_from_file",
+        "AlertManager", "AlertRule", "builtin_rules", "profiler_rules",
+        "replay_rules", "rules_from_dicts", "rules_from_file",
     ),
     "analyze": (
         "AgentTimeline", "AlarmSpan", "EventsReport", "analyze_events",
         "analyze_files", "render_report",
     ),
     "events": (
-        "EventLog", "JsonlSink", "MemorySink", "NullEventLog", "read_jsonl",
+        "EventLog", "JsonlSink", "MemorySink", "read_jsonl",
     ),
     "exporters": (
         "export_event_stats", "export_profiler", "parse_prometheus_text",
@@ -88,15 +83,15 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "metrics": (
         "DEFAULT_LATENCY_BUCKETS", "Counter", "Gauge", "Histogram",
-        "MetricsRegistry", "NullRegistry",
+        "MetricsRegistry",
     ),
     "profiler": (
-        "COST_MODEL", "PIPELINE_STAGES", "NullProfiler", "Profiler",
+        "COST_MODEL", "PIPELINE_STAGES", "Profiler",
         "StageCost", "StageHandle", "callgrind_format", "folded_stacks",
         "merge_stage_rows", "parse_callgrind", "parse_folded",
         "write_callgrind", "write_folded",
     ),
-    "recorder": ("FlightRecorder", "NullFlightRecorder"),
+    "recorder": ("FlightRecorder",),
     "rollup": (
         "DEFAULT_TOP_K", "AgentState", "FleetRollup", "QuantileDigest",
         "SpaceSavingTopK", "rollup_from_events", "synthetic_fleet_states",
@@ -107,7 +102,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "server": ("ObsServer",),
     "tsdb": (
-        "NullTSDB", "QueryError", "TimeSeriesDB", "parse_query",
-        "tsdb_from_events",
+        "QueryError", "TimeSeriesDB", "parse_query", "tsdb_from_events",
     ),
 })

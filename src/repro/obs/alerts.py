@@ -44,12 +44,10 @@ from typing import (
 )
 
 from .tsdb import TimeSeriesDB, parse_query
-from .null import NullAlertManager
 
 __all__ = [
     "AlertRule",
     "AlertManager",
-    "NullAlertManager",
     "builtin_rules",
     "fleet_rules",
     "profiler_rules",
@@ -178,8 +176,6 @@ class AlertManager:
     rule goes live in the period its first series appears.
     """
 
-    enabled = True
-
     def __init__(
         self,
         rules: Sequence[AlertRule] = (),
@@ -263,9 +259,7 @@ class AlertManager:
         this step produced.  Out-of-order or duplicate watermarks are
         ignored (periods from a second grid item replaying earlier
         logical times must not rewind alert state)."""
-        if self.closed or self._tsdb is None or not getattr(
-            self._tsdb, "enabled", False
-        ):
+        if self.closed or self._tsdb is None:
             return []
         if self._last_t is not None and t <= self._last_t:
             return []
@@ -358,7 +352,7 @@ class AlertManager:
             "value": value,
         }
         self.transitions.append(record)
-        if self._events is not None and getattr(self._events, "enabled", False):
+        if self._events is not None:
             self._events.emit(
                 "alert",
                 rule=rule.name,
@@ -381,7 +375,7 @@ class AlertManager:
         "what was every detector doing" snapshot an operator wants
         attached to the page."""
         recorder = self._recorder
-        if recorder is None or not getattr(recorder, "enabled", False):
+        if recorder is None:
             return
         context = {
             "rule": rule.name,

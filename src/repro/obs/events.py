@@ -11,7 +11,6 @@ re-ordered, filtered with ``jq``, or replayed.
 Sinks are write-only observers.  :class:`MemorySink` retains events
 in-process (tests, summaries); :class:`JsonlSink` streams one JSON
 object per line to a file — the format every log shipper understands.
-:class:`NullEventLog` is the disabled default.
 """
 
 from __future__ import annotations
@@ -20,13 +19,10 @@ import json
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Union
 
-from .null import NullEventLog
-
 __all__ = [
     "EventLog",
     "JsonlSink",
     "MemorySink",
-    "NullEventLog",
     "read_jsonl",
 ]
 
@@ -106,8 +102,6 @@ class EventLog:
     attributes kept current by :meth:`emit`, so the TSDB's per-period
     tick reads both without asking each sink.  A sink's ``write``
     returns True when a bound made it drop the event."""
-
-    enabled = True
 
     def __init__(self, *sinks: Any) -> None:
         self._sinks: List[Any] = []

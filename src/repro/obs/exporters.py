@@ -245,8 +245,9 @@ def export_event_stats(events: Any, registry: MetricsRegistry) -> None:
     """Fold the event log's emission/loss counters into *registry* as
     ``obs_events_emitted_total`` / ``obs_events_dropped_total`` so a
     scrape (or the final ``.prom``) makes silent event loss visible.
-    Idempotent: a re-export sets the counters to the log's totals."""
-    if not getattr(events, "enabled", False):
+    Idempotent: a re-export sets the counters to the log's totals; an
+    absent log (``None``) exports nothing."""
+    if events is None:
         return
     emitted = registry.counter(
         "obs_events_emitted_total", "Structured events emitted this run"
@@ -256,7 +257,7 @@ def export_event_stats(events: Any, registry: MetricsRegistry) -> None:
         "obs_events_dropped_total",
         "Events dropped by bounded sinks (silent loss made visible)",
     )
-    dropped.inc(getattr(events, "dropped", 0) - dropped.value)
+    dropped.inc(events.dropped - dropped.value)
 
 
 # ----------------------------------------------------------------------

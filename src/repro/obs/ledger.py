@@ -58,6 +58,17 @@ SATURATING_SERIES: FrozenSet[str] = frozenset(
     {"obs_ledger_recorder_contexts"}
 )
 
+#: The store and recorder quantities every sample carries; a bundle
+#: without a store or recorder reads 0 for its share.
+_STORE_KEYS = (
+    "obs_ledger_tsdb_points",
+    "obs_ledger_tsdb_series",
+    "obs_ledger_tsdb_compactions",
+    "obs_ledger_tsdb_points_dropped",
+    "obs_ledger_recorder_ring",
+    "obs_ledger_recorder_contexts",
+)
+
 
 def collect_occupancy(
     obs: Any,
@@ -75,26 +86,33 @@ def collect_occupancy(
     throughput.  Keys are the ``obs_ledger_*`` series names
     :func:`sample` writes.
     """
+    occupancy: Dict[str, float] = dict.fromkeys(_STORE_KEYS, 0.0)
     tsdb = obs.tsdb
+    if tsdb is not None:
+        occupancy["obs_ledger_tsdb_points"] = float(tsdb.points_retained())
+        occupancy["obs_ledger_tsdb_series"] = float(len(tsdb.series()))
+        occupancy["obs_ledger_tsdb_compactions"] = float(
+            tsdb.compactions_total
+        )
+        occupancy["obs_ledger_tsdb_points_dropped"] = float(
+            tsdb.points_dropped_total
+        )
     recorder = obs.recorder
-    occupancy: Dict[str, float] = {
-        "obs_ledger_tsdb_points": float(tsdb.points_retained()),
-        "obs_ledger_tsdb_series": float(len(tsdb.series())),
-        "obs_ledger_tsdb_compactions": float(tsdb.compactions_total),
-        "obs_ledger_tsdb_points_dropped": float(tsdb.points_dropped_total),
-        "obs_ledger_recorder_ring": float(
+    if recorder is not None:
+        occupancy["obs_ledger_recorder_ring"] = float(
             sum(len(recorder.window(agent)) for agent in recorder.agents)
-        ),
-        "obs_ledger_recorder_contexts": float(len(recorder.contexts)),
-    }
-    manager = alerts if alerts is not None else getattr(obs, "alerts", None)
-    if manager is not None and getattr(manager, "enabled", True):
+        )
+        occupancy["obs_ledger_recorder_contexts"] = float(
+            len(recorder.contexts)
+        )
+    manager = alerts if alerts is not None else obs.alerts
+    if manager is not None:
         occupancy["obs_ledger_alert_rules"] = float(len(manager.rules))
         occupancy["obs_ledger_alert_transitions"] = float(
             len(manager.transitions)
         )
-    events = getattr(obs, "events", None)
-    if events is not None and getattr(events, "enabled", True):
+    events = obs.events
+    if events is not None:
         occupancy["obs_ledger_event_sink_depth"] = float(
             events.events_emitted - events_baseline
         )
@@ -135,7 +153,7 @@ def sample(
     if extra:
         occupancy.update(extra)
     target = into if into is not None else obs.tsdb
-    if getattr(target, "enabled", False):
+    if target is not None:
         for name in sorted(occupancy):
             target.append(name, labels or {}, float(t), occupancy[name])
     return occupancy

@@ -256,11 +256,7 @@ def merge_event_groups(
     is byte-identical to a serial run's.
     """
     emitted = 0
-    tick = (
-        tsdb.tick_events
-        if tsdb is not None and getattr(tsdb, "enabled", False)
-        else None
-    )
+    tick = tsdb.tick_events if tsdb is not None else None
     for _index, item_events in sorted(groups, key=lambda group: group[0]):
         for event in item_events:
             if tick is not None and event.get("event") == "period":

@@ -9,10 +9,10 @@ it cannot satisfy on a bare router image.
 
 Design rules, in priority order:
 
-1. **Zero cost when disabled.**  The default registry everywhere is
-   :class:`NullRegistry`; instrumented components bind its no-op
-   instruments to ``None`` at construction and guard hot paths with a
-   single ``is not None`` check.  Tier-1 numbers must not move.
+1. **Zero cost when disabled.**  The default bundle holds no registry
+   (``None``); instrumented components then bind their instruments to
+   ``None`` at construction and guard hot paths with a single
+   ``is not None`` check.  Tier-1 numbers must not move.
 2. **Get-or-create registration.**  Two SYN-dogs sharing one registry
    (a campaign, a federation) must land on the *same* time series, so
    :meth:`MetricsRegistry.counter` et al. return the existing family
@@ -28,14 +28,11 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .null import NullRegistry
-
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
     "Sample",
     "DEFAULT_LATENCY_BUCKETS",
 ]
@@ -316,8 +313,6 @@ class MetricsRegistry:
     so a reader that binds to the instruments (the TSDB's per-period
     snapshot) knows when its bindings are stale without walking the
     registry."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self._families: Dict[str, _Family] = {}

@@ -41,8 +41,8 @@ The document (:meth:`Profiler.to_dict`) exports to folded-stack
 :func:`callgrind_format`; both have parsers for round-trip tests.
 
 Zero-cost-when-disabled: components bind a :class:`StageHandle` once at
-construction when ``obs.profiler.enabled`` and keep ``None`` otherwise;
-the hot path pays a single ``is not None`` check (benchmarked as
+construction when ``obs.profiler is not None`` and keep ``None``
+otherwise; the hot path pays a single ``is not None`` check (benchmarked as
 ``profiler_disabled_ratio`` ≤ 1.02x).
 """
 
@@ -52,8 +52,6 @@ import gc
 import time
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
-
-from .null import NullProfiler
 
 
 def allocation_count() -> int:
@@ -80,7 +78,6 @@ __all__ = [
     "PIPELINE_STAGES",
     "StageHandle",
     "Profiler",
-    "NullProfiler",
     "allocation_count",
     "merge_stage_rows",
     "folded_stacks",
@@ -258,8 +255,6 @@ class Profiler:
         extrapolate; coarse stages (created with ``sample_every=1``)
         time every call.
     """
-
-    enabled = True
 
     def __init__(self, mode: str = "cost-model", sample_every: int = 64) -> None:
         if mode not in ("cost-model", "timers"):

@@ -31,10 +31,9 @@ from __future__ import annotations
 from collections import deque
 from typing import AbstractSet, Any, Deque, Dict, List, Optional, Sequence
 
-from .null import NullFlightRecorder
 from .runtime import AgentSummary, period_of
 
-__all__ = ["FlightRecorder", "NullFlightRecorder"]
+__all__ = ["FlightRecorder"]
 
 Snapshot = Dict[str, Any]
 
@@ -72,8 +71,6 @@ class FlightRecorder:
         ``alarm_context`` events are emitted to.  Without one the
         contexts are still retained on :attr:`contexts`.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -174,7 +171,7 @@ class FlightRecorder:
         }
         self.contexts.append(context)
         self.contexts_emitted += 1
-        if self._events is not None and getattr(self._events, "enabled", False):
+        if self._events is not None:
             self._events.emit("alarm_context", **context)
         return context
 

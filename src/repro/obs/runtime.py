@@ -3,12 +3,13 @@
 Every instrumented component in the pipeline takes an optional
 ``obs: Instrumentation`` argument.  Passing one wires that component to
 an explicit registry, event log, recorder and so on; passing ``None`` (the
-universal default) resolves to :data:`NULL_INSTRUMENTATION`, where every
-component is a no-op.  Components check ``obs.enabled`` **once, at
-construction**, and bind their instruments to ``None`` when disabled — the
-hot-path contract that keeps the default pipeline indistinguishable from
-an uninstrumented build (``benchmarks/test_obs_overhead.py`` holds the
-line at ≤10%).
+universal default) resolves to :data:`NULL_INSTRUMENTATION`, whose six
+component slots all hold ``None``.  A disabled component is ``None`` and
+nothing else: components check ``obs.<component> is not None`` **once, at
+construction**, and bind their instruments to ``None`` when it is absent —
+the hot-path contract that keeps the default pipeline indistinguishable
+from an uninstrumented build (``benchmarks/test_obs_overhead.py`` holds
+the line at ≤10%).
 
 :class:`AgentSummary` is one agent's running state, folded one period at
 a time: the detector keeps one, each flight-recorder tape keeps one, and
@@ -16,9 +17,9 @@ an event-log replay keeps one per agent, so ``/healthz``, ``/fleet``,
 ``Federation.status()`` and ``repro fleet --events`` all read the same
 fold.
 
-This module and :mod:`repro.obs.null` are all a process with obs off
-loads: the live components are imported by :func:`enabled_instrumentation`
-(or by whoever builds one), never by the bundle itself.
+This module is all of :mod:`repro.obs` a process with obs off loads: the
+live components are imported by :func:`enabled_instrumentation` (or by
+whoever builds one), never by the bundle itself.
 
 Typical operator setup::
 
@@ -33,15 +34,6 @@ Typical operator setup::
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Mapping, Optional, Sequence, Union
-
-from .null import (
-    NullAlertManager,
-    NullEventLog,
-    NullFlightRecorder,
-    NullProfiler,
-    NullRegistry,
-    NullTSDB,
-)
 
 if TYPE_CHECKING:
     from .events import MemorySink
@@ -154,7 +146,10 @@ class AgentSummary:
 
 class Instrumentation:
     """A registry + event log + flight recorder + telemetry history
-    store + alert manager + profiler, handed around as one object."""
+    store + alert manager + profiler, handed around as one object.
+
+    Each slot holds a live component or ``None``, which is the one way
+    a bundle says that component is off."""
 
     def __init__(
         self,
@@ -165,46 +160,37 @@ class Instrumentation:
         alerts: Optional[Any] = None,
         profiler: Optional[Any] = None,
     ) -> None:
-        self.registry = registry if registry is not None else NullRegistry()
-        self.events = events if events is not None else NullEventLog()
-        self.recorder = (
-            recorder if recorder is not None else NullFlightRecorder()
-        )
-        self.tsdb = tsdb if tsdb is not None else NullTSDB()
-        self.alerts = alerts if alerts is not None else NullAlertManager()
-        self.profiler = profiler if profiler is not None else NullProfiler()
-        # A live recorder handed in without its own event log emits
-        # alarm contexts into the bundle's (when that one is live).
+        self.registry = registry
+        self.events = events
+        self.recorder = recorder
+        self.tsdb = tsdb
+        self.alerts = alerts
+        self.profiler = profiler
+        # A recorder handed in without its own event log emits alarm
+        # contexts into the bundle's.
         if (
-            self.recorder.enabled
-            and getattr(self.recorder, "_events", None) is None
-            and self.events.enabled
+            recorder is not None
+            and recorder._events is None
+            and events is not None
         ):
-            self.recorder.bind_events(self.events)
+            recorder.bind_events(events)
         # The history store snapshots whatever this bundle records; the
         # alert manager queries the store and annotates firings with
         # event-log / flight-recorder context.
-        if self.tsdb.enabled:
-            self.tsdb.bind(
-                registry=self.registry,
-                events=self.events,
-                profiler=self.profiler if self.profiler.enabled else None,
-            )
-        if self.alerts.enabled:
-            self.alerts.bind(
-                tsdb=self.tsdb,
-                events=self.events if self.events.enabled else None,
-                recorder=self.recorder if self.recorder.enabled else None,
-            )
+        if tsdb is not None:
+            tsdb.bind(registry=registry, events=events, profiler=profiler)
+        if alerts is not None:
+            alerts.bind(tsdb=tsdb, events=events, recorder=recorder)
 
     @property
     def enabled(self) -> bool:
-        return (
-            self.registry.enabled
-            or self.events.enabled
-            or self.recorder.enabled
-            or self.tsdb.enabled
-            or self.profiler.enabled
+        """Whether any component but the alert manager is live."""
+        return not (
+            self.registry is None
+            and self.events is None
+            and self.recorder is None
+            and self.tsdb is None
+            and self.profiler is None
         )
 
     def finalize(self, metrics_path: Optional[Union[str, Any]] = None) -> int:
@@ -214,28 +200,32 @@ class Instrumentation:
         sinks.  Returns the number of exported sample lines (0 when no
         metrics path was given)."""
         samples = 0
-        self.recorder.flush()
+        registry, events, profiler = self.registry, self.events, self.profiler
+        if self.recorder is not None:
+            self.recorder.flush()
         # Close live alerts before the event log: end-of-stream
         # resolutions must still reach the JSONL sinks.
-        self.alerts.close()
+        if self.alerts is not None:
+            self.alerts.close()
         # The profile document rides the event stream so offline
         # forensics (``repro report --profile``) can attribute cost
         # without a live server.
-        if self.profiler.enabled and self.events.enabled:
-            self.events.emit("profile", **self.profiler.to_dict())
-        if self.registry.enabled:
+        if profiler is not None and events is not None:
+            events.emit("profile", **profiler.to_dict())
+        if registry is not None:
             from .exporters import (
                 export_event_stats,
                 export_profiler,
                 write_prometheus,
             )
 
-            if self.profiler.enabled:
-                export_profiler(self.profiler, self.registry)
-            export_event_stats(self.events, self.registry)
+            if profiler is not None:
+                export_profiler(profiler, registry)
+            export_event_stats(events, registry)
             if metrics_path is not None:
-                samples = write_prometheus(self.registry, metrics_path)
-        self.events.close()
+                samples = write_prometheus(registry, metrics_path)
+        if events is not None:
+            events.close()
         return samples
 
     def summary(self) -> dict:
@@ -243,36 +233,47 @@ class Instrumentation:
         prints after ``finalize``.  ``events_dropped`` is here on
         purpose: bounded sinks drop silently and an operator must see
         that loss."""
+        events, recorder, alerts = self.events, self.recorder, self.alerts
         return {
             "enabled": self.enabled,
-            "metrics_families": len(self.registry),
-            "events_emitted": self.events.events_emitted,
-            "events_dropped": getattr(self.events, "dropped", 0),
-            "alarm_contexts": self.recorder.contexts_emitted,
-            "agents": self.recorder.status(),
-            "tsdb_series": len(self.tsdb),
-            "alerts_firing": self.alerts.firing(),
-            "profile_stages": len(self.profiler),
+            "metrics_families": _size(self.registry),
+            "events_emitted": 0 if events is None else events.events_emitted,
+            "events_dropped": 0 if events is None else events.dropped,
+            "alarm_contexts": (
+                0 if recorder is None else recorder.contexts_emitted
+            ),
+            "agents": {} if recorder is None else recorder.status(),
+            "tsdb_series": _size(self.tsdb),
+            "alerts_firing": [] if alerts is None else alerts.firing(),
+            "profile_stages": _size(self.profiler),
         }
 
     def memory_events(self) -> Optional[MemorySink]:
         """The bundle's in-memory event sink, when one is attached."""
+        if self.events is None:
+            return None
         from .events import MemorySink
 
-        for sink in getattr(self.events, "sinks", lambda: [])():
+        for sink in self.events.sinks():
             if isinstance(sink, MemorySink):
                 return sink
         return None
 
     def __repr__(self) -> str:
+        events = self.events
         return (
             f"Instrumentation(enabled={self.enabled}, "
-            f"metrics={len(self.registry)}, "
-            f"events={self.events.events_emitted})"
+            f"metrics={_size(self.registry)}, "
+            f"events={0 if events is None else events.events_emitted})"
         )
 
 
-#: The disabled default: every component is a no-op.
+def _size(component: Optional[Any]) -> int:
+    """``len`` of a live component; an absent one holds nothing."""
+    return 0 if component is None else len(component)
+
+
+#: The disabled default: every component slot holds ``None``.
 NULL_INSTRUMENTATION = Instrumentation()
 
 

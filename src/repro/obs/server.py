@@ -92,7 +92,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
-from .events import MemorySink
 from .exporters import (
     export_event_stats,
     export_profiler,
@@ -227,14 +226,14 @@ class ObsServer:
     def metrics_text(self) -> Optional[str]:
         """The live scrape body, or None when the registry is disabled."""
         registry = self.obs.registry
-        if not getattr(registry, "enabled", False):
+        if registry is None:
             return None
         # Scrape-time folds mutate the registry; _registry_lock keeps
         # two concurrent scrapes (or a scrape racing /profile) from
         # interleaving family mutation.  See the module's lock order.
         with self._registry_lock:
-            profiler = getattr(self.obs, "profiler", None)
-            if profiler is not None and getattr(profiler, "enabled", False):
+            profiler = self.obs.profiler
+            if profiler is not None:
                 export_profiler(profiler, registry)
             export_event_stats(self.obs.events, registry)
             return render_prometheus(registry)
@@ -244,8 +243,8 @@ class ObsServer:
         off.  Document derivation reads every stage handle; the shared
         registry lock keeps it consistent with a racing ``/metrics``
         fold of the same counts."""
-        profiler = getattr(self.obs, "profiler", None)
-        if profiler is None or not getattr(profiler, "enabled", False):
+        profiler = self.obs.profiler
+        if profiler is None:
             return None
         with self._registry_lock:
             return profiler.to_dict()
@@ -260,12 +259,10 @@ class ObsServer:
         * ``ok`` — none of the above.
         """
         obs = self.obs
-        recorder = getattr(obs, "recorder", None)
+        recorder, events, alerts = obs.recorder, obs.events, obs.alerts
         agents = recorder.status() if recorder is not None else {}
-        down = getattr(recorder, "down", frozenset()) & agents.keys()
-        events = obs.events
-        dropped = getattr(events, "dropped", 0)
-        alerts = getattr(obs, "alerts", None)
+        down = recorder.down & agents.keys() if recorder is not None else ()
+        dropped = events.dropped if events is not None else 0
         firing = alerts.firing() if alerts is not None else []
         pending = alerts.pending() if alerts is not None else []
         # A down agent counts only as down, as /fleet counts it: its
@@ -292,7 +289,7 @@ class ObsServer:
         )
         checkpoints_restored = 0
         registry = obs.registry
-        if getattr(registry, "enabled", False):
+        if registry is not None:
             with self._registry_lock:
                 family = registry.get("syndog_checkpoints_restored_total")
                 if family is not None:
@@ -322,10 +319,14 @@ class ObsServer:
             "uptime_seconds": round(self.uptime_seconds, 3),
             "started_unix": self._started_unix,
             "requests_served": self.requests_served,
-            "metrics_families": len(obs.registry),
-            "events_emitted": getattr(events, "events_emitted", 0),
+            "metrics_families": len(registry) if registry is not None else 0,
+            "events_emitted": (
+                events.events_emitted if events is not None else 0
+            ),
             "events_dropped": dropped,
-            "alarm_contexts": getattr(recorder, "contexts_emitted", 0),
+            "alarm_contexts": (
+                recorder.contexts_emitted if recorder is not None else 0
+            ),
             "periods_observed": sum(
                 status["periods"] for status in agents.values()
             ),
@@ -356,8 +357,8 @@ class ObsServer:
         is shared obs state and a scrape must not interleave with
         another handler's fold.
         """
-        recorder = getattr(self.obs, "recorder", None)
-        if recorder is None or not getattr(recorder, "enabled", False):
+        recorder = self.obs.recorder
+        if recorder is None:
             return None
         with self._registry_lock:
             rollup = FleetRollup.from_summaries(
@@ -370,16 +371,13 @@ class ObsServer:
     ) -> Dict[str, Any]:
         """The ``/events`` JSON document: last *n* in-memory events."""
         events = self.obs.events
-        sink = None
-        for candidate in getattr(events, "sinks", lambda: [])():
-            if isinstance(candidate, MemorySink):
-                sink = candidate
-                break
+        emitted = events.events_emitted if events is not None else 0
+        sink = self.obs.memory_events()
         if sink is None:
             return {
                 "events": [],
                 "count": 0,
-                "emitted": getattr(events, "events_emitted", 0),
+                "emitted": emitted,
                 "dropped": 0,
                 "note": "no in-memory event sink attached",
             }
@@ -388,7 +386,7 @@ class ObsServer:
         return {
             "events": tail,
             "count": len(tail),
-            "emitted": getattr(events, "events_emitted", 0),
+            "emitted": emitted,
             "dropped": sink.dropped,
         }
 
@@ -399,8 +397,8 @@ class ObsServer:
         telemetry history store.  Raises
         :class:`~repro.obs.tsdb.QueryError` on a malformed expression
         (the handler maps it to a 400)."""
-        tsdb = getattr(self.obs, "tsdb", None)
-        if tsdb is None or not getattr(tsdb, "enabled", False):
+        tsdb = self.obs.tsdb
+        if tsdb is None:
             return None
         if at is None:
             at = tsdb.last_time()
@@ -420,15 +418,15 @@ class ObsServer:
         history store — or None when the store is disabled (the handler
         maps it to a 503).  Like ``/query``, the evaluation only reads
         the TSDB, so no server-side lock is needed."""
-        tsdb = getattr(self.obs, "tsdb", None)
-        if tsdb is None or not getattr(tsdb, "enabled", False):
+        tsdb = self.obs.tsdb
+        if tsdb is None:
             return None
         return self._slo_engine.evaluate(tsdb, at=at)
 
     def alerts_document(self) -> Dict[str, Any]:
         """The ``/alerts`` JSON document (``{"enabled": false}`` when
         no alert manager is armed)."""
-        alerts = getattr(self.obs, "alerts", None)
+        alerts = self.obs.alerts
         if alerts is None:
             return {"enabled": False}
         return alerts.to_dict()

@@ -61,15 +61,12 @@ from typing import (
     Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
-from .null import NullTSDB
-
 __all__ = [
     "DETECTOR_SERIES",
     "Sample",
     "Series",
     "TimeSeriesDB",
     "TrajectoryWriter",
-    "NullTSDB",
     "QueryError",
     "parse_duration",
     "parse_query",
@@ -113,10 +110,6 @@ _SNAPSHOT_SKIPPED = _EVENT_STAT_SERIES + (
 #: a series that stopped reporting goes stale instead of answering
 #: forever (Prometheus's lookback delta, scaled to 20 s periods).
 DEFAULT_STALENESS_SECONDS = 600.0
-
-
-def _if_enabled(component: Any) -> Optional[Any]:
-    return component if getattr(component, "enabled", False) else None
 
 
 def _labels_key(labels: Optional[Dict[str, Any]]) -> LabelsKey:
@@ -265,8 +258,6 @@ class TimeSeriesDB:
         the event-loss series at merge time instead.
     """
 
-    enabled = True
-
     def __init__(
         self,
         retention: int = 4096,
@@ -325,14 +316,14 @@ class TimeSeriesDB:
     ) -> None:
         """Attach the registry/event log/profiler :meth:`tick` snapshots
         read (done once by :class:`~repro.obs.runtime.Instrumentation`).
-        A disabled component binds as absent, so a tick skips it
-        without a call."""
+        An absent component stays unbound, so a tick skips it without a
+        call."""
         if registry is not None:
-            self._registry = _if_enabled(registry)
+            self._registry = registry
         if events is not None:
-            self._events = _if_enabled(events)
+            self._events = events
         if profiler is not None:
-            self._profiler = _if_enabled(profiler)
+            self._profiler = profiler
         self._snapshot_generation = None
 
     def append(

@@ -236,7 +236,7 @@ class PacketClassifier:
     def __init__(self, obs: Optional[Instrumentation] = None) -> None:
         self.stats = ClassifierStats()
         obs = resolve_instrumentation(obs)
-        if obs.registry.enabled:
+        if obs.registry is not None:
             by_class = obs.registry.counter(
                 "classifier_packets_total",
                 "Packets classified, by resulting class",

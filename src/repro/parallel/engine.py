@@ -89,7 +89,7 @@ class WorkerCrashError(RuntimeError):
 class ObsCapture:
     """Which observability components each shard must replicate.
 
-    Mirrors the parent's enabled components so a shard instruments
+    Mirrors the parent's live components so a shard instruments
     exactly what the parent would have — no more (cost), no less
     (holes in the merged export).
     """
@@ -107,27 +107,25 @@ class ObsCapture:
 
     @classmethod
     def from_instrumentation(cls, obs: Instrumentation) -> "ObsCapture":
-        recorder = obs.recorder.enabled
-        tsdb = obs.tsdb.enabled
-        profiler = obs.profiler.enabled
+        recorder, tsdb, profiler = obs.recorder, obs.tsdb, obs.profiler
         return cls(
-            metrics=obs.registry.enabled,
-            events=obs.events.enabled,
-            recorder=recorder,
+            metrics=obs.registry is not None,
+            events=obs.events is not None,
+            recorder=recorder is not None,
             recorder_capacity=(
-                obs.recorder.capacity if recorder else 120
+                recorder.capacity if recorder is not None else 120
             ),
             recorder_post_periods=(
-                obs.recorder.post_alarm_periods if recorder else 5
+                recorder.post_alarm_periods if recorder is not None else 5
             ),
-            tsdb=tsdb,
-            tsdb_retention=(obs.tsdb.retention if tsdb else 4096),
-            profiler=profiler,
+            tsdb=tsdb is not None,
+            tsdb_retention=(tsdb.retention if tsdb is not None else 4096),
+            profiler=profiler is not None,
             profiler_mode=(
-                obs.profiler.mode if profiler else "cost-model"
+                profiler.mode if profiler is not None else "cost-model"
             ),
             profiler_sample_every=(
-                obs.profiler.sample_every if profiler else 64
+                profiler.sample_every if profiler is not None else 64
             ),
         )
 
@@ -355,7 +353,7 @@ def _merge_into_parent(
     """
     prof = (
         obs.profiler.stage("merge.fold", sample_every=1)
-        if obs.profiler.enabled
+        if obs.profiler is not None
         else None
     )
     token = None if prof is None else prof.begin()
@@ -388,7 +386,7 @@ def _merge_into_parent(
             for context in by_shard[shard_index].contexts:
                 obs.recorder.contexts.append(context)
                 obs.recorder.contexts_emitted += 1
-    if capture.profiler and obs.profiler.enabled:
+    if capture.profiler:
         for shard_index in plan.merge_order():
             snapshot = by_shard[shard_index].profiler
             if snapshot:
@@ -428,7 +426,7 @@ def run_plan(
     else:
         _run_sharded(
             plan, worker_fn, workers, capture, crash_points, by_shard,
-            registry=obs.registry if obs.registry.enabled else None,
+            registry=obs.registry,
         )
 
     _merge_into_parent(obs, plan, by_shard, capture)

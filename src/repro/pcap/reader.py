@@ -74,7 +74,7 @@ class PcapReader:
         # profiler is passed.
         self._prof_parse = (
             obs.profiler.stage("pcap.parse")
-            if obs is not None and obs.profiler.enabled
+            if obs is not None and obs.profiler is not None
             else None
         )
 

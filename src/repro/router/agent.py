@@ -87,7 +87,7 @@ class SynDogAgent:
             parameters=parameters, start_time=start_time, obs=obs,
             name=router.name,
         )
-        self._events = obs.events if obs.events.enabled else None
+        self._events = obs.events
         self.auto_respond = auto_respond
         self.on_alarm = on_alarm
         self.locator = SourceLocator(inventory=router.inventory)

@@ -144,28 +144,29 @@ class Federation:
         self._down: Dict[str, str] = {}
         self._restarts: Dict[str, int] = {}
         self._obs = resolve_instrumentation(obs)
-        if self._obs.registry.enabled:
-            self._m_fed_packets = self._obs.registry.counter(
+        registry = self._obs.registry
+        if registry is not None:
+            self._m_fed_packets = registry.counter(
                 "federation_packets_total",
                 "Packets replayed through the fleet, by member network",
                 ("network",),
             )
-            self._m_fed_alarms = self._obs.registry.counter(
+            self._m_fed_alarms = registry.counter(
                 "federation_alarms_total",
                 "Member alarms seen on the federation bus",
                 ("network",),
             )
-            self._m_fed_failures = self._obs.registry.counter(
+            self._m_fed_failures = registry.counter(
                 "federation_member_failures_total",
                 "Member crashes observed by the federation supervisor",
                 ("network",),
             )
-            self._m_fed_restarts = self._obs.registry.counter(
+            self._m_fed_restarts = registry.counter(
                 "federation_member_restarts_total",
                 "Members restarted from checkpoint by the supervisor",
                 ("network",),
             )
-            self._g_fed_down = self._obs.registry.gauge(
+            self._g_fed_down = registry.gauge(
                 "federation_members_down",
                 "Members currently crashed and awaiting restart",
             )
@@ -175,13 +176,14 @@ class Federation:
             self._m_fed_failures = None
             self._m_fed_restarts = None
             self._g_fed_down = None
-        self._events = self._obs.events if self._obs.events.enabled else None
-        self._tsdb = self._obs.tsdb if self._obs.tsdb.enabled else None
+        self._events = self._obs.events
+        self._tsdb = self._obs.tsdb
+        self._recorder = self._obs.recorder
         # Coarse per-feed stage: one "federation.feed" call covers one
         # member replay, so it is always timed in timers mode.
         self._prof_feed = (
             self._obs.profiler.stage("federation.feed", sample_every=1)
-            if self._obs.profiler.enabled
+            if self._obs.profiler is not None
             else None
         )
 
@@ -386,7 +388,8 @@ class Federation:
     # ------------------------------------------------------------------
     def _note_crash(self, name: str, error: BaseException) -> None:
         self._down[name] = f"{type(error).__name__}: {error}"
-        self._obs.recorder.set_down(self._members[name][1].detector.name)
+        if self._recorder is not None:
+            self._recorder.set_down(self._members[name][1].detector.name)
         if self._m_fed_failures is not None:
             self._m_fed_failures.labels(name).inc()
         if self._g_fed_down is not None:
@@ -427,7 +430,8 @@ class Federation:
         )
         member = self._install_member(name, router, detector)
         self._down.pop(name, None)
-        self._obs.recorder.set_down(old_agent.detector.name, down=False)
+        if self._recorder is not None:
+            self._recorder.set_down(old_agent.detector.name, down=False)
         self._restarts[name] = self._restarts.get(name, 0) + 1
         if self._m_fed_restarts is not None:
             self._m_fed_restarts.labels(name).inc()

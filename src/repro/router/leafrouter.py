@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Iterable, List, Optional
 
+from ..core.sniffer import merge_directional_streams
 from ..defense.ingress import IngressFilter
 from ..obs.runtime import Instrumentation, resolve_instrumentation
 from ..packet.addresses import IPv4Network
@@ -49,7 +50,7 @@ class Interface:
         self._observers: List[PacketObserver] = []
         self.packets_forwarded = 0
         self.packets_dropped = 0
-        if obs.registry.enabled:
+        if obs.registry is not None:
             outcomes = obs.registry.counter(
                 "router_packets_total",
                 "Packets handled per interface, by outcome",
@@ -172,15 +173,18 @@ class LeafRouter:
         inbound: Iterable[Packet],
     ) -> int:
         """Replay two time-sorted streams through the router in global
-        timestamp order; returns the number of packets processed."""
-        merged = sorted(
-            [(packet, True) for packet in outbound]
-            + [(packet, False) for packet in inbound],
-            key=lambda item: item[0].timestamp,
-        )
+        timestamp order, ties outbound-first; returns the number of
+        packets processed.
+
+        The merge is lazy: it copies neither stream, and a stream that
+        dies part-way has forwarded every packet it delivered before
+        the failure."""
+        processed = 0
+        merged = merge_directional_streams(outbound, inbound)
         for packet, is_outbound in merged:
             if is_outbound:
                 self.forward_outbound(packet)
             else:
                 self.forward_inbound(packet)
-        return len(merged)
+            processed += 1
+        return processed

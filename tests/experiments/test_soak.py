@@ -138,6 +138,12 @@ class TestSoakCampaign:
         with pytest.raises(ValueError):
             run_soak_campaign(sim_days=1, periods_per_epoch=100)
 
+    def test_bundle_without_a_store_is_refused(self):
+        with pytest.raises(ValueError, match="telemetry store"):
+            run_soak_campaign(
+                sim_days=1, obs=enabled_instrumentation(tsdb=False)
+            )
+
 
 class TestSoakAlertsDocument:
     def test_replay_includes_slo_rules(self):

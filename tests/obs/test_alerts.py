@@ -8,7 +8,6 @@ from repro.core.syndog import SynDog
 from repro.obs.alerts import (
     AlertManager,
     AlertRule,
-    NullAlertManager,
     builtin_rules,
     replay_rules,
     rules_from_dicts,
@@ -112,13 +111,6 @@ class TestLifecycle:
         manager = AlertManager(rules=[AlertRule("r", "y > 1")])
         with pytest.raises(ValueError):
             manager.add_rule(AlertRule("r", "y > 2"))
-
-    def test_null_manager_refuses_rules(self):
-        null = NullAlertManager()
-        assert null.evaluate(20.0) == []
-        assert null.to_dict() == {"enabled": False}
-        with pytest.raises(ValueError):
-            null.add_rule(AlertRule("r", "y > 1"))
 
 
 class TestEventsAndContext:

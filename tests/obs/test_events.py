@@ -3,13 +3,10 @@
 import io
 import json
 
-import pytest
-
 from repro.obs.events import (
     EventLog,
     JsonlSink,
     MemorySink,
-    NullEventLog,
     read_jsonl,
 )
 
@@ -93,14 +90,3 @@ class TestJsonlSink:
         assert sink._stream.closed
 
 
-class TestNullEventLog:
-    def test_emit_is_a_noop(self):
-        log = NullEventLog()
-        assert log.emit("period", x=1.0) is None
-        assert log.events_emitted == 0
-        assert log.enabled is False
-        log.close()
-
-    def test_attaching_a_sink_is_an_error(self):
-        with pytest.raises(ValueError):
-            NullEventLog().add_sink(MemorySink())

@@ -147,12 +147,11 @@ class TestExportEventStats:
         assert registry.get("obs_events_dropped_total").value == 4.0
 
     def test_disabled_event_log_exports_nothing(self):
-        from repro.obs.events import NullEventLog
         from repro.obs.exporters import export_event_stats
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        export_event_stats(NullEventLog(), registry)
+        export_event_stats(None, registry)
         assert len(registry) == 0
 
 

@@ -32,6 +32,13 @@ class TestCollectOccupancy:
         assert occupancy["obs_ledger_event_sink_depth"] == 1.0
 
 
+    def test_bundle_without_store_or_recorder_reads_zero(self):
+        from repro.obs.runtime import NULL_INSTRUMENTATION
+
+        occupancy = ledger.collect_occupancy(NULL_INSTRUMENTATION)
+        assert occupancy == dict.fromkeys(ledger._STORE_KEYS, 0.0)
+
+
 class TestSample:
     def test_lands_in_target_store_not_the_observed_one(self):
         obs = bundle()

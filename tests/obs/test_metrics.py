@@ -8,7 +8,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 
 
@@ -147,33 +146,6 @@ class TestRegistry:
         assert registry.get("periods_total").value == 2.0
 
 
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        registry = NullRegistry()
-        assert registry.enabled is False
-        assert len(registry) == 0
-        assert registry.collect() == []
-        assert registry.get("anything") is None
-        assert "anything" not in registry
-
-    def test_instruments_absorb_everything(self):
-        registry = NullRegistry()
-        counter = registry.counter("x", "help", ("a", "b"))
-        counter.labels("1", "2").inc(5)
-        gauge = registry.gauge("y")
-        gauge.set(1.0)
-        gauge.dec()
-        histogram = registry.histogram("z", buckets=(1.0,))
-        histogram.observe(0.5)
-        # Nothing registered, nothing raised.
-        assert registry.collect() == []
-
-    def test_all_factories_return_the_shared_instrument(self):
-        registry = NullRegistry()
-        assert registry.counter("a") is registry.gauge("b")
-        assert registry.gauge("b") is registry.histogram("c")
-
-
 class TestHistogramQuantile:
     """quantile(q): linear interpolation over cumulative buckets."""
 
@@ -247,6 +219,3 @@ class TestHistogramQuantile:
         import math
 
         assert Histogram("h", buckets=(1.0, math.inf)).quantile(0.5) is None
-
-    def test_null_registry_quantile_is_none(self):
-        assert NullRegistry().histogram("h").quantile(0.5) is None

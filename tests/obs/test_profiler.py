@@ -17,7 +17,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
     COST_MODEL,
     PIPELINE_STAGES,
-    NullProfiler,
     Profiler,
     callgrind_format,
     folded_stacks,
@@ -185,23 +184,6 @@ class TestProfiler:
         assert profiler.to_snapshot() == {}
 
 
-class TestNullProfiler:
-    def test_disabled_contract(self):
-        null = NullProfiler()
-        assert not null.enabled
-        assert len(null) == 0
-        handle = null.stage("classify")
-        handle.add()
-        handle.add_timed(1, 1, 1)
-        handle.end(handle.begin(), packets=1)
-        assert not handle.sample()
-        assert null.stage_documents() == []
-        assert null.to_dict()["stages"] == []
-        assert null.to_snapshot() == {}
-        null.merge_from({"classify": {"calls": 5}})  # no-op
-        assert null.to_dict()["total_calls"] == 0
-
-
 class TestMergeStageRows:
     def test_merges_and_rederives_rates(self):
         doc1 = cost_model_profile(packets=5).to_dict()
@@ -313,12 +295,12 @@ class TestExportProfiler:
 class TestRuntimeWiring:
     def test_disabled_by_default(self):
         obs = enabled_instrumentation()
-        assert not obs.profiler.enabled
+        assert obs.profiler is None
         assert obs.summary()["profile_stages"] == 0
 
     def test_enabled_bundle_wires_profiler(self):
         obs = enabled_instrumentation(profiler="cost-model")
-        assert obs.profiler.enabled
+        assert obs.profiler is not None
         assert obs.profiler.mode == "cost-model"
         obs.profiler.stage("classify").add()
         assert obs.summary()["profile_stages"] == 1

@@ -5,7 +5,7 @@ import pytest
 from repro.core.syndog import SynDog
 from repro.obs import enabled_instrumentation
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.recorder import FlightRecorder, NullFlightRecorder
+from repro.obs.recorder import FlightRecorder
 
 
 def snapshot(period, alarm=False, statistic=0.0):
@@ -154,11 +154,3 @@ class TestSynDogIntegration:
         assert dog._recorder is None
 
 
-class TestNullRecorder:
-    def test_null_recorder_absorbs_everything(self):
-        recorder = NullFlightRecorder()
-        assert recorder.record("a", snapshot(0)) is None
-        assert recorder.flush() == 0
-        assert recorder.status() == {}
-        assert recorder.window("a") == []
-        assert recorder.enabled is False

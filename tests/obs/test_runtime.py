@@ -1,7 +1,5 @@
 """The Instrumentation bundle and the null default."""
 
-import pytest
-
 from repro.obs.events import MemorySink
 from repro.obs.exporters import parse_prometheus_text
 from repro.obs.runtime import (
@@ -16,21 +14,21 @@ class TestInstrumentation:
     def test_default_bundle_is_fully_disabled(self):
         obs = Instrumentation()
         assert obs.enabled is False
-        assert obs.registry.enabled is False
-        assert obs.events.enabled is False
+        assert obs.registry is None
+        assert obs.events is None
 
     def test_enabled_bundle(self):
         obs = enabled_instrumentation()
         assert obs.enabled is True
-        assert obs.registry.enabled is True
-        assert obs.events.enabled is True
+        assert obs.registry is not None
+        assert obs.events is not None
 
     def test_partial_bundle_counts_as_enabled(self):
         from repro.obs.metrics import MetricsRegistry
 
         obs = Instrumentation(registry=MetricsRegistry())
         assert obs.enabled is True
-        assert obs.events.enabled is False
+        assert obs.events is None
 
     def test_events_path_gets_a_jsonl_sink(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -85,28 +83,36 @@ class TestProcessDefault:
         assert resolve_instrumentation(obs) is obs
 
 
+SLOTS = ("registry", "events", "recorder", "tsdb", "alerts", "profiler")
+
+
 class TestTheNullBundleStandsAlone:
-    """The disabled components live in standard-library code
-    (:mod:`repro.obs.null`); the live modules re-export them."""
+    """A disabled component is ``None`` and nothing else, so the null
+    bundle holds no component object at all."""
 
-    @pytest.mark.parametrize("module, name, slot", [
-        ("metrics", "NullRegistry", "registry"),
-        ("events", "NullEventLog", "events"),
-        ("recorder", "NullFlightRecorder", "recorder"),
-        ("tsdb", "NullTSDB", "tsdb"),
-        ("alerts", "NullAlertManager", "alerts"),
-        ("profiler", "NullProfiler", "profiler"),
-    ])
-    def test_each_null_class_is_one_class_on_every_path(self, module, name, slot):
-        import importlib
+    def test_every_disabled_slot_is_none(self):
+        from repro.obs.metrics import MetricsRegistry
 
-        import repro.obs
-        from repro.obs import null
+        assert {getattr(NULL_INSTRUMENTATION, s) for s in SLOTS} == {None}
+        registry = MetricsRegistry()
+        partial = Instrumentation(registry=registry)
+        assert partial.registry is registry
+        assert {getattr(partial, s) for s in SLOTS[1:]} == {None}
 
-        cls = getattr(null, name)
-        assert getattr(importlib.import_module(f"repro.obs.{module}"), name) is cls
-        assert getattr(repro.obs, name) is cls
-        assert type(getattr(NULL_INSTRUMENTATION, slot)) is cls
+    def test_bundle_readers_guard_the_empty_slots(self):
+        assert NULL_INSTRUMENTATION.summary() == {
+            "enabled": False,
+            "metrics_families": 0,
+            "events_emitted": 0,
+            "events_dropped": 0,
+            "alarm_contexts": 0,
+            "agents": {},
+            "tsdb_series": 0,
+            "alerts_firing": [],
+            "profile_stages": 0,
+        }
+        assert NULL_INSTRUMENTATION.memory_events() is None
+        assert "enabled=False" in repr(NULL_INSTRUMENTATION)
 
     def test_null_instrumentation_is_one_object_on_every_path(self):
         import repro.obs

@@ -13,7 +13,7 @@ import pytest
 from repro.core.syndog import SynDog
 from repro.obs import enabled_instrumentation, parse_prometheus_text
 from repro.obs.events import EventLog, MemorySink
-from repro.obs.runtime import Instrumentation
+from repro.obs.runtime import NULL_INSTRUMENTATION, Instrumentation
 from repro.obs.server import ObsServer
 
 
@@ -403,6 +403,23 @@ class TestProfileEndpoint:
                 stop.set()
                 feeder.join(timeout=5)
             assert server.requests_served == requests
+
+
+class TestEveryComponentOff:
+    def test_each_payload_on_the_null_bundle(self):
+        # Every component slot is None: no sockets needed.
+        server = ObsServer(NULL_INSTRUMENTATION)
+        assert server.metrics_text() is None
+        assert server.profile_document() is None
+        assert server.fleet_document() is None
+        assert server.query_result("syndog_x_n") is None
+        assert server.slo_document() is None
+        assert server.alerts_document() == {"enabled": False}
+        health = server.health()
+        assert health["status"] == "ok"
+        assert health["agents"] == {}
+        assert health["metrics_families"] == health["events_emitted"] == 0
+        assert server.events_tail()["emitted"] == 0
 
 
 class TestHeadRequests:

@@ -10,7 +10,6 @@ from repro.obs.events import EventLog, MemorySink
 from repro.obs.merge import merge_tsdb_snapshots, tsdb_snapshot
 from repro.obs.runtime import enabled_instrumentation
 from repro.obs.tsdb import (
-    NullTSDB,
     QueryError,
     TimeSeriesDB,
     parse_duration,
@@ -64,15 +63,6 @@ class TestStore:
     def test_minimum_retention_enforced(self):
         with pytest.raises(ValueError):
             TimeSeriesDB(retention=4)
-
-    def test_null_tsdb_absorbs_everything(self):
-        null = NullTSDB()
-        null.append("y", None, 1.0, 2.0)
-        null.tick(1.0)
-        assert len(null) == 0
-        assert null.query("y") == []
-        assert null.watermarks() == []
-        assert not null.enabled
 
 
 class TestTicks:

@@ -1,6 +1,6 @@
 """Retention-compaction telemetry on the time-series store itself."""
 
-from repro.obs.tsdb import NullTSDB, TimeSeriesDB
+from repro.obs.tsdb import TimeSeriesDB
 
 
 class TestCompactionCounters:
@@ -48,8 +48,3 @@ class TestCompactionCounters:
         assert merged.points_dropped_total >= 4
         assert merged.points_retained() <= 16
 
-    def test_null_store_exposes_zeroed_counters(self):
-        null = NullTSDB()
-        assert null.compactions_total == 0
-        assert null.points_dropped_total == 0
-        assert null.points_retained() == 0

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.packet import IPv4Network
-from repro.router import Federation, FederationFeedError
+from repro.router import Federation, FederationFeedError, LeafRouter
 from repro.trace import AUCKLAND, generate_packet_trace
 from repro.trace.synthetic import AddressPlan
 
@@ -88,6 +88,16 @@ class TestFeedIsolation:
         assert processed == {"eng": 0, "dorms": dorms.num_packets}
         assert federation.members_down == ()
         assert federation.restarts == {"eng": 1}
+
+
+class TestLazyReplay:
+    def test_a_dying_stream_has_forwarded_what_it_delivered(self):
+        eng = member_traffic(NETWORKS["eng"], seed=1)
+        router = LeafRouter(NETWORKS["eng"], name="router-eng")
+        with pytest.raises(RuntimeError):
+            router.replay(crashing_stream(eng.outbound, 50), eng.inbound)
+        assert router.outbound.packets_forwarded == 50
+        assert router.inbound.packets_forwarded > 0
 
 
 class TestRestartFromCheckpoint:

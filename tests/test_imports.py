@@ -69,12 +69,13 @@ class TestLayering:
         )]) == []
 
     def test_detector_loads_exactly_the_per_period_obs_modules(self):
-        # With obs off a detector needs only the null bundle: the live
-        # metrics, events, recorder, TSDB, alert and profiler modules
-        # load when a live bundle is built.
+        # With obs off a detector needs only the bundle, whose six
+        # component slots hold None: the live metrics, events, recorder,
+        # TSDB, alert and profiler modules load when a live bundle is
+        # built.
         modules = loaded_after("from repro.core import SynDog; SynDog()")
         assert offenders(modules, ["repro.obs"]) == [
-            "repro.obs", "repro.obs.null", "repro.obs.runtime",
+            "repro.obs", "repro.obs.runtime",
         ]
 
     @pytest.mark.parametrize("module", sorted(

@@ -42,6 +42,12 @@ that change, from the old code's document with exactly two edits: its
 added to the ``syndog_k_bar`` series' labels.  The old document hashed
 to ``83548b5efefb17699b366a6b61282127bb7689c3e0c58406c38165c1b26130cc``;
 ``LIVE_ALERTS_SHA256`` did not move.
+
+The capture pins (``PCAP_SHA256``) were recorded before the
+instrumentation bundle's disabled components moved from no-op twins to
+``None``.  They hold the bytes ``repro generate --format pcap`` writes
+for each site, which the JSONL packet-trace pin does not reach: the
+record headers, timestamps and frame encoding.
 """
 
 import hashlib
@@ -50,7 +56,7 @@ import json
 import pytest
 
 from repro.attack.flooder import FloodSource
-from repro.cli import EXIT_ALARM, EXIT_OK
+from repro.cli import EXIT_ALARM, EXIT_OK, main
 from repro.core.syndog import SynDog
 from repro.obs.alerts import builtin_rules
 from repro.obs.runtime import enabled_instrumentation
@@ -126,6 +132,26 @@ COUNT_TRACE_SHA256 = {
 PACKET_TRACE_SHA256 = (
     "902559fbd33bb22ce9eab60d0ea4d69f1714a1333f308417479c46b265ea0b14"
 )
+#: sha256 of the ``.out.pcap`` and ``.in.pcap`` that ``repro generate
+#: --format pcap --seed 1 --duration 120`` writes, keyed by site.
+PCAP_SHA256 = {
+    "lbl": (
+        "7fd9df328abead3c2e25ea6fb8bd96ae60b8e07cfc7d0a9b6b391776cdf0e445",
+        "389407d9ec0129eae96711d20b0578ca39b112607f1bdbaad1e96db398f68708",
+    ),
+    "harvard": (
+        "12c9df441b791d7de0cfd48bba08f1492bd147d1151663778a194ff0d079dde9",
+        "88d93f9eb4bf00a8d3b860c1678809bae16ff6a87b4938626051009c6cfd432b",
+    ),
+    "unc": (
+        "f490933a9ea35683b7074b500de40afc12eef2d5172b90d827304b94509b6d88",
+        "743c49b4014174c70f170b8b7598bb80d681762ece6378827882b3a5200f30c4",
+    ),
+    "auckland": (
+        "a57652831c9885e9a88965a2351c5c60edc0cfabc54fe17ee3f4a530fec5b930",
+        "646f2aedd65e4093ce72512d0f10a8e978de5c114890fec357df54cf1bee9769",
+    ),
+}
 
 #: sha256 of the live TSDB's ``to_dict()`` (registry series included)
 #: and of the live alerts document, as sorted compact JSON, after
@@ -271,6 +297,19 @@ def test_packet_trace_is_pinned(tmp_path):
         generate_packet_trace(SITE_PROFILES["unc"], 1, duration=120.0), out
     )
     assert _sha256(out) == PACKET_TRACE_SHA256
+
+
+@pytest.mark.parametrize("site", sorted(PCAP_SHA256))
+def test_generated_pcap_pair_is_pinned(tmp_path, site):
+    prefix = tmp_path / site
+    assert main([
+        "generate", "--site", site, "--seed", "1", "--duration", "120",
+        "--format", "pcap", "--out", str(prefix),
+    ]) == EXIT_OK
+    assert (
+        _sha256(tmp_path / f"{site}.out.pcap"),
+        _sha256(tmp_path / f"{site}.in.pcap"),
+    ) == PCAP_SHA256[site]
 
 
 def _json_sha256(document):
