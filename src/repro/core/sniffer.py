@@ -351,7 +351,7 @@ class CountExchange:
         c2 = time.process_time_ns()
         a2 = gc.get_count()[0]
         # Alloc deltas clamped at 0: a gen-0 collection between reads
-        # resets the counter (see repro.obs.profiler.allocation_count).
+        # resets the counter (see repro.obs.profiler.StageHandle.begin).
         prof_classify.add_timed(
             w1 - w0, c1 - c0, max(0, a1 - a0), nbytes=nbytes
         )

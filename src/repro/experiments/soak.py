@@ -541,14 +541,14 @@ def run_soak_campaign(
     # points to the structure under test).
     # ------------------------------------------------------------------
     recorder = obs.recorder
-    recorder_capacity = recorder.capacity if recorder is not None else 120
-    recorder_post = recorder.post_alarm_periods if recorder is not None else 5
     replay_bundle = Instrumentation(
         tsdb=TimeSeriesDB(
             retention=obs.tsdb.retention, record_snapshots=False
         ),
-        recorder=FlightRecorder(
-            capacity=recorder_capacity, post_alarm_periods=recorder_post
+        recorder=(
+            FlightRecorder()
+            if recorder is None
+            else FlightRecorder(recorder.capacity, recorder.post_alarm_periods)
         ),
     )
     trajectory = TrajectoryWriter(replay_bundle.tsdb, _AGENT)

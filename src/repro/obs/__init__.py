@@ -18,8 +18,8 @@ Modules
 ``events``
     Structured events fanned out to JSONL / in-memory sinks.
 ``exporters``
-    Prometheus text rendering + parsing, JSONL views, profile and
-    event-loss folding.
+    Prometheus text rendering + parsing, profile and event-loss
+    folding.
 ``runtime``
     The :class:`Instrumentation` bundle and :class:`AgentSummary`, the
     running per-agent state every status view reads.  With obs off,
@@ -60,8 +60,8 @@ from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "alerts": (
-        "AlertManager", "AlertRule", "builtin_rules", "profiler_rules",
-        "replay_rules", "rules_from_dicts", "rules_from_file",
+        "AlertManager", "AlertRule", "builtin_rules", "replay_rules",
+        "rules_from_dicts", "rules_from_file",
     ),
     "analyze": (
         "AgentTimeline", "AlarmSpan", "EventsReport", "analyze_events",
@@ -72,8 +72,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     ),
     "exporters": (
         "export_event_stats", "export_profiler", "parse_prometheus_text",
-        "registry_to_dicts", "render_prometheus", "summarize_histograms",
-        "write_prometheus",
+        "render_prometheus", "write_prometheus",
     ),
     "merge": (
         "canonical_event", "canonical_events", "deterministic_families",

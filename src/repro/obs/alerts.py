@@ -50,7 +50,6 @@ __all__ = [
     "AlertManager",
     "builtin_rules",
     "fleet_rules",
-    "profiler_rules",
     "rules_from_dicts",
     "rules_from_file",
     "replay_rules",
@@ -422,28 +421,26 @@ class AlertManager:
 # ----------------------------------------------------------------------
 # Rule construction helpers
 # ----------------------------------------------------------------------
+#: The near-threshold rules page when y_n's recent maximum exceeds this
+#: fraction of the alarm threshold N.
+_WATERMARK = 0.8
+
+#: The look-back window of the CUSUM, degraded-period and fleet rules.
+_WINDOW = "5m"
+
+
 def builtin_rules(
-    threshold: float = 1.05,
-    watermark: float = 0.8,
-    window: str = "5m",
-    for_periods: int = 2,
-    profile_baseline: Optional[Dict[str, Any]] = None,
-    fleet: bool = True,
-    slo: bool = False,
+    threshold: float = 1.05, slo: bool = False
 ) -> List[AlertRule]:
     """The standard watch-the-watchers rule set.
 
     ``threshold`` is the detector's CUSUM threshold N (pass
     ``parameters.threshold``); the near-threshold rule pages when y_n's
-    recent maximum exceeds ``watermark * N`` — i.e. *before* an alarm,
-    while there is still time to look.
+    recent maximum exceeds ``0.8 * N`` — i.e. *before* an alarm, while
+    there is still time to look.
 
-    ``profile_baseline`` (a ``BENCH_profile.json`` document or a bare
-    ``{stage: ns_per_packet}`` mapping) additionally arms the per-stage
-    overhead-regression rules from :func:`profiler_rules`.
-
-    ``fleet`` (default True) appends the fleet-level rules from
-    :func:`fleet_rules`; they watch the ``fleet_*`` rollup series a
+    The fleet-level rules from :func:`fleet_rules` are always part of
+    the set; they watch the ``fleet_*`` rollup series a
     :class:`~repro.router.fleet.Federation` emits and stay inactive on
     single-agent runs, where those series never exist.
 
@@ -454,11 +451,7 @@ def builtin_rules(
     stay inactive until an :class:`~repro.obs.slo.SLOEngine` records
     them — the soak campaign's standing configuration.
     """
-    rules = _builtin_core_rules(threshold, watermark, window, for_periods)
-    if fleet:
-        rules.extend(fleet_rules(threshold, watermark=watermark, window=window))
-    if profile_baseline:
-        rules.extend(profiler_rules(profile_baseline))
+    rules = _builtin_core_rules(threshold) + fleet_rules(threshold)
     if slo:
         # Local import: repro.obs.slo imports AlertRule from this module.
         from .slo import slo_rules
@@ -467,14 +460,13 @@ def builtin_rules(
     return rules
 
 
-def fleet_rules(
-    threshold: float = 1.05,
-    min_quorum: float = 0.9,
-    max_alarm_fraction: float = 0.5,
-    watermark: float = 0.8,
-    window: str = "5m",
-    for_periods: int = 1,
-) -> List[AlertRule]:
+#: The fleet rules page below this fraction of live members, above this
+#: fraction of alarming ones.
+_MIN_QUORUM = 0.9
+_MAX_ALARM_FRACTION = 0.5
+
+
+def fleet_rules(threshold: float = 1.05) -> List[AlertRule]:
     """Fleet-level rules over the rollup series
     (:mod:`repro.obs.rollup` via :class:`~repro.router.fleet.Federation`).
 
@@ -484,16 +476,18 @@ def fleet_rules(
     is the fleet analogue of ``cusum_near_threshold`` — it pages when
     the 99th-percentile CUSUM across agents approaches the alarm
     threshold N, i.e. when a broad slice of the fleet (not one noisy
-    agent) is trending toward alarm.
+    agent) is trending toward alarm.  Each fires on its first true
+    evaluation.
     """
+    window = _WINDOW
     return [
         AlertRule(
             name="fleet_quorum_low",
-            expr=f"last_over_time(fleet_quorum[{window}]) < {min_quorum!r}",
-            for_periods=for_periods,
+            expr=f"last_over_time(fleet_quorum[{window}]) < {_MIN_QUORUM!r}",
+            for_periods=1,
             severity="page",
             description=(
-                f"less than {min_quorum * 100:.0f}% of federation members "
+                f"less than {_MIN_QUORUM * 100:.0f}% of federation members "
                 "are alive — absence of alarms is not evidence of health"
             ),
         ),
@@ -501,12 +495,12 @@ def fleet_rules(
             name="fleet_alarm_fraction_high",
             expr=(
                 f"last_over_time(fleet_alarm_fraction[{window}]) > "
-                f"{max_alarm_fraction!r}"
+                f"{_MAX_ALARM_FRACTION!r}"
             ),
-            for_periods=for_periods,
+            for_periods=1,
             severity="page",
             description=(
-                f"more than {max_alarm_fraction * 100:.0f}% of the fleet "
+                f"more than {_MAX_ALARM_FRACTION * 100:.0f}% of the fleet "
                 "is alarming at once — a coordinated flood or a "
                 "systematic false-positive source"
             ),
@@ -515,37 +509,33 @@ def fleet_rules(
             name="fleet_cusum_p99_near_threshold",
             expr=(
                 f"max_over_time(fleet_cusum_p99[{window}]) > "
-                f"{watermark!r} * {threshold!r}"
+                f"{_WATERMARK!r} * {threshold!r}"
             ),
-            for_periods=for_periods,
+            for_periods=1,
             severity="warn",
             description=(
                 "the fleet's 99th-percentile CUSUM is within "
-                f"{(1 - watermark) * 100:.0f}% of the alarm threshold — "
+                f"{(1 - _WATERMARK) * 100:.0f}% of the alarm threshold — "
                 "a fleet-wide drift, not a single hot agent"
             ),
         ),
     ]
 
 
-def _builtin_core_rules(
-    threshold: float,
-    watermark: float,
-    window: str,
-    for_periods: int,
-) -> List[AlertRule]:
+def _builtin_core_rules(threshold: float) -> List[AlertRule]:
+    window = _WINDOW
     return [
         AlertRule(
             name="cusum_near_threshold",
             expr=(
                 f"max_over_time(syndog_cusum[{window}]) > "
-                f"{watermark!r} * {threshold!r}"
+                f"{_WATERMARK!r} * {threshold!r}"
             ),
-            for_periods=for_periods,
+            for_periods=2,
             severity="warn",
             description=(
                 "CUSUM statistic y_n has been within "
-                f"{(1 - watermark) * 100:.0f}% of the alarm threshold "
+                f"{(1 - _WATERMARK) * 100:.0f}% of the alarm threshold "
                 f"over the last {window}"
             ),
         ),
@@ -586,55 +576,6 @@ def _builtin_core_rules(
             ),
         ),
     ]
-
-
-def profiler_rules(
-    baseline: Dict[str, Any],
-    tolerance: float = 1.5,
-    window: str = "10m",
-    for_periods: int = 2,
-) -> List[AlertRule]:
-    """Per-stage overhead-regression rules over the profiler's series.
-
-    *baseline* is either a ``BENCH_profile.json`` document (its
-    ``stages`` rows carry ``ns_per_packet``) or a bare
-    ``{stage: ns_per_packet}`` mapping.  One rule per stage fires when
-    the live ``stage_ns_per_packet{stage=...}`` (fed by the TSDB's
-    per-period profiler snapshot) stays above ``tolerance`` times the
-    baseline — the standing perf telemetry that catches a hot-path
-    regression stage by stage instead of as one blurred end-to-end
-    number.
-    """
-    costs: Dict[str, float] = {}
-    for row in baseline.get("stages", []) if "stages" in baseline else []:
-        costs[str(row["stage"])] = float(row["ns_per_packet"])
-    if not costs:
-        costs = {
-            str(stage): float(value)
-            for stage, value in baseline.items()
-            if isinstance(value, (int, float))
-        }
-    rules = []
-    for stage in sorted(costs):
-        budget = costs[stage] * tolerance
-        slug = stage.replace(".", "_")
-        rules.append(
-            AlertRule(
-                name=f"stage_overhead_{slug}",
-                expr=(
-                    f'min_over_time(stage_ns_per_packet{{stage="{stage}"}}'
-                    f"[{window}]) > {budget!r}"
-                ),
-                for_periods=for_periods,
-                severity="warn",
-                description=(
-                    f"pipeline stage {stage} has cost more than "
-                    f"{tolerance:g}x its committed baseline "
-                    f"({costs[stage]:g} ns/packet) over the last {window}"
-                ),
-            )
-        )
-    return rules
 
 
 def rules_from_dicts(raw: Iterable[Dict[str, Any]]) -> List[AlertRule]:

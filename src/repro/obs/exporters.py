@@ -1,15 +1,11 @@
 """Render a :class:`~repro.obs.metrics.MetricsRegistry` for the outside
 world.
 
-Two formats:
-
-* **Prometheus text exposition** (`# HELP` / `# TYPE` / sample lines
-  with escaped labels) — what a scrape endpoint or node-exporter
-  textfile collector consumes.  :func:`parse_prometheus_text` is the
-  matching minimal parser, used by the test-suite to prove the output
-  is machine-readable and by tooling that wants the numbers back.
-* **JSONL** via :func:`registry_to_dicts` — one dict per sample, for
-  shipping metrics down the same pipe as the event log.
+The format is the **Prometheus text exposition** (`# HELP` / `# TYPE`
+/ sample lines with escaped labels) — what a scrape endpoint or
+node-exporter textfile collector consumes.  :func:`parse_prometheus_text`
+is the matching minimal parser, used by the test-suite to prove the
+output is machine-readable and by tooling that wants the numbers back.
 
 :func:`export_profiler` folds the profiler's per-stage cost attribution
 into a registry as ``profile_stage_*`` families, and
@@ -24,16 +20,14 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Tuple, Union
 
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 
 __all__ = [
     "render_prometheus",
     "write_prometheus",
     "parse_prometheus_text",
-    "registry_to_dicts",
     "export_event_stats",
     "export_profiler",
-    "summarize_histograms",
 ]
 
 PathLike = Union[str, Path]
@@ -179,63 +173,6 @@ def parse_prometheus_text(
             value = float(value_text)
         samples.append((name, labels, value))
     return samples
-
-
-# ----------------------------------------------------------------------
-# Registry → dicts (JSONL-friendly)
-# ----------------------------------------------------------------------
-def registry_to_dicts(registry: MetricsRegistry) -> List[Dict[str, Any]]:
-    """One dict per sample — the JSONL view of a scrape."""
-    rows: List[Dict[str, Any]] = []
-    for family in registry.collect():
-        for sample in family.samples():
-            rows.append(
-                {
-                    "metric": family.name + sample.suffix,
-                    "type": family.kind,
-                    "labels": dict(sample.labels),
-                    "value": sample.value,
-                }
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Histogram summaries (quantile view of a scrape)
-# ----------------------------------------------------------------------
-def summarize_histograms(
-    registry: MetricsRegistry,
-    quantiles: Tuple[float, ...] = (0.5, 0.95, 0.99),
-) -> List[Dict[str, Any]]:
-    """One row per histogram child: count, sum, mean and interpolated
-    quantiles (p50/p95/p99 by default).  Empty histograms are skipped —
-    there is nothing to estimate."""
-    rows: List[Dict[str, Any]] = []
-    for family in registry.collect():
-        if not isinstance(family, Histogram):
-            continue
-        children: List[Tuple[Dict[str, str], Histogram]]
-        if family.labelnames:
-            children = [
-                (dict(zip(family.labelnames, key)), child)
-                for key, child in family._children.items()
-            ]
-        else:
-            children = [({}, family)]
-        for labels, child in children:
-            if child.count == 0:
-                continue
-            row: Dict[str, Any] = {
-                "metric": family.name,
-                "labels": labels,
-                "count": child.count,
-                "sum": child.sum,
-                "mean": child.sum / child.count,
-            }
-            for q in quantiles:
-                row[f"p{round(q * 100):d}"] = child.quantile(q)
-            rows.append(row)
-    return rows
 
 
 # ----------------------------------------------------------------------

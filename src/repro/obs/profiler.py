@@ -21,7 +21,7 @@ Two modes, one document shape:
 ``timers``
     Real clocks (``perf_counter_ns``/``process_time_ns``) and
     allocation deltas from the GC's gen-0 counter (see
-    :func:`allocation_count`).  Per-packet stages time only every
+    :meth:`StageHandle.begin`).  Per-packet stages time only every
     ``sample_every``-th call and extrapolate, so the enabled-path
     overhead stays within the benchmarked budget (``profiler_ratio``
     in ``BENCH_obs.json``).
@@ -38,7 +38,11 @@ Two modes, one document shape:
 
 The document (:meth:`Profiler.to_dict`) exports to folded-stack
 (flamegraph-ready) and callgrind formats via :func:`folded_stacks` and
-:func:`callgrind_format`; both have parsers for round-trip tests.
+:func:`callgrind_format`; both have parsers for round-trip tests.  A
+live run publishes it as ``/profile``, as the ``profile_stage_*``
+families on ``/metrics`` (:func:`~repro.obs.exporters.export_profiler`)
+and as the ``profile`` event; ``repro profile --baseline`` is the
+per-stage regression check against a committed document.
 
 Zero-cost-when-disabled: components bind a :class:`StageHandle` once at
 construction when ``obs.profiler is not None`` and keep ``None``
@@ -54,23 +58,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 
-def allocation_count() -> int:
-    """The GC's generation-0 allocation count — the O(1) allocation
-    probe for timed sections.
-
-    ``sys.getallocatedblocks`` would be the obvious probe, but it is
-    O(heap): it walks every obmalloc pool, and on a warm heap (the
-    repro package plus a packet trace resident) one read costs ~6 µs —
-    ~40x the clocks it sits next to, and enough on its own to blow the
-    sampled path's 1.15x budget.  The gen-0 count is a pair of pointer
-    reads: it counts GC-tracked (container) allocations since the last
-    gen-0 collection.  Deltas must be clamped at 0 by callers because a
-    collection between two reads resets the counter; the occasional
-    clamped sample is noise the calls/timed_calls extrapolation already
-    absorbs.
-    """
-    return gc.get_count()[0]
-
 __all__ = [
     "StageCost",
     "COST_MODEL",
@@ -78,7 +65,6 @@ __all__ = [
     "PIPELINE_STAGES",
     "StageHandle",
     "Profiler",
-    "allocation_count",
     "merge_stage_rows",
     "folded_stacks",
     "parse_folded",
@@ -218,6 +204,17 @@ class StageHandle:
         """Start a coarse-stage measurement; None when untimed."""
         if not self.sample():
             return None
+        # The allocation probe is the GC's generation-0 count: a pair of
+        # pointer reads that counts GC-tracked (container) allocations
+        # since the last gen-0 collection.  ``sys.getallocatedblocks``
+        # would be the obvious probe, but it is O(heap): it walks every
+        # obmalloc pool, and on a warm heap (the repro package plus a
+        # packet trace resident) one read costs ~6 µs, ~40x the clocks
+        # beside it and enough on its own to blow the sampled path's
+        # 1.15x budget.  A collection between two reads resets the
+        # count, so deltas are clamped at 0 (:meth:`end`); the
+        # occasional clamped sample is noise the calls/timed_calls
+        # extrapolation already absorbs.
         return (
             gc.get_count()[0],
             time.process_time_ns(),
@@ -237,7 +234,7 @@ class StageHandle:
         wall = time.perf_counter_ns() - token[2]
         cpu = time.process_time_ns() - token[1]
         # Clamp: a gen-0 collection between begin and end resets the
-        # counter (see allocation_count).
+        # counter (see begin).
         allocs = max(0, gc.get_count()[0] - token[0])
         self.add_timed(wall, cpu, allocs, packets, nbytes)
 
@@ -315,12 +312,6 @@ class Profiler:
             int(handle.allocs * scale),
             handle.timed_calls,
         )
-
-    def stage_sample(self, handle: StageHandle) -> Tuple[int, int, float]:
-        """A stage's ``(ns_total, calls, ns_per_packet)`` — the row
-        fields the TSDB's per-period profiler snapshot records."""
-        ns_total = self._costs(handle)[0]
-        return ns_total, handle.calls, _ns_per(ns_total, handle.packets)
 
     def _derive(self, handle: StageHandle) -> Dict[str, Any]:
         calls = handle.calls

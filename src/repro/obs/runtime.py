@@ -178,7 +178,7 @@ class Instrumentation:
         # alert manager queries the store and annotates firings with
         # event-log / flight-recorder context.
         if tsdb is not None:
-            tsdb.bind(registry=registry, events=events, profiler=profiler)
+            tsdb.bind(registry=registry, events=events)
         if alerts is not None:
             alerts.bind(tsdb=tsdb, events=events, recorder=recorder)
 
@@ -281,9 +281,6 @@ def enabled_instrumentation(
     events_path: Optional[Any] = None,
     memory_events: bool = True,
     max_memory_events: Optional[int] = 100_000,
-    flight_recorder: bool = True,
-    recorder_capacity: int = 120,
-    recorder_post_periods: int = 5,
     tsdb: bool = True,
     tsdb_retention: int = 4096,
     alert_rules: Optional[Any] = None,
@@ -315,19 +312,10 @@ def enabled_instrumentation(
     if memory_events:
         sinks.append(MemorySink(max_events=max_memory_events))
     events = EventLog(*sinks)
-    recorder = (
-        FlightRecorder(
-            capacity=recorder_capacity,
-            post_alarm_periods=recorder_post_periods,
-            events=events,
-        )
-        if flight_recorder
-        else None
-    )
     return Instrumentation(
         registry=MetricsRegistry(),
         events=events,
-        recorder=recorder,
+        recorder=FlightRecorder(events=events),
         tsdb=TimeSeriesDB(retention=tsdb_retention) if tsdb else None,
         alerts=AlertManager(rules=alert_rules) if alert_rules else None,
         profiler=(

@@ -17,7 +17,7 @@ only — with three endpoints:
     ok/degraded/alarming/down agents plus quorum, O(1) in fleet size;
     down is the recorder's liveness set, which a federation marks).  The
     full per-agent map is included only while the fleet is at or below
-    ``healthz_agents_limit``; above it the document reports
+    :data:`HEALTHZ_AGENTS_LIMIT` agents; above it the document reports
     ``agents_omitted`` instead, so a 10^6-agent probe stays small.
     ``status`` is honest: ``alarming`` when any agent's alarm is up or
     an alert rule is firing, ``degraded`` on event drops / degraded
@@ -97,13 +97,13 @@ from .exporters import (
     export_profiler,
     render_prometheus,
 )
-from .rollup import DEFAULT_TOP_K, FleetRollup
+from .rollup import AgentState, FleetRollup
 from .slo import SLOEngine
 from .tsdb import QueryError
 
 __all__ = [
     "ObsServer",
-    "DEFAULT_HEALTHZ_AGENTS_LIMIT",
+    "HEALTHZ_AGENTS_LIMIT",
     "MAX_EVENT_TAIL",
     "PROMETHEUS_CONTENT_TYPE",
 ]
@@ -115,7 +115,7 @@ DEFAULT_EVENT_TAIL = 100
 MAX_EVENT_TAIL = 100_000
 #: Fleet-size cutoff above which ``/healthz`` omits the per-agent map
 #: (the bounded ``summary`` block is always present).
-DEFAULT_HEALTHZ_AGENTS_LIMIT = 100
+HEALTHZ_AGENTS_LIMIT = 100
 
 
 class ObsServer:
@@ -127,17 +127,10 @@ class ObsServer:
     """
 
     def __init__(
-        self,
-        obs: Any,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        fleet_top_k: int = DEFAULT_TOP_K,
-        healthz_agents_limit: int = DEFAULT_HEALTHZ_AGENTS_LIMIT,
+        self, obs: Any, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.obs = obs
         self.host = host
-        self.fleet_top_k = fleet_top_k
-        self.healthz_agents_limit = healthz_agents_limit
         self._requested_port = port
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
@@ -260,21 +253,37 @@ class ObsServer:
         """
         obs = self.obs
         recorder, events, alerts = obs.recorder, obs.events, obs.alerts
-        agents = recorder.status() if recorder is not None else {}
-        down = recorder.down & agents.keys() if recorder is not None else ()
+        summaries = recorder.summaries() if recorder is not None else {}
+        down = recorder.down if recorder is not None else frozenset()
+        agents = {name: each.status_row() for name, each in summaries.items()}
         dropped = events.dropped if events is not None else 0
         firing = alerts.firing() if alerts is not None else []
         pending = alerts.pending() if alerts is not None else []
-        # A down agent counts only as down, as /fleet counts it: its
-        # last period's alarm is not an alarm that is up now.
-        live = [row for name, row in agents.items() if name not in down]
-        alarms_active = sum(1 for row in live if row["alarm"])
+        # The bounded fleet summary: O(1) in fleet size, present at any
+        # scale, each agent counted under the rollup's one status rule
+        # (AgentState.status), as /fleet counts it — so a down agent
+        # counts only as down: its last period's alarm is not an alarm
+        # that is up now.
+        summary = {
+            "agents_total": len(agents),
+            "ok": 0,
+            "degraded": 0,
+            "alarming": 0,
+            "down": 0,
+        }
+        for name, each in summaries.items():
+            state = AgentState.from_summary(name, each, name in down)
+            summary[state.status] += 1
+        summary["quorum"] = (
+            (len(agents) - summary["down"]) / len(agents) if agents else 1.0
+        )
+        alarms_active = summary["alarming"]
         degraded_periods = sum(
             status.get("degraded_periods", 0) for status in agents.values()
         )
         if alarms_active or firing:
             status = "alarming"
-        elif dropped or degraded_periods or pending or down:
+        elif dropped or degraded_periods or pending or summary["down"]:
             status = "degraded"
         else:
             status = "ok"
@@ -296,24 +305,6 @@ class ObsServer:
                     checkpoints_restored = int(
                         sum(sample.value for sample in family.samples())
                     )
-        # The bounded fleet summary: O(1) in fleet size, present at any
-        # scale, counted as /fleet counts (down, then alarming, then
-        # degraded, then ok).  The full per-agent map only ships below
-        # the cutoff — above it, /fleet is the O(K) view and /healthz
-        # stays a probe.
-        degraded_agents = sum(
-            1
-            for row in live
-            if not row["alarm"] and row.get("degraded_periods", 0)
-        )
-        summary = {
-            "agents_total": len(agents),
-            "ok": len(live) - alarms_active - degraded_agents,
-            "degraded": degraded_agents,
-            "alarming": alarms_active,
-            "down": len(down),
-            "quorum": len(live) / len(agents) if agents else 1.0,
-        }
         document: Dict[str, Any] = {
             "status": status,
             "uptime_seconds": round(self.uptime_seconds, 3),
@@ -338,7 +329,9 @@ class ObsServer:
             "alerts_pending": pending,
             "summary": summary,
         }
-        if len(agents) <= self.healthz_agents_limit:
+        # The full per-agent map only ships below the cutoff — above
+        # it, /fleet is the O(K) view and /healthz stays a probe.
+        if len(agents) <= HEALTHZ_AGENTS_LIMIT:
             document["agents"] = agents
         else:
             document["agents_omitted"] = len(agents)
@@ -362,7 +355,7 @@ class ObsServer:
             return None
         with self._registry_lock:
             rollup = FleetRollup.from_summaries(
-                recorder.summaries(), k=self.fleet_top_k, down=recorder.down
+                recorder.summaries(), down=recorder.down
             )
         return rollup.to_dict()
 

@@ -155,28 +155,27 @@ def _compile_windowed(template: str) -> Query:
     return query
 
 
-def builtin_slos(
-    detection_budget: float = 0.05,
-    false_alarm_budget: float = 0.01,
-    degraded_budget: float = 0.02,
-    event_loss_budget: float = 0.001,
-) -> List[SLOSpec]:
+def builtin_slos() -> List[SLOSpec]:
     """The four standing objectives a soak judges the detector by.
 
-    * **detection_latency** — at most ``detection_budget`` of attack
-      windows may be missed or detected later than the latency target
-      (the soak feeds one ``soak_detection_miss`` sample per attack
-      window; Eq. 8 says every in-scope flood is detectable).
+    * **detection_latency** — at most 5% of attack windows may be
+      missed or detected later than the latency target (the soak feeds
+      one ``soak_detection_miss`` sample per attack window; Eq. 8 says
+      every in-scope flood is detectable).
     * **false_alarm_budget** — CUSUM's bounded false-alarm guarantee,
-      measured: at most ``false_alarm_budget`` of quiet periods may
-      carry an alarm.  Prefers the soak's ground-truth
-      ``soak_false_alarm`` indicator; outside a soak every alarm-active
-      period counts against the budget.
-    * **availability** — at most ``degraded_budget`` of periods may run
-      degraded (carried-forward or held counts).
-    * **event_loss** — bounded sinks may drop at most
-      ``event_loss_budget`` of emitted events.
+      measured: at most 1% of quiet periods may carry an alarm.
+      Prefers the soak's ground-truth ``soak_false_alarm`` indicator;
+      outside a soak every alarm-active period counts against the
+      budget.
+    * **availability** — at most 2% of periods may run degraded
+      (carried-forward or held counts).
+    * **event_loss** — bounded sinks may drop at most 0.1% of emitted
+      events.
     """
+    detection_budget = 0.05
+    false_alarm_budget = 0.01
+    degraded_budget = 0.02
+    event_loss_budget = 0.001
     return [
         SLOSpec(
             name="detection_latency",
@@ -387,11 +386,9 @@ class SLOEngine:
         return document
 
 
-def slo_rules(
-    specs: Optional[Sequence[SLOSpec]] = None,
-    window: str = "1h",
-) -> List[AlertRule]:
-    """Budget-exhaustion alert rules over the recorded indicator series.
+def slo_rules() -> List[AlertRule]:
+    """Budget-exhaustion alert rules over the recorded indicator series
+    of the :func:`builtin_slos`, each over the last hour.
 
     Two rules per objective: ``slo_<name>_burn`` pages while a
     multi-window pair is breached (the engine already encoded the
@@ -401,10 +398,9 @@ def slo_rules(
     :meth:`SLOEngine.record` pass has fed the series — the same
     stays-quiet contract as the fleet rules on single-agent runs.
     """
-    if specs is None:
-        specs = builtin_slos()
+    window = "1h"
     rules: List[AlertRule] = []
-    for spec in specs:
+    for spec in builtin_slos():
         rules.append(
             AlertRule(
                 name=f"slo_{spec.name}_burn",

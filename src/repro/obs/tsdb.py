@@ -85,10 +85,6 @@ _instrument_value = operator.attrgetter("_value")
 #: registry copies would collide at the same (name, labels) key.
 _EVENT_STAT_SERIES = ("obs_events_emitted_total", "obs_events_dropped_total")
 
-#: The profiler snapshot's series per stage, in
-#: :meth:`~repro.obs.profiler.Profiler.stage_sample` order.
-_PROFILE_SERIES = ("stage_ns_total", "stage_calls_total", "stage_ns_per_packet")
-
 #: The detector's per-period trajectory, one series per field, each
 #: labeled by agent: ΔSYN, X_n, y_n, the alarm decision, the degraded
 #: flag.  :class:`TrajectoryWriter` is the one place that writes them.
@@ -280,21 +276,14 @@ class TimeSeriesDB:
         self._selections: Dict[Any, List[Series]] = {}
         self._registry: Optional[Any] = None
         self._events: Optional[Any] = None
-        self._profiler: Optional[Any] = None
         #: The per-period snapshot's bindings (:meth:`_bind_snapshot`):
         #: the event-stat series, then one series per bound registry
-        #: instrument, then three per bound profiler stage, in the order
-        #: :meth:`tick` reads their values.  ``_snapshot_generation``
-        #: is None until bound and after a :meth:`bind`.
+        #: instrument, in the order :meth:`tick` reads their values.
+        #: ``_snapshot_generation`` is None until bound and after a
+        #: :meth:`bind`.
         self._snapshot_series: Tuple[Series, ...] = ()
         self._snapshot_instruments: Tuple[Any, ...] = ()
         self._snapshot_generation: Optional[int] = None
-        self._snapshot_stages: Tuple[Any, ...] = ()
-        #: Profiler stages that existed at the last bind without a call
-        #: yet (a stage's series start at its first call), and how many
-        #: stages there were.
-        self._idle_stages: Tuple[Any, ...] = ()
-        self._stage_count = 0
         self._event_series: Tuple[Series, ...] = ()
         self._last_tick = float("-inf")
         self.samples_appended = 0
@@ -309,21 +298,16 @@ class TimeSeriesDB:
     # Ingestion
     # ------------------------------------------------------------------
     def bind(
-        self,
-        registry: Optional[Any] = None,
-        events: Optional[Any] = None,
-        profiler: Optional[Any] = None,
+        self, registry: Optional[Any] = None, events: Optional[Any] = None
     ) -> None:
-        """Attach the registry/event log/profiler :meth:`tick` snapshots
-        read (done once by :class:`~repro.obs.runtime.Instrumentation`).
-        An absent component stays unbound, so a tick skips it without a
+        """Attach the registry/event log :meth:`tick` snapshots read
+        (done once by :class:`~repro.obs.runtime.Instrumentation`).  An
+        absent component stays unbound, so a tick skips it without a
         call."""
         if registry is not None:
             self._registry = registry
         if events is not None:
             self._events = events
-        if profiler is not None:
-            self._profiler = profiler
         self._snapshot_generation = None
 
     def append(
@@ -388,12 +372,12 @@ class TimeSeriesDB:
         self, t: float, points: Iterable[Tuple[Series, float]] = ()
     ) -> None:
         """The per-period write (live path): one :meth:`append_at` at
-        time *t* of the pipeline snapshot — the event-loss counters,
-        every counter/gauge child of the bound registry and the bound
-        profiler's per-stage cost — followed by *points*, the
-        ``(series, value)`` pairs of the period's own feed samples
-        (:meth:`TrajectoryWriter.points`).  A tick that rebinds the
-        snapshot (:meth:`_bind_snapshot`) appends it sample by sample.
+        time *t* of the pipeline snapshot — the event-loss counters and
+        every counter/gauge child of the bound registry — followed by
+        *points*, the ``(series, value)`` pairs of the period's own
+        feed samples (:meth:`TrajectoryWriter.points`).  A tick that
+        rebinds the snapshot (:meth:`_bind_snapshot`) appends it sample
+        by sample.
 
         Called by the detector at the *start* of each observation
         period's bookkeeping, so the sampled values describe the
@@ -405,14 +389,10 @@ class TimeSeriesDB:
         """
         if self.record_snapshots and t > self._last_tick:
             self._last_tick = t
-            registry, profiler = self._registry, self._profiler
-            if (
-                self._snapshot_generation is None
-                or (
-                    registry is not None
-                    and registry.generation != self._snapshot_generation
-                )
-                or (profiler is not None and self._profile_grew(profiler))
+            registry = self._registry
+            if self._snapshot_generation is None or (
+                registry is not None
+                and registry.generation != self._snapshot_generation
             ):
                 self._bind_snapshot(t)
             else:
@@ -423,10 +403,6 @@ class TimeSeriesDB:
                     else []
                 )
                 values += map(_instrument_value, self._snapshot_instruments)
-                if self._snapshot_stages:
-                    sample = profiler.stage_sample
-                    for stage in self._snapshot_stages:
-                        values += sample(stage)
                 points = chain(zip(self._snapshot_series, values), points)
         self.append_at(t, points)
 
@@ -453,29 +429,18 @@ class TimeSeriesDB:
                 for name, value in zip(_EVENT_STAT_SERIES, values)
             )
 
-    def _profile_grew(self, profiler: Any) -> bool:
-        """True when the bound profiler gained a stage, or a stage
-        made its first call, since the last bind."""
-        return len(profiler) != self._stage_count or any(
-            stage.calls for stage in self._idle_stages
-        )
-
     def _bind_snapshot(self, t: float) -> None:
         """Take the snapshot at *t* while binding its series: the event
         stats; every counter/gauge child of the bound registry except
         the families in :data:`_SNAPSHOT_SKIPPED`, as
-        ``source="registry"`` series; and each called profiler stage's
-        ``stage_ns_total`` / ``stage_calls_total`` /
-        ``stage_ns_per_packet``, as ``source="profile"`` series (the
-        series the per-stage regression rules,
-        :func:`repro.obs.alerts.profiler_rules`, evaluate).  Each
-        sample goes through :meth:`append`, which returns its series.
-        Rebound only when the registry gained a family or child, or the
-        profiler a stage, since the last tick; until then each tick
-        reads the bound instruments straight into their series."""
+        ``source="registry"`` series.  Each sample goes through
+        :meth:`append`, which returns its series.  Rebound only when
+        the registry gained a family or child since the last tick;
+        until then each tick reads the bound instruments straight into
+        their series."""
         bound: List[Series] = []
         instruments: List[Any] = []
-        registry, profiler = self._registry, self._profiler
+        registry = self._registry
         if self._events is not None:
             self._tick_events(t)
             bound.extend(self._event_series)
@@ -503,18 +468,6 @@ class TimeSeriesDB:
                         self.append(name, labels, t, each._value, "registry")
                     )
                     instruments.append(each)
-        every = profiler.stages() if profiler is not None else []
-        self._stage_count = len(every)
-        self._idle_stages = tuple(stage for stage in every if not stage.calls)
-        self._snapshot_stages = tuple(stage for stage in every if stage.calls)
-        for stage in self._snapshot_stages:
-            labels = {"stage": stage.name}
-            bound.extend(
-                self.append(name, labels, t, value, "profile")
-                for name, value in zip(
-                    _PROFILE_SERIES, profiler.stage_sample(stage)
-                )
-            )
         self._snapshot_series = tuple(bound)
         self._snapshot_instruments = tuple(instruments)
 
@@ -577,18 +530,15 @@ class TimeSeriesDB:
     def to_dict(self, include_registry: bool = True) -> Dict[str, Any]:
         """The store as plain JSON-able dicts, series in canonical
         order (the shard-shipping and test-comparison format).
-
-        ``include_registry=False`` also excludes profiler snapshot
-        series (``source == "profile"``): both describe the recording
-        bundle rather than the detection run, and timers-mode stage
-        nanoseconds are wall clock."""
+        ``include_registry=False`` leaves out the registry snapshot
+        series, which describe the recording bundle rather than the
+        detection run."""
         return {
             "retention": self.retention,
             "series": [
                 series.to_dict()
                 for series in self.series()
-                if include_registry
-                or series.source not in ("registry", "profile")
+                if include_registry or series.source != "registry"
             ],
         }
 

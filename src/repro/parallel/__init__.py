@@ -10,7 +10,7 @@ parent — byte-identical output for any worker count.  See
 from .. import _lazy_exports
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
-    "engine": ("ObsCapture", "ShardResult", "WorkerCrashError", "run_plan"),
+    "engine": ("ShardResult", "WorkerCrashError", "run_plan", "shard_bundle"),
     "workplan": (
         "DEFAULT_NUM_SHARDS", "WorkPlan", "derive_seed", "effective_workers",
     ),

@@ -37,7 +37,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..faults.schedule import FaultKind, FaultSchedule
@@ -58,10 +58,10 @@ from ..obs.runtime import Instrumentation, resolve_instrumentation
 from .workplan import WorkPlan, effective_workers
 
 __all__ = [
-    "ObsCapture",
     "ShardResult",
     "WorkerCrashError",
     "run_plan",
+    "shard_bundle",
 ]
 
 #: Exit code an injected crash dies with — distinguishable from a
@@ -85,100 +85,46 @@ class WorkerCrashError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class ObsCapture:
-    """Which observability components each shard must replicate.
+def shard_bundle(obs: Instrumentation) -> Instrumentation:
+    """A fresh shard-private bundle with the live slots of the parent
+    bundle *obs*, so a shard instruments exactly what the parent would
+    have — no more (cost), no less (holes in the merged export).
 
-    Mirrors the parent's live components so a shard instruments
-    exactly what the parent would have — no more (cost), no less
-    (holes in the merged export).
-    """
-
-    metrics: bool = False
-    events: bool = False
-    recorder: bool = False
-    recorder_capacity: int = 120
-    recorder_post_periods: int = 5
-    tsdb: bool = False
-    tsdb_retention: int = 4096
-    profiler: bool = False
-    profiler_mode: str = "cost-model"
-    profiler_sample_every: int = 64
-
-    @classmethod
-    def from_instrumentation(cls, obs: Instrumentation) -> "ObsCapture":
-        recorder, tsdb, profiler = obs.recorder, obs.tsdb, obs.profiler
-        return cls(
-            metrics=obs.registry is not None,
-            events=obs.events is not None,
-            recorder=recorder is not None,
-            recorder_capacity=(
-                recorder.capacity if recorder is not None else 120
-            ),
-            recorder_post_periods=(
-                recorder.post_alarm_periods if recorder is not None else 5
-            ),
-            tsdb=tsdb is not None,
-            tsdb_retention=(tsdb.retention if tsdb is not None else 4096),
-            profiler=profiler is not None,
-            profiler_mode=(
-                profiler.mode if profiler is not None else "cost-model"
-            ),
-            profiler_sample_every=(
-                profiler.sample_every if profiler is not None else 64
-            ),
-        )
-
-    @property
-    def any(self) -> bool:
-        return (
-            self.metrics or self.events or self.recorder or self.tsdb
-            or self.profiler
-        )
-
-    def build(self) -> Tuple[Instrumentation, Optional[MemorySink]]:
-        """A fresh shard-private bundle (and its memory sink, when
-        events are captured)."""
-        sink: Optional[MemorySink] = None
-        events: Optional[EventLog] = None
-        if self.events:
-            sink = MemorySink(max_events=None)
-            events = EventLog(sink)
-        recorder: Optional[FlightRecorder] = None
-        if self.recorder:
-            recorder = FlightRecorder(
-                capacity=self.recorder_capacity,
-                post_alarm_periods=self.recorder_post_periods,
-                events=events,
-            )
+    Each component is built from the parent's own: a fresh registry, an
+    unbounded in-memory event sink, a recorder with the parent's
+    capacity and post-alarm periods, a store with the parent's
+    retention and a profiler with the parent's mode and sample rate.
+    There is no alert manager: the parent evaluates rules over the
+    merged store."""
+    events = (
+        None if obs.events is None else EventLog(MemorySink(max_events=None))
+    )
+    recorder, tsdb, profiler = obs.recorder, obs.tsdb, obs.profiler
+    return Instrumentation(
+        registry=None if obs.registry is None else MetricsRegistry(),
+        events=events,
+        recorder=(
+            None
+            if recorder is None
+            else FlightRecorder(recorder.capacity, recorder.post_alarm_periods)
+        ),
         # Shard stores keep only the detector feed: a shard's registry
         # holds partial counters and its unbounded sink never drops, so
         # per-period snapshots are the parent's to reconstruct at merge
         # time (record_snapshots=False).
-        tsdb: Optional[TimeSeriesDB] = None
-        if self.tsdb:
-            tsdb = TimeSeriesDB(
-                retention=self.tsdb_retention, record_snapshots=False
-            )
+        tsdb=(
+            None
+            if tsdb is None
+            else TimeSeriesDB(retention=tsdb.retention, record_snapshots=False)
+        ),
         # A shard profiler accumulates raw stage counts only; derived
-        # documents and tsdb stage series are the parent's business
-        # (the shard tsdb above never ticks).
-        profiler: Optional[Profiler] = None
-        if self.profiler:
-            profiler = Profiler(
-                mode=self.profiler_mode,
-                sample_every=self.profiler_sample_every,
-            )
-        return (
-            Instrumentation(
-                registry=MetricsRegistry() if self.metrics else None,
-                events=events,
-                recorder=recorder,
-                tsdb=tsdb,
-                profiler=profiler,
-            ),
-            sink,
-        )
+        # documents are the parent's business.
+        profiler=(
+            None
+            if profiler is None
+            else Profiler(profiler.mode, profiler.sample_every)
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -252,15 +198,17 @@ def _execute_shard(
     worker_fn: Callable[[Any, Instrumentation], Any],
     shard_index: int,
     attempt: int,
-    capture: ObsCapture,
+    obs: Instrumentation,
     crash_points: Tuple[Tuple[int, int, int], ...],
 ) -> ShardResult:
-    """Run one shard to completion against a private obs bundle.
+    """Run one shard to completion against *obs*, its private bundle
+    (:func:`shard_bundle`).
 
     Shared verbatim by the subprocess and inline paths — the structural
     guarantee that ``--workers 1`` output matches ``--workers N``.
     """
-    obs, sink = capture.build()
+    sink = obs.memory_events()
+    recorder = obs.recorder
     shard_items = plan.shard(shard_index)
     results: List[Tuple[int, Any]] = []
     event_groups: List[Tuple[int, Tuple[Dict[str, Any], ...]]] = []
@@ -277,9 +225,9 @@ def _execute_shard(
     # Alarm contexts still pending when the shard's trace ends are
     # flushed now, into the last item's event group — the per-shard
     # analogue of Instrumentation.finalize().
-    if capture.recorder:
+    if recorder is not None:
         watermark = len(sink.events) if sink is not None else 0
-        obs.recorder.flush()
+        recorder.flush()
         if sink is not None and event_groups and sink.events[watermark:]:
             last_index, last_events = event_groups[-1]
             event_groups[-1] = (
@@ -290,15 +238,13 @@ def _execute_shard(
         shard_index=shard_index,
         results=tuple(results),
         registry=(
-            registry_snapshot(obs.registry) if capture.metrics else None
+            None if obs.registry is None else registry_snapshot(obs.registry)
         ),
         events=tuple(event_groups),
-        contexts=(
-            tuple(obs.recorder.contexts) if capture.recorder else ()
-        ),
-        tsdb=tsdb_snapshot(obs.tsdb) if capture.tsdb else None,
+        contexts=() if recorder is None else tuple(recorder.contexts),
+        tsdb=None if obs.tsdb is None else tsdb_snapshot(obs.tsdb),
         profiler=(
-            obs.profiler.to_snapshot() if capture.profiler else None
+            None if obs.profiler is None else obs.profiler.to_snapshot()
         ),
     )
 
@@ -309,13 +255,13 @@ def _shard_entry(
     worker_fn: Callable[[Any, Instrumentation], Any],
     shard_index: int,
     attempt: int,
-    capture: ObsCapture,
+    obs: Instrumentation,
     crash_points: Tuple[Tuple[int, int, int], ...],
 ) -> None:
     """Worker-process entry point: execute, report, flush, exit."""
     try:
         result = _execute_shard(
-            plan, worker_fn, shard_index, attempt, capture, crash_points
+            plan, worker_fn, shard_index, attempt, obs, crash_points
         )
         queue.put(("ok", shard_index, result))
     except BaseException:
@@ -342,7 +288,6 @@ def _merge_into_parent(
     obs: Instrumentation,
     plan: WorkPlan,
     by_shard: Dict[int, ShardResult],
-    capture: ObsCapture,
 ) -> None:
     """Fold every shard's observability into the parent bundle.
 
@@ -357,12 +302,12 @@ def _merge_into_parent(
         else None
     )
     token = None if prof is None else prof.begin()
-    if capture.metrics:
+    if obs.registry is not None:
         for shard_index in plan.merge_order():
             snapshot = by_shard[shard_index].registry
             if snapshot:
                 merge_snapshot(obs.registry, snapshot)
-    if capture.tsdb:
+    if obs.tsdb is not None:
         merge_tsdb_snapshots(
             obs.tsdb,
             (
@@ -371,22 +316,20 @@ def _merge_into_parent(
                 if by_shard[shard_index].tsdb is not None
             ),
         )
-    if capture.events:
+    if obs.events is not None:
         groups: List[Tuple[int, Tuple[Dict[str, Any], ...]]] = []
         for result in by_shard.values():
             groups.extend(result.events)
         # The event replay also reconstructs the parent's event-loss
         # watermark series (drops happen here, against the parent's
         # bounded sinks — exactly where a serial run dropped).
-        merge_event_groups(
-            obs.events, groups, tsdb=obs.tsdb if capture.tsdb else None
-        )
-    if capture.recorder:
+        merge_event_groups(obs.events, groups, tsdb=obs.tsdb)
+    if obs.recorder is not None:
         for shard_index in plan.merge_order():
             for context in by_shard[shard_index].contexts:
                 obs.recorder.contexts.append(context)
                 obs.recorder.contexts_emitted += 1
-    if capture.profiler:
+    if obs.profiler is not None:
         for shard_index in plan.merge_order():
             snapshot = by_shard[shard_index].profiler
             if snapshot:
@@ -411,7 +354,6 @@ def run_plan(
     """
     obs = resolve_instrumentation(obs)
     workers = effective_workers(workers)
-    capture = ObsCapture.from_instrumentation(obs)
     crash_points = _crash_points(fault_schedule)
     if not plan.items:
         return []
@@ -420,16 +362,14 @@ def run_plan(
     if workers == 1:
         for shard_index in range(plan.num_shards):
             by_shard[shard_index] = _execute_shard(
-                plan, worker_fn, shard_index, attempt=0, capture=capture,
+                plan, worker_fn, shard_index, attempt=0,
+                obs=shard_bundle(obs),
                 crash_points=(),  # cannot os._exit the parent
             )
     else:
-        _run_sharded(
-            plan, worker_fn, workers, capture, crash_points, by_shard,
-            registry=obs.registry,
-        )
+        _run_sharded(plan, worker_fn, workers, obs, crash_points, by_shard)
 
-    _merge_into_parent(obs, plan, by_shard, capture)
+    _merge_into_parent(obs, plan, by_shard)
     payloads: List[Any] = [None] * len(plan.items)
     for result in by_shard.values():
         for grid_index, payload in result.results:
@@ -441,12 +381,13 @@ def _run_sharded(
     plan: WorkPlan,
     worker_fn: Callable[[Any, Instrumentation], Any],
     workers: int,
-    capture: ObsCapture,
+    obs: Instrumentation,
     crash_points: Tuple[Tuple[int, int, int], ...],
     by_shard: Dict[int, ShardResult],
-    registry: Optional[Any] = None,
 ) -> None:
-    """Pull shards through a bounded pool of single-shard processes."""
+    """Pull shards through a bounded pool of single-shard processes,
+    each attempt against a fresh :func:`shard_bundle` of the parent
+    bundle *obs*."""
     ctx = _mp_context()
     queue: "multiprocessing.Queue" = ctx.Queue()
     pending = list(range(plan.num_shards))
@@ -459,7 +400,7 @@ def _run_sharded(
             target=_shard_entry,
             args=(
                 queue, plan, worker_fn, shard_index,
-                attempts[shard_index], capture, crash_points,
+                attempts[shard_index], shard_bundle(obs), crash_points,
             ),
             daemon=True,
         )
@@ -473,14 +414,14 @@ def _run_sharded(
             for process in running.values():
                 process.terminate()
             raise WorkerCrashError(shard_index, failures[shard_index])
-        if registry is not None:
+        if obs.registry is not None:
             # Registered lazily, on the first actual reschedule: an
             # always-present zero would leak into exports serial runs
             # never write.  Scheduling accidents are host facts, so the
             # name is excluded from byte-identity projections (see
             # merge._is_deterministic_name) but feeds the
             # worker_retries builtin alert rule live.
-            registry.counter(
+            obs.registry.counter(
                 "parallel_worker_retries_total",
                 "Crashed worker shards rescheduled by the engine",
             ).inc()

@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..core.parameters import DEFAULT_PARAMETERS, SynDogParameters
 from ..core.syndog import SynDog
-from ..obs.rollup import DEFAULT_TOP_K, FleetRollup
+from ..obs.rollup import FleetRollup
 from ..obs.runtime import (
     AgentSummary,
     Instrumentation,
@@ -126,13 +126,9 @@ class Federation:
         on_alarm: Optional[Callable[[MemberAlarm], None]] = None,
         obs: Optional[Instrumentation] = None,
         auto_restart: bool = False,
-        fleet_top_k: int = DEFAULT_TOP_K,
     ) -> None:
         self.parameters = parameters
         self.on_alarm = on_alarm
-        #: Suspect-table size for fleet rollups (``fleet_*`` series and
-        #: the ``/fleet`` document stay O(K) regardless of fleet size).
-        self.fleet_top_k = fleet_top_k
         self._last_rollup: Optional[FleetRollup] = None
         #: Supervisor policy: when True a member that crashes mid-feed
         #: is immediately restarted from its last checkpoint instead of
@@ -346,13 +342,13 @@ class Federation:
             for _router, agent in self._members.values()
         }
 
-    def rollup(self, k: Optional[int] = None) -> FleetRollup:
+    def rollup(self) -> FleetRollup:
         """The fleet's current telemetry rollup — O(K·buckets) however
-        many members are enrolled.  A down member contributes its last
-        known state (stale by definition) flagged ``down``."""
+        many members are enrolled (:data:`~repro.obs.rollup.DEFAULT_TOP_K`
+        suspects per table).  A down member contributes its last known
+        state (stale by definition) flagged ``down``."""
         return FleetRollup.from_summaries(
             self.summaries(),
-            k=self.fleet_top_k if k is None else k,
             down={self._members[name][1].detector.name for name in self._down},
         )
 

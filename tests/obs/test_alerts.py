@@ -9,6 +9,7 @@ from repro.obs.alerts import (
     AlertManager,
     AlertRule,
     builtin_rules,
+    fleet_rules,
     replay_rules,
     rules_from_dicts,
     rules_from_file,
@@ -210,19 +211,23 @@ class TestBuiltinsAndReplay:
         }
 
     def test_builtin_rules_without_fleet_are_the_core_set(self):
-        rules = builtin_rules(threshold=1.05, fleet=False)
-        names = {rule.name for rule in rules}
-        assert names == {
+        rules = builtin_rules(threshold=1.05)
+        fleet = fleet_rules(1.05)
+        core = rules[:-len(fleet)]
+        assert [rule.to_dict() for rule in rules[len(core):]] == [
+            rule.to_dict() for rule in fleet
+        ]
+        assert {rule.name for rule in core} == {
             "cusum_near_threshold", "events_dropping", "degraded_periods",
             "worker_crashes", "worker_retries",
         }
 
     def test_builtin_near_threshold_watermark_scales_with_n(self):
         (near,) = [
-            r for r in builtin_rules(threshold=2.0, watermark=0.5)
+            r for r in builtin_rules(threshold=2.0)
             if r.name == "cusum_near_threshold"
         ]
-        assert "0.5 * 2.0" in near.expr
+        assert "0.8 * 2.0" in near.expr
 
     def test_replay_walks_watermarks_and_closes(self):
         tsdb = tsdb_with(

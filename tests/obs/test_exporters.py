@@ -5,7 +5,6 @@ import pytest
 
 from repro.obs.exporters import (
     parse_prometheus_text,
-    registry_to_dicts,
     render_prometheus,
     write_prometheus,
 )
@@ -93,18 +92,6 @@ class TestRoundTrip:
         assert len(parse_prometheus_text(text)) == count
 
 
-class TestRegistryToDicts:
-    def test_rows_carry_type_and_labels(self):
-        rows = registry_to_dicts(build_registry())
-        by_metric = {}
-        for row in rows:
-            by_metric.setdefault(row["metric"], []).append(row)
-        assert {r["labels"]["direction"] for r in by_metric["packets_total"]} \
-            == {"out", "in"}
-        assert by_metric["k_bar"][0]["type"] == "gauge"
-        assert by_metric["trial_seconds_count"][0]["value"] == 2.0
-
-
 class TestAtomicWrite:
     def test_no_temp_files_left_behind(self, tmp_path):
         path = tmp_path / "metrics.prom"
@@ -153,24 +140,3 @@ class TestExportEventStats:
         registry = MetricsRegistry()
         export_event_stats(None, registry)
         assert len(registry) == 0
-
-
-class TestSummarizeHistograms:
-    def test_rows_carry_quantiles(self):
-        from repro.obs.exporters import summarize_histograms
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        latency = registry.histogram(
-            "op_seconds", "per-op latency", ("op",), buckets=(0.1, 1.0)
-        )
-        for _ in range(10):
-            latency.labels("scan").observe(0.05)
-        registry.histogram("empty_seconds", buckets=(1.0,))  # skipped
-        [row] = summarize_histograms(registry)
-        assert row["metric"] == "op_seconds"
-        assert row["labels"] == {"op": "scan"}
-        assert row["count"] == 10
-        assert row["mean"] == pytest.approx(0.05)
-        assert 0.0 < row["p50"] <= 0.1
-        assert set(row) >= {"p50", "p95", "p99"}

@@ -2,8 +2,8 @@
 
 Covers the accumulator and both modes, snapshot/merge, the exporters
 (including the edge cases the exporters contract names: empty profile,
-single-stage profile, folded-stack and callgrind round-trips), the
-runtime/tsdb wiring, and the per-stage regression alert rules.
+single-stage profile, folded-stack and callgrind round-trips) and the
+runtime wiring.
 """
 
 import json
@@ -11,7 +11,6 @@ import json
 import pytest
 
 from repro.obs import enabled_instrumentation
-from repro.obs.alerts import builtin_rules, profiler_rules
 from repro.obs.exporters import export_profiler, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import (
@@ -324,72 +323,6 @@ class TestRuntimeWiring:
         assert profile_events[0]["stages"][0]["stage"] == "classify"
         assert "profile_stage_ns_total" in metrics.read_text()
 
-    def test_tsdb_records_stage_series(self):
-        obs = enabled_instrumentation(profiler="cost-model")
-        obs.profiler.stage("classify").add()
-        obs.tsdb.tick(1.0)
-        result = obs.tsdb.query('stage_calls_total{stage="classify"}')
-        assert [entry["value"] for entry in result] == [1.0]
-        result = obs.tsdb.query('stage_ns_per_packet{stage="classify"}')
-        assert [entry["value"] for entry in result] == [
-            float(COST_MODEL["classify"].per_call_ns)
-        ]
-
-    def test_profile_series_excluded_from_canonical_projection(self):
-        obs = enabled_instrumentation(profiler="cost-model")
-        obs.profiler.stage("classify").add()
-        obs.tsdb.tick(1.0)
-        names = {
-            series["name"]
-            for series in obs.tsdb.to_dict(include_registry=False)["series"]
-        }
-        assert not any(name.startswith("stage_") for name in names)
-
-
 class TestProfilerRules:
-    def test_rules_from_bench_document(self):
-        baseline = {
-            "stages": [
-                {"stage": "classify", "ns_per_packet": 150.0},
-                {"stage": "pcap.parse", "ns_per_packet": 500.0},
-            ]
-        }
-        rules = profiler_rules(baseline, tolerance=2.0)
-        assert [rule.name for rule in rules] == [
-            "stage_overhead_classify",
-            "stage_overhead_pcap_parse",
-        ]
-        assert rules[0].expr == (
-            'min_over_time(stage_ns_per_packet{stage="classify"}[10m])'
-            " > 300.0"
-        )
-
-    def test_rules_from_bare_mapping(self):
-        (rule,) = profiler_rules({"cusum.step": 1000.0}, tolerance=1.5)
-        assert rule.name == "stage_overhead_cusum_step"
-        assert "> 1500.0" in rule.expr
-        assert rule.severity == "warn"
-
-    def test_builtin_rules_gain_profile_rules(self):
-        plain = builtin_rules()
-        with_profile = builtin_rules(
-            profile_baseline={"classify": 150.0}
-        )
-        assert len(with_profile) == len(plain) + 1
-        assert with_profile[-1].name == "stage_overhead_classify"
-
-    def test_fires_only_on_sustained_regression(self):
-        obs = enabled_instrumentation(profiler="cost-model")
-        obs.profiler.stage("classify").add()
-        obs.tsdb.tick(1.0)
-        # Budget below the cost-model rate -> min_over_time exceeds it.
-        (rule,) = profiler_rules(
-            {"classify": 1.0}, tolerance=1.0, for_periods=1
-        )
-        # Comparison filters like PromQL: a surviving sample (with the
-        # offending min) means the rule fires.
-        result = obs.tsdb.query(rule.expr)
-        assert result and result[0]["value"] == 150.0
-
     def test_pipeline_stage_names_cover_cost_model(self):
         assert set(COST_MODEL) == set(PIPELINE_STAGES)

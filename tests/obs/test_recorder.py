@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.syndog import SynDog
-from repro.obs import enabled_instrumentation
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.recorder import FlightRecorder
+from repro.obs.runtime import Instrumentation
 
 
 def snapshot(period, alarm=False, statistic=0.0):
@@ -130,7 +130,10 @@ class TestStatus:
 
 class TestSynDogIntegration:
     def test_detector_alarm_yields_exactly_one_context(self):
-        obs = enabled_instrumentation(recorder_post_periods=3)
+        obs = Instrumentation(
+            events=EventLog(MemorySink()),
+            recorder=FlightRecorder(post_alarm_periods=3),
+        )
         dog = SynDog(obs=obs, name="router-lab")
         for _ in range(12):
             dog.observe_period(100, 100)

@@ -13,8 +13,12 @@ import pytest
 from repro.core.syndog import SynDog
 from repro.obs import enabled_instrumentation, parse_prometheus_text
 from repro.obs.events import EventLog, MemorySink
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.recorder import FlightRecorder
+from repro.obs.rollup import DEFAULT_TOP_K
 from repro.obs.runtime import NULL_INSTRUMENTATION, Instrumentation
-from repro.obs.server import ObsServer
+from repro.obs.server import HEALTHZ_AGENTS_LIMIT, ObsServer
+from repro.obs.tsdb import TimeSeriesDB
 
 
 def get(url: str):
@@ -24,7 +28,14 @@ def get(url: str):
 
 @pytest.fixture
 def live():
-    obs = enabled_instrumentation(recorder_post_periods=2)
+    # A live bundle whose recorder emits an alarm's context two periods
+    # after the alarm.
+    obs = Instrumentation(
+        registry=MetricsRegistry(),
+        events=EventLog(MemorySink(max_events=100_000)),
+        recorder=FlightRecorder(post_alarm_periods=2),
+        tsdb=TimeSeriesDB(),
+    )
     server = ObsServer(obs)
     server.start()
     yield obs, server
@@ -288,8 +299,8 @@ class TestFleetEndpoint:
 
         docs = []
         for count in (5, 50):
-            obs = enabled_instrumentation(recorder_post_periods=2)
-            with ObsServer(obs, fleet_top_k=4) as server:
+            obs = enabled_instrumentation()
+            with ObsServer(obs) as server:
                 for i in range(count):
                     dog = SynDog(obs=obs, name=f"router-{i:03d}")
                     dog.observe_period(100, 100)
@@ -297,10 +308,12 @@ class TestFleetEndpoint:
         small, large = docs
         assert shape(small) == shape(large)
         for summary in large["top"].values():
-            assert len(summary["entries"]) <= 4
+            assert len(summary["entries"]) <= DEFAULT_TOP_K
 
     def test_without_recorder_is_503(self):
-        obs = enabled_instrumentation(flight_recorder=False)
+        obs = Instrumentation(
+            registry=MetricsRegistry(), events=EventLog(MemorySink())
+        )
         with ObsServer(obs) as server:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get(server.url + "/fleet")
@@ -320,15 +333,16 @@ class TestHealthzSummary:
         assert "agents" in health
 
     def test_per_agent_map_omitted_above_cutoff(self):
-        obs = enabled_instrumentation(recorder_post_periods=2)
-        with ObsServer(obs, healthz_agents_limit=3) as server:
-            for i in range(5):
-                dog = SynDog(obs=obs, name=f"router-{i}")
+        obs = enabled_instrumentation()
+        fleet = HEALTHZ_AGENTS_LIMIT + 1
+        with ObsServer(obs) as server:
+            for i in range(fleet):
+                dog = SynDog(obs=obs, name=f"router-{i:03d}")
                 dog.observe_period(100, 100)
             health = json.loads(get(server.url + "/healthz")[2])
             assert "agents" not in health
-            assert health["agents_omitted"] == 5
-            assert health["summary"]["agents_total"] == 5
+            assert health["agents_omitted"] == fleet
+            assert health["summary"]["agents_total"] == fleet
 
 
 class TestProfileEndpoint:

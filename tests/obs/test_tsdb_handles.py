@@ -17,7 +17,6 @@ from repro.core.syndog import SynDog
 from repro.experiments.soak import run_soak_campaign
 from repro.obs.alerts import AlertRule, builtin_rules
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profiler
 from repro.obs.runtime import enabled_instrumentation
 from repro.obs.slo import SLOEngine
 from repro.obs.tsdb import (
@@ -299,84 +298,6 @@ class TestSelectionCache:
         store.append("y", {"agent": "b"}, 20.0, 2.0)
         assert [entry["labels"] for entry in store.query(rule.query)] == [
             {"agent": "a"}, {"agent": "b"},
-        ]
-
-
-# ----------------------------------------------------------------------
-# Profiler snapshot
-# ----------------------------------------------------------------------
-def reference_tick_profiler(store, profiler, t):
-    """The profiler snapshot as one keyed append per stage row and
-    series on every tick."""
-    for row in profiler.stage_documents():
-        labels = {"stage": row["stage"]}
-        for name, field in (
-            ("stage_ns_total", "ns_total"),
-            ("stage_calls_total", "calls"),
-            ("stage_ns_per_packet", "ns_per_packet"),
-        ):
-            store.append(name, labels, t, float(row[field]), source="profile")
-
-
-#: Per tick: (stage, calls, packets) additions; a stage handle taken
-#: with 0 calls exists before its first call.
-profile_rounds = st.lists(
-    st.lists(
-        st.tuples(
-            st.sampled_from(("classify", "cusum.step", "pcap.parse")),
-            st.integers(min_value=0, max_value=3),
-            st.integers(min_value=0, max_value=50),
-        ),
-        max_size=3,
-    ),
-    min_size=1,
-    max_size=8,
-)
-
-
-class TestProfilerSnapshot:
-    @settings(max_examples=200, deadline=None)
-    @given(rounds=profile_rounds)
-    def test_matches_the_per_row_appends(self, rounds):
-        profiler = Profiler(mode="cost-model")
-        store, reference = TimeSeriesDB(), TimeSeriesDB()
-        store.bind(profiler=profiler)
-        for index, adds in enumerate(rounds, start=1):
-            for name, calls, packets in adds:
-                stage = profiler.stage(name)
-                for _ in range(calls):
-                    stage.add(packets=packets)
-            store.tick(20.0 * index)
-            reference_tick_profiler(reference, profiler, 20.0 * index)
-        assert store.to_dict() == reference.to_dict()
-        assert store.samples_appended == reference.samples_appended
-
-    def test_ticks_rekey_nothing_until_a_stage_appears(self, monkeypatch):
-        profiler = Profiler(mode="cost-model")
-        store = TimeSeriesDB()
-        store.bind(profiler=profiler)
-        profiler.stage("classify").add(packets=10)
-        idle = profiler.stage("cusum.step")
-        store.tick(20.0)
-        keyed = []
-        labels_key = tsdb_module._labels_key
-        monkeypatch.setattr(
-            tsdb_module, "_labels_key",
-            lambda labels: keyed.append(labels) or labels_key(labels),
-        )
-        for index in range(2, 6):
-            profiler.stage("classify").add(packets=10)
-            store.tick(20.0 * index)
-        assert keyed == []
-        idle.add(packets=1)
-        store.tick(120.0)
-        assert {"stage": "cusum.step"} in keyed
-        assert [
-            series.samples
-            for series in store.series("stage_calls_total")
-        ] == [
-            [(20.0 * index, float(min(index, 5))) for index in range(1, 7)],
-            [(120.0, 1.0)],
         ]
 
 

@@ -108,9 +108,7 @@ class TestFleetRollup:
     def build_and_feed(self, obs=None):
         from repro.obs.runtime import enabled_instrumentation
 
-        federation = Federation(
-            obs=obs or enabled_instrumentation(), fleet_top_k=4
-        )
+        federation = Federation(obs=obs or enabled_instrumentation())
         for name, stub in NETWORKS.items():
             federation.add_network(name, stub)
         flood_mac = MACAddress.parse("02:bd:00:00:00:77")
