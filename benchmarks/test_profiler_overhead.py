@@ -17,9 +17,8 @@ sampled calls.
 
 Both land in ``BENCH_obs.json`` next to the existing overhead ratios,
 and ``BENCH_profile.json`` records the per-stage ns/packet baseline
-(timers mode over the canonical profiling campaign) that the CI
-profile-smoke job and the ``stage_overhead_*`` alert rules gate
-against.
+that CI's ``repro profile --mode timers --baseline`` step gates
+against, measured on the path that step runs.
 """
 
 import json
@@ -31,7 +30,6 @@ from conftest import emit
 from repro.core.parameters import DEFAULT_PARAMETERS
 from repro.core.sniffer import CountExchange
 from repro.core.syndog import SynDog
-from repro.obs.profiler import PIPELINE_STAGES
 from repro.obs.runtime import enabled_instrumentation
 
 from test_obs_overhead import (
@@ -198,33 +196,28 @@ def test_timers_profiler_within_budget():
 
 def test_profile_baseline_artifact():
     """Regenerate ``BENCH_profile.json``: timers-mode per-stage
-    ns/packet over the canonical profiling campaign, the committed
-    baseline the ``repro profile --baseline`` gate and the
-    ``stage_overhead_*`` alert rules compare against."""
-    from repro.experiments.profiling import run_profile_campaign
+    ns/packet on the run CI's ``repro profile --mode timers --baseline``
+    step makes (the command's defaults: Auckland, 2 networks, seed 0,
+    the columnar fastpath, 1-in-64 sampling).  That step fails on a
+    baseline stage its run did not make, so the baseline names exactly
+    the stages of this run."""
+    from repro.experiments.profiling import (
+        DEFAULT_PROFILE_DURATION,
+        run_profile_campaign,
+    )
     from repro.trace.profiles import get_profile
 
     obs = enabled_instrumentation(
-        profiler="timers", profiler_sample_every=8
+        profiler="timers", profiler_sample_every=64
     )
-    # Both ingestion arms on one profiler: the columnar fastpath
-    # (fastpath.parse / fastpath.classify) and the per-packet object
-    # oracle (pcap.parse / classify / sniff.update / federation.feed),
-    # so the committed baseline covers every stage in PIPELINE_STAGES.
     outcomes = run_profile_campaign(
-        get_profile("auckland"), networks=2, base_seed=7,
-        duration=60.0, obs=obs, workers=1, fastpath=True,
+        get_profile("auckland"), networks=2, base_seed=0,
+        duration=DEFAULT_PROFILE_DURATION, obs=obs, workers=1,
+        fastpath=True,
     )
-    oracle_outcomes = run_profile_campaign(
-        get_profile("auckland"), networks=2, base_seed=7,
-        duration=60.0, obs=obs, workers=1, fastpath=False,
-    )
-    assert oracle_outcomes == outcomes
     document = obs.profiler.to_dict()
-    by_stage = {row["stage"]: row for row in document["stages"]}
-    for stage in PIPELINE_STAGES:
-        assert stage in by_stage, f"stage {stage} never ran"
-        assert by_stage[stage]["timed_calls"] >= 1
+    for row in document["stages"]:
+        assert row["timed_calls"] >= 1, f"stage {row['stage']} never timed"
 
     artifact = {
         "bench": "profile_baseline",

@@ -126,8 +126,7 @@ _SHARED: Dict[str, Tuple[Tuple[str, ...], Dict[str, Any]]] = {
     "workers": (("--workers",), dict(
         type=_count, default=None, metavar="N",
         help="worker processes sharding the run (default: every core; "
-             "1 for fleet and profile); the output is byte-identical "
-             "for every N")),
+             "1 for profile); the output is byte-identical for every N")),
     "serve": (("--serve",), dict(
         type=_port, metavar="PORT",
         help=f"serve live telemetry {_SERVED} on PORT for the run's "
@@ -287,19 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full alerts document as JSON")
 
     fleet = sub.add_parser(
-        "fleet", parents=[_shared("seed", "workers", "serve", "hold",
-                                  workers=1)],
-        help="fleet telemetry rollup: population counters, quantile "
-             "digests over detector state and top-K suspect tables "
-             "(O(K) however large the fleet; exit 2 when any agent "
-             "is alarming)",
+        "fleet",
+        help="fleet telemetry rollup of detectors that ran: population "
+             "counters, quantile digests over detector state and top-K "
+             "suspect tables (exit 2 when any agent is alarming)",
     )
-    fleet_source = _add_telemetry_source(fleet)
-    fleet_source.add_argument("--synthetic", type=_natural, metavar="N",
-                              help="roll up an N-agent deterministic "
-                                   "synthetic fleet (--serve serves it)")
-    fleet.add_argument("--k", type=_count, default=8,
-                       help="suspect-table size K (default 8)")
+    _add_telemetry_source(fleet)
     fleet.add_argument("--json", action="store_true",
                        help="print the rollup document as JSON")
 
@@ -352,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--baseline", metavar="JSON",
                          help="per-stage ns/packet baseline "
                               "(BENCH_profile.json); exit 2 when any "
-                              "stage regresses past the tolerance")
+                              "stage regresses past the tolerance, 64 "
+                              "when the run made no such stage")
     profile.add_argument("--baseline-tolerance", type=_non_negative,
                          default=1.5, metavar="X",
                          help="allowed ns/packet multiple of the "
@@ -518,16 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_telemetry_source(parser: argparse.ArgumentParser) -> Any:
+def _add_telemetry_source(parser: argparse.ArgumentParser) -> None:
     """The required ``--events JSONL | --url URL`` choice of the offline
-    telemetry commands; returns the group for command-specific sources."""
+    telemetry commands."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--events", metavar="JSONL",
                        help="events JSONL from observe --events-out "
                             "(deterministic offline rebuild)")
     group.add_argument("--url", metavar="URL",
                        help="base URL of a live telemetry server")
-    return group
 
 
 # ----------------------------------------------------------------------
@@ -1035,57 +1027,14 @@ def _render_fleet_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _fleet_obs(args: argparse.Namespace) -> Any:
-    """With ``--serve``, a bundle whose flight recorder holds one
-    snapshot per live synthetic agent (down agents never got one), so
-    the server's /fleet rebuilds the fleet from the moment it starts."""
-    if args.serve is None:
-        return None
-    if args.synthetic is None:
-        raise CommandError("--serve requires --synthetic")
-    from .obs.rollup import synthetic_fleet_states
-
-    obs = _instrumentation(memory_events=True)
-    for state in synthetic_fleet_states(args.synthetic, seed=args.seed):
-        if not state.down:
-            obs.recorder.record(state.name, {
-                "period_index": 0,
-                "end_time": 20.0,
-                "syn": state.delta,
-                "synack": 0.0,
-                "x": state.x,
-                "statistic": state.cusum,
-                "alarm": state.alarm,
-                "degraded": state.degraded_periods > 0,
-            })
-    return obs
-
-
 def _cmd_fleet(args: argparse.Namespace, obs: Any) -> Outcome:
-    """Fleet summary: live /fleet scrape, offline events rebuild, or a
-    sharded synthetic fleet (the O(K)-document demonstration)."""
+    """Fleet summary: a live /fleet scrape or an offline events rebuild."""
     if args.url:
         doc = _fetch_json(args.url, "/fleet")
-    elif args.events:
-        from .obs.events import read_jsonl
+    else:
         from .obs.rollup import rollup_from_events
 
-        doc = rollup_from_events(read_jsonl(args.events), k=args.k).to_dict()
-    else:
-        from .obs.merge import merge_rollup_snapshots
-        from .obs.rollup import synthetic_shard_rollup
-        from .parallel import WorkPlan, run_plan
-
-        # Fixed chunking: the grid, and so the merged document, never
-        # depends on --workers.
-        chunk = 256
-        tasks = [
-            (args.seed, start, min(start + chunk, args.synthetic), args.k)
-            for start in range(0, args.synthetic, chunk)
-        ]
-        snapshots = run_plan(WorkPlan.partition(tasks),
-                             synthetic_shard_rollup, workers=args.workers)
-        doc = merge_rollup_snapshots(snapshots, k=args.k).to_dict()
+        doc = rollup_from_events(_load_events_strict(args.events)).to_dict()
     alarming = (doc.get("agents") or {}).get("alarming", 0)
     return Outcome(EXIT_ALARM if alarming else EXIT_OK,
                    _json_text(doc) if args.json else _render_fleet_text(doc))
@@ -1457,18 +1406,21 @@ def _cmd_profile(args: argparse.Namespace, obs: Any) -> Outcome:
         stages = write_callgrind(document, args.callgrind_out)
         lines.append(f"callgrind        : {stages} stages -> "
                      f"{args.callgrind_out}")
+    rows = {row["stage"]: row for row in document["stages"]}
+    absent = [stage for stage in baseline if stage not in rows]
+    if absent:
+        raise CommandError(f"baseline stage(s) this run did not make: "
+                           f"{', '.join(absent)}")
     regressions = []
-    for row in document["stages"]:
-        budget = baseline.get(row["stage"])
-        if budget is None:
-            continue
+    for stage, budget in baseline.items():
+        ns_per_packet = rows[stage]["ns_per_packet"]
         allowed = budget * args.baseline_tolerance
-        verdict = "ok" if row["ns_per_packet"] <= allowed else "REGRESSED"
-        lines.append(f"baseline         : {row['stage']:<16} "
-                     f"{row['ns_per_packet']:.1f} vs {budget:.1f} ns/packet "
+        verdict = "ok" if ns_per_packet <= allowed else "REGRESSED"
+        lines.append(f"baseline         : {stage:<16} "
+                     f"{ns_per_packet:.1f} vs {budget:.1f} ns/packet "
                      f"(allowed {allowed:.1f}) {verdict}")
         if verdict != "ok":
-            regressions.append(row["stage"])
+            regressions.append(stage)
     if regressions:
         lines.append(f"REGRESSION       : {', '.join(sorted(regressions))}")
     return Outcome(EXIT_ALARM if regressions else EXIT_OK, "\n".join(lines),
@@ -1488,7 +1440,7 @@ _COMMANDS: Dict[str, Tuple[Command, ObsBuilder]] = {
     "profile": (_cmd_profile, _profile_obs),
     "query": (_cmd_query, None),
     "alerts": (_cmd_alerts, None),
-    "fleet": (_cmd_fleet, _fleet_obs),
+    "fleet": (_cmd_fleet, None),
     "chaos": (_cmd_chaos, lambda args: _instrumentation(
         max_memory_events=args.max_memory_events)),
     "soak": (_cmd_soak, lambda args: _instrumentation(

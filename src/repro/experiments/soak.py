@@ -563,7 +563,7 @@ def run_soak_campaign(
                 record.degraded,
             )
             replay_bundle.recorder.record(
-                _AGENT, record.snapshot(parameters.threshold)
+                _AGENT, record.snapshot(parameters.threshold), record
             )
         extra = {}
         if payload["events_emitted"] is not None:

@@ -51,7 +51,7 @@ Modules
     bytes, allocations) with a deterministic cost-model mode and
     folded-stack / callgrind exports.
 ``rollup``
-    Fleet-scale telemetry: mergeable fixed-bucket quantile digests,
+    Fleet telemetry: mergeable fixed-bucket quantile digests,
     Space-Saving top-K suspect rankings and population counters —
     the O(K) ``/fleet`` document and the ``repro fleet`` backend.
 """
@@ -93,7 +93,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, {
     "recorder": ("FlightRecorder",),
     "rollup": (
         "DEFAULT_TOP_K", "AgentState", "FleetRollup", "QuantileDigest",
-        "SpaceSavingTopK", "rollup_from_events", "synthetic_fleet_states",
+        "SpaceSavingTopK", "rollup_from_events",
     ),
     "runtime": (
         "AgentSummary", "NULL_INSTRUMENTATION", "Instrumentation",

@@ -27,7 +27,7 @@ run from that stream alone — no trace, no detector, no pickle:
   fleet`` and the ``/fleet`` endpoint serve — population counters,
   per-metric quantile digests and top-K suspect lists — replayed from
   the log via :func:`~repro.obs.rollup.rollup_from_events`, so a
-  report over a 10^4-agent log still summarizes the fleet in O(K);
+  report over a log of many agents still summarizes them in O(K);
 * a **soak summary**: logs left behind by ``repro soak`` carry one
   ``soak_epoch`` event per epoch; the report folds them into a
   continuous-operation section (epochs, restores, continuity

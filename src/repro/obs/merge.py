@@ -294,21 +294,16 @@ def merge_tsdb_snapshots(
 # ----------------------------------------------------------------------
 # Fleet rollups
 # ----------------------------------------------------------------------
-def merge_rollup_snapshots(
-    snapshots: Iterable[Dict[str, Any]], k: Optional[int] = None
-) -> Any:
-    """Fold shard rollup snapshots into one fleet rollup, **in the
-    given order**.  Counter and bucket folds are exact integer sums
-    (order-free); float ``sum`` sidecars and over-K top-K truncation
-    follow merge order, which the engine fixes to
-    :meth:`WorkPlan.merge_order` — worker-count-independent — so the
-    merged document is byte-identical at any ``--workers``."""
+def merge_rollup_snapshots(snapshots: Iterable[Dict[str, Any]]) -> Any:
+    """Fold rollup snapshots (one per event log in a multi-file
+    ``repro report``) into one fleet rollup, **in the given order**.
+    Counter and bucket folds are exact integer sums (order-free); float
+    ``sum`` sidecars and over-K top-K truncation follow the given
+    order, so the same snapshots in the same order give the same
+    bytes."""
     from .rollup import FleetRollup
 
-    materialized = list(snapshots)
-    if k is None:
-        k = int(materialized[0]["k"]) if materialized else None
-    target = FleetRollup() if k is None else FleetRollup(k=k)
-    for snapshot in materialized:
+    target = FleetRollup()
+    for snapshot in snapshots:
         target.merge_snapshot(snapshot)
     return target

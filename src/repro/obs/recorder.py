@@ -15,7 +15,7 @@ needs, attached to the alarm instead of buried in a 100k-line JSONL.
 Snapshots are plain dicts so they serialize straight into the event
 log.  The recorder is also the live *who-is-alarming* source for the
 ``/healthz`` and ``/fleet`` endpoints (:mod:`repro.obs.server`): each
-tape folds its snapshots into an
+tape folds the ``DetectionRecord`` behind each snapshot into an
 :class:`~repro.obs.runtime.AgentSummary`, the same fold the detector
 and an event-log replay keep, and :meth:`status` reports its rows;
 :attr:`down` names the agents a supervisor marked crashed.
@@ -31,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import AbstractSet, Any, Deque, Dict, List, Optional, Sequence
 
-from .runtime import AgentSummary, period_of
+from .runtime import AgentSummary
 
 __all__ = ["FlightRecorder"]
 
@@ -101,28 +101,22 @@ class FlightRecorder:
         self._events = events
 
     def record(
-        self,
-        agent: str,
-        snapshot: Snapshot,
-        period: Optional[Sequence[Any]] = None,
+        self, agent: str, snapshot: Snapshot, period: Sequence[Any]
     ) -> Optional[Dict[str, Any]]:
         """Record one observation period's detector state for *agent*.
 
-        *snapshot* must carry at least ``alarm`` (bool) and
-        ``period_index``; the detector passes its full trajectory point
-        (counts, K̄, X_n, y_n, threshold) and, as *period*, the
-        ``DetectionRecord`` that point was taken from, which the tape's
-        summary folds as it is.  Without *period* the summary folds
-        :func:`~repro.obs.runtime.period_of` the snapshot.  Returns the
-        ``alarm_context`` payload when this period completed one, else
-        None.
+        *snapshot* is the period's trajectory point (counts, K̄, X_n,
+        y_n, threshold), the dict the tape keeps; *period* is the
+        ``DetectionRecord`` it was taken from, which the tape's summary
+        folds as it is.  Returns the ``alarm_context`` payload when this
+        period completed one, else None.
         """
         tape = self._tapes.get(agent)
         if tape is None:
             tape = self._tapes[agent] = _Tape(self.capacity)
         summary = tape.summary
         prev_alarm = summary.alarm
-        summary.fold(period if period is not None else period_of(snapshot))
+        summary.fold(period)
         alarm = summary.alarm
 
         emitted: Optional[Dict[str, Any]] = None

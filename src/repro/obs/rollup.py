@@ -1,16 +1,13 @@
-"""Fleet-scale telemetry rollups: mergeable digests over agent state.
+"""Fleet telemetry rollups: mergeable digests over agent state.
 
-Every obs surface before this module — per-agent ``/healthz`` rows,
-per-agent ``syndog_*`` series, per-agent flight-recorder rings — is
-linear in fleet size.  At the federation scales ROADMAP item 2 aims for
-(10^4–10^6 leaf routers) a scrape that enumerates agents is a megabyte
-document and a query over per-agent series is a full fleet walk.  This
-module is the reduction layer: each shard of the fleet folds its
-agents into a compact, *mergeable* digest, shard digests fold home
-through :mod:`repro.obs.merge`, and every downstream surface (the
-``/fleet`` endpoint, ``fleet_*`` TSDB series, fleet alert rules, the
-``repro fleet`` CLI) works only on the reduction — O(K·buckets)
-regardless of fleet size.
+Every per-agent obs surface — ``/healthz`` rows, ``syndog_*`` series,
+flight-recorder rings — grows with the number of detectors.  This
+module is the reduction layer: the running summaries of detectors that
+ran (a :class:`~repro.router.Federation`'s members, a flight
+recorder's tapes, or an event log replayed) fold into one compact,
+*mergeable* digest, and every fleet surface (the ``/fleet`` endpoint,
+``fleet_*`` TSDB series, fleet alert rules, ``repro fleet``) reads
+only the reduction — O(K·buckets) however many agents it folds.
 
 Three sketches, one rollup
 --------------------------
@@ -37,30 +34,21 @@ Three sketches, one rollup
 
 Merge algebra
 -------------
-``merge_from`` folds another rollup (or its ``to_dict`` snapshot) in.
-Counters and bucket counts are integer additions — exact, associative,
-commutative.  Min/max are lattice joins.  Float ``sum`` sidecars are
-the one order-sensitive fold; merges iterate metrics and top-K entries
-in sorted-key order ("order-normalized"), and the parallel engine
-always folds shards in :meth:`WorkPlan.merge_order` — a pure function
-of the plan, independent of ``--workers`` — so fleet documents are
-byte-identical at any worker count.  Top-K truncation makes the
-ranking itself approximate beyond K distinct keys (the recorded
+``merge_from`` folds another rollup (or its ``to_dict`` snapshot) in;
+``repro report`` over several event logs merges their rollups this way
+(:func:`repro.obs.merge.merge_rollup_snapshots`).  Counters and bucket
+counts are integer additions — exact, associative, commutative.
+Min/max are lattice joins.  Float ``sum`` sidecars are the one
+order-sensitive fold; merges iterate metrics and top-K entries in
+sorted-key order ("order-normalized") and fold snapshots in the order
+given, so the same inputs give the same bytes.  Top-K truncation makes
+the ranking itself approximate beyond K distinct keys (the recorded
 ``error`` bounds the overestimate, standard Space-Saving semantics);
 below K keys the merge is exact.
-
-The synthetic fleet
--------------------
-:func:`synthetic_fleet_states` derives per-agent detector state as a
-pure function of ``(seed, index)`` via SHA-512, so a 10^4-agent fleet
-can be sharded across any worker count and every shard sees exactly
-the same agents (``benchmarks/test_fleet_scale.py`` and the CI
-fleet-smoke job byte-diff the resulting documents).
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import (
@@ -85,8 +73,6 @@ __all__ = [
     "ROLLUP_BUCKETS",
     "SpaceSavingTopK",
     "rollup_from_events",
-    "synthetic_fleet_states",
-    "synthetic_shard_rollup",
 ]
 
 #: Suspect-table size: every top-K ranking and the ``/fleet`` document
@@ -405,8 +391,8 @@ class FleetRollup:
     """The fleet reduction: counters + digests + suspect rankings.
 
     Built by :meth:`observe`-ing per-agent states (or
-    :meth:`from_states`), merged shard-wise with :meth:`merge_from`,
-    serialized with :meth:`to_dict` — the ``/fleet`` document.  The
+    :meth:`from_summaries`), merged with :meth:`merge_from`, serialized
+    with :meth:`to_dict` — the ``/fleet`` document.  The
     document is O(K·buckets): four fixed-width digests, three ≤K-entry
     rankings, one counter block, regardless of how many agents were
     folded in.
@@ -442,41 +428,24 @@ class FleetRollup:
             self.top["alarms"].offer(state.name, state.alarms)
 
     @classmethod
-    def from_states(
-        cls,
-        states: Iterable[AgentState],
-        k: int = DEFAULT_TOP_K,
-        watermark: Optional[float] = None,
-    ) -> "FleetRollup":
-        rollup = cls(k=k)
-        for state in states:
-            rollup.observe(state)
-        rollup.watermark = watermark
-        return rollup
-
-    @classmethod
     def from_summaries(
         cls,
         summaries: Mapping[str, AgentSummary],
-        k: int = DEFAULT_TOP_K,
         down: AbstractSet[str] = frozenset(),
     ) -> "FleetRollup":
         """The rollup of running summaries by agent name, stamped with
         the latest period end-time among them.  *down* names the agents
         known to be down: a flight recorder has no liveness, a
         federation and an event log do."""
-        ends = [
-            summary.last[2] for summary in summaries.values()
-            if summary.last is not None and summary.last[2] is not None
-        ]
-        return cls.from_states(
-            (
-                AgentState.from_summary(name, summaries[name], name in down)
-                for name in sorted(summaries)
-            ),
-            k=k,
-            watermark=float(max(ends)) if ends else None,
-        )
+        rollup = cls()
+        ends = []
+        for name in sorted(summaries):
+            summary = summaries[name]
+            rollup.observe(AgentState.from_summary(name, summary, name in down))
+            if summary.last is not None and summary.last[2] is not None:
+                ends.append(summary.last[2])
+        rollup.watermark = float(max(ends)) if ends else None
+        return rollup
 
     # ------------------------------------------------------------------
     @property
@@ -496,7 +465,7 @@ class FleetRollup:
 
     # ------------------------------------------------------------------
     def merge_from(self, other: "FleetRollup") -> None:
-        """Fold another rollup in (shard digests coming home)."""
+        """Fold another rollup in (another event log's fleet)."""
         if other.k != self.k:
             raise ValueError(f"top-K size differs: {self.k} vs {other.k}")
         for status in sorted(other.counts):
@@ -622,15 +591,14 @@ class FleetRollup:
 # ----------------------------------------------------------------------
 # Builders: event logs
 # ----------------------------------------------------------------------
-def rollup_from_events(
-    events: Iterable[Mapping[str, Any]], k: int = DEFAULT_TOP_K
-) -> FleetRollup:
+def rollup_from_events(events: Iterable[Mapping[str, Any]]) -> FleetRollup:
     """Offline rollup (``repro fleet --events``): replay the log into
     per-agent running summaries, folding ``period`` events as the
     detector folded them, with ``federation_member_crashed`` /
     ``_restarted`` events toggling liveness.  A member that crashed
     before its first period still counts, or quorum would be
-    overstated."""
+    overstated.  A ``period`` event without a ``period_index`` takes
+    the agent's next one, as ``repro report`` reads it."""
     summaries: Dict[str, AgentSummary] = {}
     down = set()
     for event in events:
@@ -641,98 +609,13 @@ def rollup_from_events(
             summary = summaries.get(agent)
             if summary is None:
                 summary = summaries[agent] = AgentSummary()
-            summary.fold(period_of(event))
+            period = period_of(event)
+            if period[0] is None:
+                period = (summary.periods, *period[1:])
+            summary.fold(period)
         elif kind == "federation_member_crashed":
             summaries.setdefault(agent, AgentSummary())
             down.add(agent)
         elif kind == "federation_member_restarted":
             down.discard(agent)
-    return FleetRollup.from_summaries(summaries, k=k, down=down)
-
-
-# ----------------------------------------------------------------------
-# Synthetic fleets (benchmarks, CI smoke, `repro fleet --synthetic`)
-# ----------------------------------------------------------------------
-_SYNTH_SEP = "\x1f"
-
-
-def _synthetic_unit(seed: int, index: int, channel: str) -> float:
-    """Uniform [0, 1) derived from SHA-512 — a pure function of the
-    inputs, so any sharding of the index space sees identical agents."""
-    digest = hashlib.sha512(
-        _SYNTH_SEP.join(("fleet", str(seed), str(index), channel)).encode()
-    ).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
-def synthetic_agent_state(
-    index: int,
-    seed: int = 0,
-    alarm_fraction: float = 0.001,
-    down_fraction: float = 0.0005,
-    degraded_fraction: float = 0.01,
-) -> AgentState:
-    """One deterministic synthetic agent, modeling a mostly-healthy
-    fleet with a small affected tail (the 0.1% shape a real flood
-    localizes to)."""
-    role = _synthetic_unit(seed, index, "role")
-    level = _synthetic_unit(seed, index, "level")
-    jitter = _synthetic_unit(seed, index, "jitter")
-    name = f"agent-{index:06d}"
-    if role < down_fraction:
-        return AgentState(name=name, down=True)
-    if role < down_fraction + alarm_fraction:
-        # Flooded: CUSUM past the N=1.05 threshold, large positive delta.
-        cusum = 1.05 + 2.0 * level
-        return AgentState(
-            name=name,
-            delta=float(50 + int(level * 5000)),
-            x=0.5 + level,
-            cusum=cusum,
-            degraded_periods=int(jitter * 3),
-            alarms=1 + int(level * 3),
-            alarm=True,
-        )
-    if role < down_fraction + alarm_fraction + degraded_fraction:
-        return AgentState(
-            name=name,
-            delta=float(int(jitter * 10) - 3),
-            x=0.05 * level,
-            cusum=0.3 + 0.5 * level,
-            degraded_periods=1 + int(level * 10),
-        )
-    # Healthy bulk: delta hovers around zero, CUSUM stays low.
-    return AgentState(
-        name=name,
-        delta=float(int(jitter * 7) - 3),
-        x=0.1 * level - 0.05,
-        cusum=0.25 * level,
-    )
-
-
-def synthetic_fleet_states(
-    n: int,
-    seed: int = 0,
-    start: int = 0,
-    **kwargs: float,
-) -> List[AgentState]:
-    """Agents ``start .. start+n`` of the synthetic fleet."""
-    return [
-        synthetic_agent_state(index, seed=seed, **kwargs)
-        for index in range(start, start + n)
-    ]
-
-
-def synthetic_shard_rollup(task: Tuple[int, int, int, int], obs: Any = None) -> Dict[str, Any]:
-    """Worker function for WorkPlan-sharded synthetic rollups.
-
-    *task* is ``(seed, start, stop, k)``; returns the shard rollup's
-    snapshot dict (picklable, mergeable at the parent).  *obs* is the
-    engine-injected instrumentation bundle, unused here — the rollup
-    itself is the telemetry.
-    """
-    seed, start, stop, k = task
-    rollup = FleetRollup.from_states(
-        synthetic_fleet_states(stop - start, seed=seed, start=start), k=k
-    )
-    return rollup.to_dict()
+    return FleetRollup.from_summaries(summaries, down=down)

@@ -77,9 +77,13 @@ class AgentSummary:
     ``DetectionRecord``, or :func:`period_of` a snapshot.  The fold
     keeps the period count, the current alarm, how many times the alarm
     was raised (off→on transitions), the degraded-period count, the
-    last period and the first alarmed one.  All but the first alarmed
-    period survive a restart (:meth:`state_dict`); that one pairs with
-    the records, which a checkpoint leaves out.
+    last period and the first alarmed one.  A period whose index is at
+    or below the last one folded is a repeat — a detector restored from
+    an older checkpoint closes again the periods it closed before its
+    crash — and the fold skips it, so a tape or an event log replayed
+    counts each period once, as the live detector does.  All but the
+    first alarmed period survive a restart (:meth:`state_dict`); that
+    one pairs with the records, which a checkpoint leaves out.
     """
 
     __slots__ = (
@@ -93,6 +97,9 @@ class AgentSummary:
         self.first_alarm: Optional[Sequence[Any]] = None
 
     def fold(self, period: Sequence[Any]) -> None:
+        last = self.last
+        if last is not None and period[0] <= last[0]:
+            return
         self.periods += 1
         self.last = period
         if period[8]:

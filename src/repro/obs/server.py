@@ -18,7 +18,8 @@ only — with three endpoints:
     down is the recorder's liveness set, which a federation marks).  The
     full per-agent map is included only while the fleet is at or below
     :data:`HEALTHZ_AGENTS_LIMIT` agents; above it the document reports
-    ``agents_omitted`` instead, so a 10^6-agent probe stays small.
+    ``agents_omitted`` instead, so the probe stays small however many
+    agents report.
     ``status`` is honest: ``alarming`` when any agent's alarm is up or
     an alert rule is firing, ``degraded`` on event drops / degraded
     periods / pending alerts / a down agent, ``ok`` otherwise.

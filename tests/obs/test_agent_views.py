@@ -17,6 +17,7 @@ import pytest
 from repro.attack import FloodSource
 from repro.obs import enabled_instrumentation
 from repro.obs.rollup import rollup_from_events
+from repro.obs.runtime import AgentSummary, period_of
 from repro.obs.server import ObsServer
 from repro.packet import IPv4Network, MACAddress
 from repro.router import Federation
@@ -225,3 +226,53 @@ class TestAcknowledgement:
             obs.recorder.status()["router-eng"]
         assert federation.rollup().to_dict() == \
             rollup_from_events(obs.memory_events().events).to_dict()
+
+
+def leg(seed, offset):
+    """A 600 s Auckland packet trace for ``eng``, moved *offset* s on."""
+    rng = random.Random(seed)
+    trace = generate_packet_trace(
+        AUCKLAND, seed=seed, duration=600.0,
+        address_plan=AddressPlan(rng, stub_network=NETWORKS["eng"]),
+    )
+    return (
+        [packet.at(packet.timestamp + offset) for packet in trace.outbound],
+        [packet.at(packet.timestamp + offset) for packet in trace.inbound],
+    )
+
+
+def dying(packets):
+    """The first half of *packets*, then the sniffer's crash."""
+    yield from packets[: len(packets) // 2]
+    yield from dead_sniffer()
+
+
+class TestRestartReplay:
+    def test_views_count_each_period_once_across_a_restart(self):
+        # Three consecutive legs; the second one's outbound stream dies
+        # halfway.  The member restarts from the checkpoint taken after
+        # the first leg and closes again the periods it had closed
+        # before the crash, so the log carries those indices twice.
+        obs = enabled_instrumentation(memory_events=True)
+        federation = Federation(obs=obs, auto_restart=True)
+        federation.add_network("eng", NETWORKS["eng"])
+        for seed, offset in ((80, 0.0), (81, 600.0), (82, 1200.0)):
+            outbound, inbound = leg(seed, offset)
+            if offset == 600.0:
+                outbound = dying(outbound)
+            federation.feed("eng", outbound, inbound)
+        federation.finish()
+        events = obs.memory_events().events
+        periods = [event for event in events if event["event"] == "period"]
+        indices = {event["period_index"] for event in periods}
+        assert len(periods) > len(indices) == 90
+
+        assert federation.status()["eng"]["periods"] == 90
+        assert obs.recorder.status()["router-eng"]["periods"] == 90
+        replayed = AgentSummary()
+        for event in periods:
+            replayed.fold(period_of(event))
+        assert replayed.periods == 90
+        live = federation.rollup().to_dict()
+        assert ObsServer(obs).fleet_document() == live
+        assert rollup_from_events(events).to_dict() == live

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.syndog import DetectionRecord
 from repro.obs import ledger
 from repro.obs.runtime import enabled_instrumentation
 from repro.obs.tsdb import TimeSeriesDB
@@ -15,7 +16,8 @@ class TestCollectOccupancy:
     def test_counts_every_bounded_structure(self):
         obs = bundle()
         obs.tsdb.append("y", None, 20.0, 1.0)
-        obs.recorder.record("a", {"alarm": False, "period_index": 0})
+        record = DetectionRecord(0, 0.0, 20.0, 0, 0, 0.0, 0.0, 0.0, False, False)
+        obs.recorder.record("a", record.snapshot(1.05), record)
         occupancy = ledger.collect_occupancy(obs)
         assert occupancy["obs_ledger_tsdb_points"] == 1.0
         assert occupancy["obs_ledger_tsdb_series"] == 1.0

@@ -2,32 +2,27 @@
 
 import pytest
 
-from repro.core.syndog import SynDog
+from repro.core.syndog import DetectionRecord, SynDog
 from repro.obs.events import EventLog, MemorySink
 from repro.obs.recorder import FlightRecorder
 from repro.obs.runtime import Instrumentation
 
 
-def snapshot(period, alarm=False, statistic=0.0):
-    return {
-        "period_index": period,
-        "start_time": period * 20.0,
-        "end_time": (period + 1) * 20.0,
-        "syn": 100,
-        "synack": 100,
-        "k_bar": 100.0,
-        "x": 0.0,
-        "statistic": statistic,
-        "threshold": 1.05,
-        "alarm": alarm,
-    }
+def period(index, alarm=False, statistic=0.0):
+    """One period as the detector hands it to the recorder: the
+    snapshot the tape keeps and the record its summary folds."""
+    record = DetectionRecord(
+        index, index * 20.0, (index + 1) * 20.0, 100, 100, 100.0, 0.0,
+        statistic, alarm, False,
+    )
+    return record.snapshot(1.05), record
 
 
 class TestRingBuffer:
     def test_wraparound_keeps_last_capacity_snapshots(self):
         recorder = FlightRecorder(capacity=8)
-        for period in range(20):
-            recorder.record("a", snapshot(period))
+        for index in range(20):
+            recorder.record("a", *period(index))
         window = recorder.window("a")
         assert len(window) == 8
         assert [s["period_index"] for s in window] == list(range(12, 20))
@@ -35,9 +30,9 @@ class TestRingBuffer:
 
     def test_agents_are_independent(self):
         recorder = FlightRecorder(capacity=4)
-        recorder.record("a", snapshot(0))
-        recorder.record("b", snapshot(0))
-        recorder.record("b", snapshot(1))
+        recorder.record("a", *period(0))
+        recorder.record("b", *period(0))
+        recorder.record("b", *period(1))
         assert len(recorder.window("a")) == 1
         assert len(recorder.window("b")) == 2
         assert recorder.agents == ["a", "b"]
@@ -53,13 +48,13 @@ class TestAlarmContext:
         recorder = FlightRecorder(
             capacity=32, post_alarm_periods=2, events=EventLog(sink)
         )
-        for period in range(12):
-            recorder.record("a", snapshot(period))
+        for index in range(12):
+            recorder.record("a", *period(index))
         # Raise, hold, clear — one transition, one context.
-        recorder.record("a", snapshot(12, alarm=True, statistic=2.0))
-        recorder.record("a", snapshot(13, alarm=True, statistic=3.0))
-        recorder.record("a", snapshot(14, alarm=True, statistic=3.5))
-        recorder.record("a", snapshot(15, alarm=False))
+        recorder.record("a", *period(12, alarm=True, statistic=2.0))
+        recorder.record("a", *period(13, alarm=True, statistic=3.0))
+        recorder.record("a", *period(14, alarm=True, statistic=3.5))
+        recorder.record("a", *period(15, alarm=False))
         assert recorder.contexts_emitted == 1
         [context] = sink.of_kind("alarm_context")
         assert context["agent"] == "a"
@@ -70,17 +65,17 @@ class TestAlarmContext:
             == list(range(12))
         assert context["alarm_snapshot"]["statistic"] == 2.0
         # A second transition yields a second context.
-        recorder.record("a", snapshot(16, alarm=True, statistic=2.2))
-        recorder.record("a", snapshot(17))
-        recorder.record("a", snapshot(18))
+        recorder.record("a", *period(16, alarm=True, statistic=2.2))
+        recorder.record("a", *period(17))
+        recorder.record("a", *period(18))
         assert recorder.contexts_emitted == 2
         assert len(sink.of_kind("alarm_context")) == 2
 
     def test_pre_window_bounded_by_capacity(self):
         recorder = FlightRecorder(capacity=10, post_alarm_periods=0)
-        for period in range(50):
-            recorder.record("a", snapshot(period))
-        context = recorder.record("a", snapshot(50, alarm=True, statistic=2.0))
+        for index in range(50):
+            recorder.record("a", *period(index))
+        context = recorder.record("a", *period(50, alarm=True, statistic=2.0))
         assert context is not None
         assert context["pre_count"] == 10
         assert context["pre_periods"][0]["period_index"] == 40
@@ -90,10 +85,10 @@ class TestAlarmContext:
         recorder = FlightRecorder(
             capacity=16, post_alarm_periods=5, events=EventLog(sink)
         )
-        for period in range(11):
-            recorder.record("a", snapshot(period))
-        recorder.record("a", snapshot(11, alarm=True, statistic=1.5))
-        recorder.record("a", snapshot(12, alarm=True, statistic=1.8))
+        for index in range(11):
+            recorder.record("a", *period(index))
+        recorder.record("a", *period(11, alarm=True, statistic=1.5))
+        recorder.record("a", *period(12, alarm=True, statistic=1.8))
         assert recorder.contexts_emitted == 0  # still waiting on post
         assert recorder.flush() == 1
         [context] = sink.of_kind("alarm_context")
@@ -102,11 +97,11 @@ class TestAlarmContext:
 
     def test_rapid_realarm_closes_previous_context_first(self):
         recorder = FlightRecorder(capacity=16, post_alarm_periods=10)
-        recorder.record("a", snapshot(0))
-        recorder.record("a", snapshot(1, alarm=True, statistic=1.2))
-        recorder.record("a", snapshot(2, alarm=False))
+        recorder.record("a", *period(0))
+        recorder.record("a", *period(1, alarm=True, statistic=1.2))
+        recorder.record("a", *period(2, alarm=False))
         # Re-alarm before 10 post periods collected.
-        recorder.record("a", snapshot(3, alarm=True, statistic=1.4))
+        recorder.record("a", *period(3, alarm=True, statistic=1.4))
         assert recorder.contexts_emitted == 1
         recorder.flush()
         assert recorder.contexts_emitted == 2
@@ -118,8 +113,8 @@ class TestAlarmContext:
 class TestStatus:
     def test_status_reports_live_state(self):
         recorder = FlightRecorder(capacity=8)
-        recorder.record("a", snapshot(0, statistic=0.3))
-        recorder.record("a", snapshot(1, alarm=True, statistic=1.2))
+        recorder.record("a", *period(0, statistic=0.3))
+        recorder.record("a", *period(1, alarm=True, statistic=1.2))
         status = recorder.status()["a"]
         assert status["periods"] == 2
         assert status["alarm"] is True

@@ -12,11 +12,14 @@ properties with integer-valued floats so float addition is exact and
 
 import json
 import math
+import time
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.syndog import SynDog
 from repro.obs import enabled_instrumentation
 from repro.obs.merge import merge_rollup_snapshots
 from repro.obs.rollup import (
@@ -28,8 +31,6 @@ from repro.obs.rollup import (
     QuantileDigest,
     SpaceSavingTopK,
     rollup_from_events,
-    synthetic_fleet_states,
-    synthetic_shard_rollup,
 )
 
 
@@ -205,6 +206,56 @@ def _state(name, **kwargs):
     return AgentState(name=name, **kwargs)
 
 
+def _rollup(states, watermark=None):
+    """The rollup of *states*, folded in the given order."""
+    rollup = FleetRollup()
+    for state in states:
+        rollup.observe(state)
+    rollup.watermark = watermark
+    return rollup
+
+
+@lru_cache(maxsize=1)
+def real_fleet():
+    """The running summaries of 1,000 detectors that ran Eq. 1-4 over
+    12 periods each, by name.  Background counts vary with the agent;
+    every 13th misses period 3 (degraded) and every 97th is flooded
+    from period 6 on (alarming)."""
+    summaries = {}
+    for i in range(1_000):
+        dog = SynDog(name=f"agent-{i:04d}")
+        for period in range(12):
+            if i % 13 == 0 and period == 3:
+                dog.observe_missing_period()
+                continue
+            flood = 200 if i % 97 == 0 and period >= 6 else 0
+            dog.observe_period(100 + i % 7 + flood, 100 + i % 5)
+        summaries[dog.name] = dog.summary
+    return summaries
+
+
+def real_summaries(n, start=0):
+    """Agents ``start .. start+n`` of :func:`real_fleet`."""
+    summaries = real_fleet()
+    return {name: summaries[name] for name in sorted(summaries)[start:start + n]}
+
+
+def real_rollup(n, start=0):
+    """The rollup of :func:`real_summaries`, every 211th agent down."""
+    summaries = real_summaries(n, start)
+    down = {name for name in summaries if int(name[-4:]) % 211 == 5}
+    return FleetRollup.from_summaries(summaries, down=down)
+
+
+#: Budget: folding one agent's summary into the rollup.  The measured
+#: cost is 2-4 µs per agent; 25 µs is the regression alarm.
+MAX_FOLD_NS_PER_AGENT = 25_000
+
+#: Budget: the serialized /fleet document, about 3 KB at K = 8.  A
+#: document near this ceiling has grown with the fleet.
+MAX_DOC_BYTES = 16_384
+
+
 class TestFleetRollup:
     def test_status_classification_and_counters(self):
         states = [
@@ -214,7 +265,7 @@ class TestFleetRollup:
             # down dominates everything else:
             _state("down-1", down=True, alarm=True, degraded_periods=9),
         ]
-        rollup = FleetRollup.from_states(states, watermark=80.0)
+        rollup = _rollup(states, watermark=80.0)
         assert rollup.counts == {
             "total": 4, "ok": 1, "degraded": 1, "alarming": 1, "down": 1,
         }
@@ -232,44 +283,59 @@ class TestFleetRollup:
             assert doc["digests"][metric]["quantiles"]["p99"] is None
 
     def test_document_is_o_of_k_not_fleet_size(self):
-        # The acceptance criterion: the /fleet document's structure —
-        # its key set and list lengths — is identical at 10^2 and 10^3
-        # agents; only counter values differ.
-        def doc_shape(value):
+        # The /fleet document's structure — its key set, and every list
+        # length but the suspect lists' — is identical at 10^2 and 10^3
+        # real agents; only counter values differ.  The suspect lists
+        # are bounded by K, the whole document by MAX_DOC_BYTES, and
+        # the fold by MAX_FOLD_NS_PER_AGENT.
+        def doc_shape(value, lengths=True):
             if isinstance(value, dict):
-                return {key: doc_shape(value[key]) for key in sorted(value)}
+                return {key: doc_shape(value[key], lengths and key != "top")
+                        for key in sorted(value)}
             if isinstance(value, list):
-                return [len(value)]
+                return [len(value)] if lengths else "list"
             return type(value).__name__
 
-        small = FleetRollup.from_states(synthetic_fleet_states(100, seed=3))
-        large = FleetRollup.from_states(synthetic_fleet_states(1000, seed=3))
-        small_doc, large_doc = small.to_dict(), large.to_dict()
-        for doc in (small_doc, large_doc):
+        docs = {}
+        for n in (100, 1_000):
+            summaries = real_summaries(n)
+            seconds = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                rollup = FleetRollup.from_summaries(summaries)
+                seconds = min(seconds, time.perf_counter() - start)
+            assert seconds <= n * MAX_FOLD_NS_PER_AGENT / 1e9, (
+                f"folding {n} agents took {seconds * 1e6:.0f} µs"
+            )
+            docs[n] = rollup.to_dict()
+        small, large = docs[100], docs[1_000]
+        assert large["agents"]["total"] == 1_000
+        # Agents 0, 97, ..., 970 alarm; 13, 26, ..., 988 are degraded
+        # (agent 0 is both, and counts as alarming).
+        assert large["agents"]["alarming"] == 11
+        assert large["agents"]["degraded"] == 76
+        assert doc_shape(small) == doc_shape(large)
+        for doc in (small, large):
             for summary in doc["top"].values():
                 assert len(summary["entries"]) <= DEFAULT_TOP_K
-        # Digest structure is fixed-width regardless of size.
+            assert len(json.dumps(doc, sort_keys=True)) <= MAX_DOC_BYTES
+        assert len(large["top"]["cusum"]["entries"]) == DEFAULT_TOP_K
         for metric in ROLLUP_METRICS:
-            assert (
-                len(small_doc["digests"][metric]["counts"])
-                == len(large_doc["digests"][metric]["counts"])
-                == len(ROLLUP_BUCKETS[metric]) + 1
-            )
-        assert sorted(small_doc) == sorted(large_doc)
-        assert sorted(small_doc["agents"]) == sorted(large_doc["agents"])
+            assert len(large["digests"][metric]["counts"]) == \
+                len(ROLLUP_BUCKETS[metric]) + 1
 
     def test_merge_disjoint_agent_sets_is_exact(self):
-        left = FleetRollup.from_states(
+        left = _rollup(
             [_state("a", cusum=0.5, alarm=True, alarms=1),
              _state("b", degraded_periods=2)],
             watermark=20.0,
         )
-        right = FleetRollup.from_states(
+        right = _rollup(
             [_state("c", cusum=1.3, alarm=True, alarms=3),
              _state("d")],
             watermark=40.0,
         )
-        serial = FleetRollup.from_states(
+        serial = _rollup(
             [_state("a", cusum=0.5, alarm=True, alarms=1),
              _state("b", degraded_periods=2),
              _state("c", cusum=1.3, alarm=True, alarms=3),
@@ -285,10 +351,10 @@ class TestFleetRollup:
         # sum-mode rankings add its contributions, max-mode keeps the
         # higher level, population counters double-count by design
         # (each shard counted one observation of the fleet).
-        left = FleetRollup.from_states(
+        left = _rollup(
             [_state("a", cusum=0.4, alarms=1, alarm=True), _state("b")]
         )
-        right = FleetRollup.from_states(
+        right = _rollup(
             [_state("a", cusum=0.9, alarms=2, alarm=True), _state("c")]
         )
         left.merge_from(right)
@@ -299,12 +365,7 @@ class TestFleetRollup:
         assert top_cusum["a"] == 0.9
 
     def test_snapshot_merge_matches_object_merge(self):
-        shards = [
-            FleetRollup.from_states(
-                synthetic_fleet_states(50, seed=9, start=start), watermark=20.0
-            )
-            for start in (0, 50, 100)
-        ]
+        shards = [real_rollup(50, start=start) for start in (0, 50, 100)]
         direct = FleetRollup()
         for shard in shards:
             direct.merge_from(shard)
@@ -312,16 +373,16 @@ class TestFleetRollup:
             [shard.to_dict() for shard in shards]
         )
         assert via_snapshots.to_dict() == direct.to_dict()
+        assert direct.counts["total"] == 150
+        assert direct.counts["down"] == 1
 
     def test_dict_roundtrip(self):
-        rollup = FleetRollup.from_states(
-            synthetic_fleet_states(200, seed=5), watermark=60.0
-        )
+        rollup = real_rollup(200)
         clone = FleetRollup.from_dict(rollup.to_dict())
         assert clone.to_dict() == rollup.to_dict()
 
     def test_fleet_series_names_and_values(self):
-        rollup = FleetRollup.from_states(
+        rollup = _rollup(
             [_state("a", cusum=0.5), _state("b", down=True)]
         )
         series = dict(rollup.fleet_series())
@@ -332,9 +393,10 @@ class TestFleetRollup:
         assert math.isfinite(series["fleet_cusum_max"])
 
     def test_document_is_json_serializable(self):
-        rollup = FleetRollup.from_states(synthetic_fleet_states(30, seed=1))
+        rollup = real_rollup(30)
         doc = json.loads(json.dumps(rollup.to_dict()))
         assert doc["agents"]["total"] == 30
+        assert doc["watermark"] == 240.0
 
 
 # ----------------------------------------------------------------------
@@ -362,13 +424,13 @@ class TestMergeAlgebra:
     def test_merge_is_associative(self, a, b, c):
         # (A + B) + C == A + (B + C): with <= 6 distinct agent names
         # and k=8 the top-K never truncates, so this is exact.
-        left = FleetRollup.from_states(a)
-        left.merge_from(FleetRollup.from_states(b))
-        left.merge_from(FleetRollup.from_states(c))
+        left = _rollup(a)
+        left.merge_from(_rollup(b))
+        left.merge_from(_rollup(c))
 
-        tail = FleetRollup.from_states(b)
-        tail.merge_from(FleetRollup.from_states(c))
-        right = FleetRollup.from_states(a)
+        tail = _rollup(b)
+        tail.merge_from(_rollup(c))
+        right = _rollup(a)
         right.merge_from(tail)
 
         assert left.canonical() == right.canonical()
@@ -376,25 +438,25 @@ class TestMergeAlgebra:
     @settings(max_examples=50)
     @given(a=state_lists, b=state_lists)
     def test_merge_is_commutative_up_to_canonicalization(self, a, b):
-        ab = FleetRollup.from_states(a)
-        ab.merge_from(FleetRollup.from_states(b))
-        ba = FleetRollup.from_states(b)
-        ba.merge_from(FleetRollup.from_states(a))
+        ab = _rollup(a)
+        ab.merge_from(_rollup(b))
+        ba = _rollup(b)
+        ba.merge_from(_rollup(a))
         assert ab.canonical() == ba.canonical()
 
     @settings(max_examples=50)
     @given(states=state_lists)
     def test_sharded_merge_equals_serial_fold(self, states):
-        serial = FleetRollup.from_states(states)
+        serial = _rollup(states)
         sharded = FleetRollup()
         for i in range(0, len(states), 3):
-            sharded.merge_from(FleetRollup.from_states(states[i:i + 3]))
+            sharded.merge_from(_rollup(states[i:i + 3]))
         assert sharded.canonical() == serial.canonical()
 
     @settings(max_examples=50)
     @given(states=state_lists)
     def test_roundtrip_through_snapshot_preserves_document(self, states):
-        rollup = FleetRollup.from_states(states)
+        rollup = _rollup(states)
         assert FleetRollup.from_dict(rollup.to_dict()).to_dict() == \
             rollup.to_dict()
 
@@ -460,19 +522,14 @@ class TestBuilders:
         assert rollup.watermark == 40.0
         assert rollup.counts["total"] == 1
 
-    def test_synthetic_fleet_is_shard_invariant(self):
-        # The synthetic agent at index i is a pure function of
-        # (seed, i): chunk boundaries cannot change any agent.
-        whole = synthetic_fleet_states(40, seed=7)
-        chunked = (
-            synthetic_fleet_states(15, seed=7, start=0)
-            + synthetic_fleet_states(25, seed=7, start=15)
-        )
-        assert whole == chunked
-
-    def test_synthetic_shard_rollup_is_picklable_task(self):
-        import pickle
-
-        payload = synthetic_shard_rollup((7, 0, 25, 8))
-        assert payload["agents"]["total"] == 25
-        pickle.dumps(synthetic_shard_rollup)  # must be a module-level fn
+    def test_period_events_without_an_index_fold_in_order(self):
+        # A hand-written log: each index-less period is the agent's
+        # next one, as the forensic report reads it, not a repeat.
+        events = [
+            {"event": "period", "agent": "a", "syn": 100, "synack": 100},
+            {"event": "period", "agent": "a", "syn": 100, "synack": 100,
+             "degraded": True},
+        ]
+        doc = rollup_from_events(events).to_dict()
+        assert doc["agents"]["degraded"] == 1
+        assert doc["digests"]["degraded_periods"]["max"] == 1.0

@@ -33,8 +33,9 @@ class TestHealthzShape:
         document = server.health()
         assert isinstance(document["uptime_periods"], int)
         assert isinstance(document["checkpoints_restored"], int)
-        # 10 periods + one extra per restore, all on one agent.
-        assert document["uptime_periods"] == 12
+        # Periods 0-10 on one agent: both restores close period 10,
+        # and the tape counts a repeated period index once.
+        assert document["uptime_periods"] == 11
         assert document["checkpoints_restored"] == 2
 
     def test_uptime_periods_is_longest_streak_not_sum(self):

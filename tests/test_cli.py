@@ -3,6 +3,7 @@ malformed input also through ``python -m repro``, to see the exit code
 and stderr a user sees."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -268,8 +269,6 @@ class TestOptionDomains:
          "--json", "c.json"],
         ["table", "2", "--trials", "0", "--json", "t.json"],
         ["table", "9", "--json", "t.json"],
-        ["fleet", "--synthetic", "3", "--k", "0"],
-        ["fleet", "--synthetic", "3", "--workers", "0"],
         ["theory", "--k-bar", "nan"],
         ["theory", "--k-bar", "-5"],
         ["attack", "--counts", "BG", "--rate", "nan", "--out", "m.csv"],
@@ -915,6 +914,10 @@ class TestObserveAlertsAndTrace:
         assert " ms wall clock" in out
 
 
+#: The per-stage baseline CI's ``repro profile --baseline`` step reads.
+COMMITTED_PROFILE = Path(__file__).resolve().parent.parent / "BENCH_profile.json"
+
+
 class TestProfileCommand:
     def test_cost_model_run_with_exports(self, tmp_path, capsys):
         import json
@@ -1001,6 +1004,48 @@ class TestProfileCommand:
         assert code == EXIT_OK
         assert "REGRESSED" not in capsys.readouterr().out
 
+    def test_baseline_stage_the_run_did_not_make_fails(
+        self, tmp_path, capsys
+    ):
+        # The default run takes the fastpath, which makes no classify
+        # stage: a baseline naming one checks nothing, so it is an
+        # error, not a pass.
+        from repro.cli import EXIT_USAGE
+
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps({"classify": 1.0}))
+        code = main(["profile", "--mode", "timers",
+                     "--baseline", str(baseline)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("profile: ") and err.count("\n") == 1
+        assert "classify" in err
+
+    def test_committed_baseline_divided_by_100_exits_alarm(
+        self, tmp_path, capsys
+    ):
+        document = json.loads(COMMITTED_PROFILE.read_text())
+        for row in document["stages"]:
+            row["ns_per_packet"] /= 100
+        baseline = tmp_path / "base.json"
+        baseline.write_text(json.dumps(document))
+        code = main(["profile", "--mode", "timers",
+                     "--baseline", str(baseline)])
+        assert code == EXIT_ALARM
+        out = capsys.readouterr().out
+        stages = sorted(row["stage"] for row in document["stages"])
+        assert f"REGRESSION       : {', '.join(stages)}" in out
+
+    def test_committed_baseline_passes_at_ci_tolerance(self, capsys):
+        # CI's step: every committed stage is compared, and passes.
+        code = main(["profile", "--mode", "timers",
+                     "--baseline", str(COMMITTED_PROFILE),
+                     "--baseline-tolerance", "25"])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        for row in json.loads(COMMITTED_PROFILE.read_text())["stages"]:
+            assert f"baseline         : {row['stage']:<16} " in out
+
     def test_bad_baseline_file_is_usage_error(self, tmp_path, capsys):
         from repro.cli import EXIT_USAGE
 
@@ -1046,42 +1091,64 @@ class TestProfileCommand:
 
 
 class TestFleet:
-    def test_synthetic_fleet_json_document(self, capsys):
-        import json
+    @pytest.fixture
+    def fleet_log(self, tmp_path):
+        """The events log of a 3-member federation: ``eng`` flooded
+        and alarming, ``dorms`` quiet, ``library`` crashed."""
+        from repro.obs import enabled_instrumentation
+        from repro.packet import IPv4Network
+        from repro.router import Federation
 
-        from repro.cli import EXIT_USAGE
+        obs = enabled_instrumentation(
+            events_path=str(tmp_path / "fleet.events.jsonl")
+        )
+        federation = Federation(obs=obs)
+        for index, name in enumerate(("eng", "dorms", "library")):
+            federation.add_network(
+                name, IPv4Network.parse(f"10.{index + 1}.0.0/16")
+            )
+        for name in ("eng", "dorms"):
+            dog = federation.member(name)[1].detector
+            for period in range(12):
+                flood = 400 if name == "eng" and period >= 6 else 0
+                dog.observe_period(100 + flood, 100)
 
-        code = main([
-            "fleet", "--synthetic", "500", "--seed", "7", "--json",
-        ])
-        assert code in (EXIT_OK, EXIT_ALARM)
+        def dead_sniffer():
+            raise RuntimeError("sniffer segfault")
+            yield
+
+        with pytest.raises(RuntimeError):
+            federation.feed("library", dead_sniffer(), [])
+        obs.finalize()
+        return tmp_path / "fleet.events.jsonl"
+
+    def test_events_fleet_json_document(self, fleet_log, capsys):
+        from repro.obs.events import read_jsonl
+        from repro.obs.rollup import DEFAULT_TOP_K, rollup_from_events
+
+        code = main(["fleet", "--events", str(fleet_log), "--json"])
+        assert code == EXIT_ALARM  # eng is alarming
         doc = json.loads(capsys.readouterr().out)
-        assert doc["agents"]["total"] == 500
-        assert doc["k"] == 8
-        for summary in doc["top"].values():
-            assert len(summary["entries"]) <= 8
+        assert doc == json.loads(json.dumps(
+            rollup_from_events(read_jsonl(str(fleet_log))).to_dict()
+        ))
+        assert doc["k"] == DEFAULT_TOP_K
+        assert doc["agents"] == {
+            "total": 3, "ok": 1, "degraded": 0, "alarming": 1, "down": 1,
+            "quorum": pytest.approx(2 / 3), "alarm_fraction": 1 / 3,
+        }
+        assert doc["watermark"] == 240.0
 
-    def test_worker_count_does_not_change_the_document(self, capsys):
-        code_1 = main([
-            "fleet", "--synthetic", "400", "--seed", "3",
-            "--workers", "1", "--json",
-        ])
-        out_1 = capsys.readouterr().out
-        code_2 = main([
-            "fleet", "--synthetic", "400", "--seed", "3",
-            "--workers", "2", "--json",
-        ])
-        out_2 = capsys.readouterr().out
-        assert code_1 == code_2
-        assert out_1 == out_2  # byte-identical, the PR's core invariant
-
-    def test_text_rendering_has_digest_and_suspect_tables(self, capsys):
-        code = main(["fleet", "--synthetic", "300", "--seed", "1"])
-        assert code in (EXIT_OK, EXIT_ALARM)
+    def test_text_rendering_has_digest_and_suspect_tables(
+        self, fleet_log, capsys
+    ):
+        code = main(["fleet", "--events", str(fleet_log)])
+        assert code == EXIT_ALARM
         out = capsys.readouterr().out
         assert "fleet" in out
         assert "p99" in out
         assert "highest CUSUM" in out
+        assert "router-eng" in out
 
     def test_events_replay_matches_rollup_from_events(
         self, tmp_path, capsys
@@ -1113,8 +1180,24 @@ class TestFleet:
         code = main(["fleet", "--events", "/nonexistent/nope.jsonl"])
         assert code == EXIT_USAGE
 
-    def test_negative_synthetic_count_is_usage_error(self, capsys):
+    def test_corrupt_events_file_is_one_line(self, tmp_path, capsys):
+        events = tmp_path / "cut.jsonl"
+        events.write_text('{"event": "period", "agent": "a", "per')
+        assert main(["fleet", "--events", str(events)]) == EXIT_ALARM
+        err = capsys.readouterr().err
+        assert err.startswith("fleet: truncated or corrupt events file")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--synthetic", "5"], ["--k", "3"], ["--workers", "2"],
+        ["--seed", "7"], ["--serve", "0"], ["--hold", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_reads_only_detectors_that_ran(self, argv, tmp_path, capsys):
+        # A live /fleet or a recorded log is the only source: the
+        # options of the synthetic fleet are usage errors.
         from repro.cli import EXIT_USAGE
 
-        code = main(["fleet", "--synthetic", "-5"])
-        assert code == EXIT_USAGE
+        events = tmp_path / "empty.jsonl"
+        events.write_text("")
+        assert main(["fleet", "--events", str(events), *argv]) == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err

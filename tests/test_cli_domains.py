@@ -41,8 +41,6 @@ IN_DOMAIN = {
     "--rate": NON_NEGATIVE,
     "--start": NON_NEGATIVE,
     "--at": FINITE,
-    "--synthetic": NATURAL,
-    "--k": COUNT,
     "--min-alarm-periods": NATURAL,
     "--networks": COUNT,
     "--sample-every": COUNT,
@@ -78,7 +76,6 @@ REQUIRED = {
     "observe": ["--trace", "x"],
     "query": ["up", "--events", "x"],
     "alerts": ["--events", "x"],
-    "fleet": ["--synthetic", "1"],
     "report": ["x"],
     "table": ["2"],
     "figure": ["3"],
@@ -112,8 +109,8 @@ def _argv(command, flag, value):
 
 
 def test_every_numeric_argument_is_walked():
-    # 77 options plus the two positional ``number``s.
-    assert len(NUMERIC) == 79
+    # 71 options plus the two positional ``number``s.
+    assert len(NUMERIC) == 73
     assert {flag for _, flag in NUMERIC} == set(IN_DOMAIN)
 
 
